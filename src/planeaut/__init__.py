@@ -41,9 +41,6 @@ from .degeneration import (
     degenerate_family_ii,
     degenerate_family_iii,
     degenerate_family_iv,
-    family_inverse,
-    family_valuation,
-    family_value_at_zero,
     lift_plane_aut,
     pole_propagation_check,
     x_alpha,

@@ -455,8 +455,8 @@ def _triangularize_affine(fac: AffineFactor) -> tuple:
     R = fac.ring
     tr = R.add(fac.a, fac.d)
     lam = None
-    if hasattr(R, "p"):
-        for cand in R.elements():
+    if R.is_finite:
+        for cand in R.sample_stream():
             if R.is_zero(cand):
                 continue
             # det(M - cand I) = cand^2 - tr cand + 1

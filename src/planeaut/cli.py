@@ -9,6 +9,7 @@ a single object {"verdict": ..., "data": ..., "checks": ...}.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -35,31 +36,14 @@ from .errors import ParseError, PlaneAutError, UnsupportedFieldError
 from .parsing import parse_automorphism, parse_polynomial
 from .rings import LaurentRing, field_from_name, up_to_str
 
-_ARITY = {"compose": 2, "inverse": 1, "factor": 1, "classify": 1,
-          "conj-test": 2, "degseq": 1, "regular": 1, "degenerate": 1,
-          "xalpha": 1, "pole-check": 2, "decompose-vp": 1}
-
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="planeaut",
         description="Exact computations with polynomial automorphisms of the plane.")
     sub = top.add_subparsers(dest="verb", required=True, metavar="verb")
-    helps = {
-        "compose": "compose two maps (or families)",
-        "inverse": "invert a plane map or family",
-        "factor": "affine/triangular factorization of a Jacobian-1 plane map",
-        "classify": "conjugacy normal form (families I-IV) or Henon data",
-        "conj-test": "decide conjugacy of two plane maps",
-        "degseq": "degrees of the first n iterates",
-        "regular": "test deg(f o f) = deg(f)^2",
-        "degenerate": "one-parameter degeneration of a normal-form member",
-        "xalpha": "limit points at infinity of a family with a pole",
-        "pole-check": "pole propagation report for a map and a family",
-        "decompose-vp": "split a polynomial over F_p as v + (r(x+1) - r(x))",
-    }
-    for verb, n in _ARITY.items():
-        p = sub.add_parser(verb, help=helps[verb])
+    for verb, (n, help_text, _, _) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
         p.add_argument("exprs", nargs="*", metavar="expr",
                        help=f"{n} input expression(s)" if n > 1 else "input expression")
         p.add_argument("--field", default="Q", help="Q or Fp:<prime> (default Q)")
@@ -117,17 +101,6 @@ def _cmd_factor(field, inputs, args):
     }, {"recomposition": word.recompose() == e}
 
 
-def _expanded_poly_str(nf) -> str:
-    ring = nf.ring
-    if nf.family == "II":
-        return up_to_str(ring, nf.P, "x2")
-    if nf.family == "III":
-        step, offset = nf.order, nf.order - 1
-    else:
-        step, offset = ring.characteristic, ring.characteristic - 1
-    return up_to_str(ring, {offset + step * k: c for k, c in nf.P.items()}, "x2")
-
-
 def _cmd_classify(field, inputs, args):
     aut = plane_aut_from_endo(_require_endo(inputs[0], "classify"))
     if not is_algebraic(aut):
@@ -138,7 +111,8 @@ def _cmd_classify(field, inputs, args):
     data = {"family": nf.family,
             "multiplier": field.to_str(nf.multiplier) if nf.multiplier is not None else None,
             "order": nf.order,
-            "polynomial": _expanded_poly_str(nf) if nf.family in ("II", "III", "IV") else None,
+            "polynomial": (up_to_str(field, nf.expanded(), "x2")
+                           if nf.family in ("II", "III", "IV") else None),
             "representative": str(nf.aut.fwd),
             "conjugator": str(nf.conjugator.fwd)}
     checks = {"conjugation": nf.conjugator.compose(aut)
@@ -180,9 +154,7 @@ def _cmd_degenerate(field, inputs, args):
     elif nf.family == "III":
         w = degenerate_family_iii(field, nf.multiplier, nf.order, nf.P)
     else:
-        p = field.characteristic
-        expanded = {p - 1 + p * k: c for k, c in nf.P.items()}
-        w = degenerate_family_iv(field, expanded, args.variant)
+        w = degenerate_family_iv(field, nf.expanded(), args.variant)
     # re-anchor the witness on the input map: rep = h f h^-1 composes into it
     L = w.family.ring
     conj = lift_plane_aut(nf.conjugator.inverse(), L).compose(w.conjugator)
@@ -196,16 +168,8 @@ def _cmd_degenerate(field, inputs, args):
 
 
 def _nonzero_samples(field, count):
-    out = []
-    if hasattr(field, "p"):
-        for i in range(1, field.p):
-            out.append(field.from_int(i))
-            if len(out) == count:
-                break
-    else:
-        for i in range(1, count + 1):
-            out.append(field.from_int(i))
-    return out
+    nonzero = (c for c in field.sample_stream() if not field.is_zero(c))
+    return list(itertools.islice(nonzero, count))
 
 
 def _cmd_xalpha(field, inputs, args):
@@ -223,9 +187,8 @@ def _cmd_pole_check(field, inputs, args):
                                      "dichotomy": rep.dichotomy_holds}
 
 
-def _cmd_decompose_vp(field, raw_inputs, args):
-    P = parse_polynomial(raw_inputs[0], field)
-    dec = decompose_v_delta(field, P)
+def _cmd_decompose_vp(field, inputs, args):
+    dec = decompose_v_delta(field, inputs[0])
     data = {"input": up_to_str(field, dec.F, "x1"),
             "v": up_to_str(field, dec.v, "x1"),
             "r": up_to_str(field, dec.r, "x1")}
@@ -233,12 +196,26 @@ def _cmd_decompose_vp(field, raw_inputs, args):
                         "v_in_V": in_v_subspace(field, dec.v)}
 
 
-_HANDLERS = {"compose": _cmd_compose, "inverse": _cmd_inverse,
-             "factor": _cmd_factor, "classify": _cmd_classify,
-             "conj-test": _cmd_conj_test, "degseq": _cmd_degseq,
-             "regular": _cmd_regular, "degenerate": _cmd_degenerate,
-             "xalpha": _cmd_xalpha, "pole-check": _cmd_pole_check,
-             "decompose-vp": _cmd_decompose_vp}
+# verb -> (arity, help, parser of one input, handler); the order is the --help order
+_VERBS = {
+    "compose": (2, "compose two maps (or families)", parse_automorphism, _cmd_compose),
+    "inverse": (1, "invert a plane map or family", parse_automorphism, _cmd_inverse),
+    "factor": (1, "affine/triangular factorization of a Jacobian-1 plane map",
+               parse_automorphism, _cmd_factor),
+    "classify": (1, "conjugacy normal form (families I-IV) or Henon data",
+                 parse_automorphism, _cmd_classify),
+    "conj-test": (2, "decide conjugacy of two plane maps", parse_automorphism, _cmd_conj_test),
+    "degseq": (1, "degrees of the first n iterates", parse_automorphism, _cmd_degseq),
+    "regular": (1, "test deg(f o f) = deg(f)^2", parse_automorphism, _cmd_regular),
+    "degenerate": (1, "one-parameter degeneration of a normal-form member",
+                   parse_automorphism, _cmd_degenerate),
+    "xalpha": (1, "limit points at infinity of a family with a pole",
+               parse_automorphism, _cmd_xalpha),
+    "pole-check": (2, "pole propagation report for a map and a family",
+                   parse_automorphism, _cmd_pole_check),
+    "decompose-vp": (1, "split a polynomial over F_p as v + (r(x+1) - r(x))",
+                     parse_polynomial, _cmd_decompose_vp),
+}
 
 
 # -- report emission ---------------------------------------------------------
@@ -281,14 +258,12 @@ def main(argv=None) -> int:
                 raw += [line.strip() for line in fh if line.strip()]
         except OSError as exc:
             parser.error(str(exc))
-    if len(raw) != _ARITY[args.verb]:
-        parser.error(f"{args.verb} takes {_ARITY[args.verb]} expression(s), got {len(raw)}")
+    arity, _, parse, handler = _VERBS[args.verb]
+    if len(raw) != arity:
+        parser.error(f"{args.verb} takes {arity} expression(s), got {len(raw)}")
     try:
-        if args.verb == "decompose-vp":
-            verdict, data, checks = _cmd_decompose_vp(field, raw, args)
-        else:
-            inputs = [parse_automorphism(src, field) for src in raw]
-            verdict, data, checks = _HANDLERS[args.verb](field, inputs, args)
+        inputs = [parse(src, field) for src in raw]
+        verdict, data, checks = handler(field, inputs, args)
     except ParseError as exc:
         return _emit_error(args, exc, 2)
     except PlaneAutError as exc:

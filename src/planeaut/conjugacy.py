@@ -121,18 +121,19 @@ def decompose_v_delta(ring, F: dict) -> CharPDecomposition:
     return out
 
 
-def _compress(P: dict, step: int, offset: int) -> dict:
-    """{offset + step*k: c} -> {k: c}."""
+def _compress(P: dict, step: int) -> dict:
+    """{step - 1 + step*k: c} -> {k: c}; the inverse of expand_family_poly."""
     out = {}
     for e, c in P.items():
-        if (e - offset) % step != 0:
+        if (e + 1) % step != 0:
             raise PlaneAutError("exponent outside the expected residue class")
-        out[(e - offset) // step] = c
+        out[(e + 1) // step - 1] = c
     return out
 
 
-def _expand(P: dict, step: int, offset: int) -> dict:
-    return {offset + step * k: c for k, c in P.items()}
+def expand_family_poly(P: dict, step: int) -> dict:
+    """x^(step-1) P(x^step) as a {degree: coeff} dict."""
+    return {step - 1 + step * k: c for k, c in P.items()}
 
 
 # -- normal forms ------------------------------------------------------------
@@ -165,19 +166,24 @@ class NormalForm:
         data["conjugator"] = str(self.conjugator.fwd)
         return data
 
+    def expanded(self) -> dict:
+        """The family polynomial as it sits in the representative,
+        x2^(s-1) P(x2^s): s = 1 for II, the order for III, p for IV."""
+        step = {"III": self.order, "IV": self.ring.characteristic}.get(self.family, 1)
+        return expand_family_poly(self.P, step)
 
-def _rep_factor(ring, family, multiplier=None, order=None, P=None) -> JonquieresFactor:
-    if family == "I":
-        return JonquieresFactor(ring, multiplier, {})
-    if family == "II":
-        return JonquieresFactor(ring, ring.one, dict(P))
-    if family == "III":
-        return JonquieresFactor(ring, multiplier, _expand(P, order, order - 1))
-    if family == "IV":
-        p = ring.characteristic
-        body = _expand(P, p, p - 1) if p else {}
-        return JonquieresFactor(ring, ring.one, body, ring.one)
-    raise PlaneAutError(f"unknown family {family!r}")
+
+def _rep_factor(nf: NormalForm) -> JonquieresFactor:
+    ring = nf.ring
+    if nf.family == "I":
+        return JonquieresFactor(ring, nf.multiplier, {})
+    if nf.family == "II":
+        return JonquieresFactor(ring, ring.one, nf.expanded())
+    if nf.family == "III":
+        return JonquieresFactor(ring, nf.multiplier, nf.expanded())
+    if nf.family == "IV":
+        return JonquieresFactor(ring, ring.one, nf.expanded(), ring.one)
+    raise PlaneAutError(f"unknown family {nf.family!r}")
 
 
 def _mult_order(ring, a, bound):
@@ -236,7 +242,7 @@ def normal_form(f: PlaneAut) -> NormalForm:
             nf = NormalForm("I", ring, multiplier=a)
         else:
             nf = NormalForm("III", ring, multiplier=a, order=order,
-                            P=_compress(fac.P, order, order - 1))
+                            P=_compress(fac.P, order))
     else:
         if ring.is_zero(fac.c):
             nf = NormalForm("II", ring, P=dict(fac.P))
@@ -252,9 +258,9 @@ def normal_form(f: PlaneAut) -> NormalForm:
             if fac.P != v:
                 raise PlaneAutError("difference-part elimination failed")
             p = ring.characteristic
-            nf = NormalForm("IV", ring, P=_compress(v, p, p - 1) if p else {})
+            nf = NormalForm("IV", ring, P=_compress(v, p) if p else {})
 
-    rep = _rep_factor(ring, nf.family, nf.multiplier, nf.order, nf.P)
+    rep = _rep_factor(nf)
     if rep != fac:
         raise PlaneAutError("normalized factor does not match its family shape")
     nf.aut = factor_to_plane_aut(rep)
@@ -454,12 +460,9 @@ def _decide_family_iv(ring, nf_f: NormalForm, nf_g: NormalForm):
 
 
 def _family_iv_conjugator(ring, nf_f: NormalForm, nf_g: NormalForm, c) -> PlaneAut:
-    p = ring.characteristic
-    vP = _expand(nf_f.P, p, p - 1)
-    vQ = _expand(nf_g.P, p, p - 1)
-    shifted = _shift_poly(ring, vP, c)
+    shifted = _shift_poly(ring, nf_f.expanded(), c)
     v2, r2 = _kill_delta(ring, shifted)
-    if v2 != vQ:
+    if v2 != nf_g.expanded():
         raise PlaneAutError("shifted V-part mismatch in the family-IV certificate")
     u = JonquieresFactor(ring, ring.one, {}, ring.neg(c))
     e = JonquieresFactor(ring, ring.one, {k: ring.neg(cc) for k, cc in r2.items()})

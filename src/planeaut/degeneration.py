@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .amalgam import JonquieresFactor, factor_to_plane_aut, plane_aut_from_endo
+from .conjugacy import expand_family_poly
 from .endo import Endo, InfinityPoint, PlaneAut, indeterminacy_point
 from .errors import (
     NoPoleError,
@@ -122,14 +123,6 @@ def lift_plane_aut(f: PlaneAut, lring: LaurentRing) -> TFamily:
     return TFamily(lift_endo(f.fwd, lring), lift_endo(f.inv, lring), check=False)
 
 
-def family_valuation(fam: TFamily):
-    return fam.valuation
-
-
-def family_value_at_zero(fam: TFamily) -> Endo:
-    return fam.value_at_zero()
-
-
 def _function_field_inverse(fam: TFamily) -> Endo:
     """Invert over K(t) via the plane factorization, then land back in K[t,1/t]."""
     if fam.nvars != 2:
@@ -150,10 +143,6 @@ def _function_field_inverse(fam: TFamily) -> Endo:
     if fam.endo.compose(inv) != ident or inv.compose(fam.endo) != ident:
         raise NotInvertibleError("function-field inverse fails over K[t,1/t]")
     return inv
-
-
-def family_inverse(fam: TFamily) -> TFamily:
-    return fam.inverse()
 
 
 # -- the limit set at infinity ----------------------------------------------
@@ -177,10 +166,9 @@ class XAlphaSet:
 
 
 def _affine_samples(K, n, cap):
-    if hasattr(K, "p"):
-        base = [K.from_int(i) for i in range(K.p)]
-    else:
-        base = list(itertools.islice(K.sample_stream(), max(2, round(cap ** (1.0 / n)) + 1)))
+    # over F_p the first cap tuples of the product use only its first cap elements
+    size = cap if K.is_finite else max(2, round(cap ** (1.0 / n)) + 1)
+    base = list(itertools.islice(K.sample_stream(), size))
     return itertools.islice(itertools.product(base, repeat=n), cap)
 
 
@@ -354,8 +342,7 @@ def degenerate_family_iii(ring, zeta, m: int, P: dict) -> DegenerationWitness:
             raise PlaneAutError("zeta must be a primitive m-th root of unity, m >= 2")
     if not P:
         raise PlaneAutError("family (iii) needs a nonzero survivor polynomial")
-    body = {m - 1 + m * k: c for k, c in P.items()}
-    f = factor_to_plane_aut(JonquieresFactor(ring, zeta, body))
+    f = factor_to_plane_aut(JonquieresFactor(ring, zeta, expand_family_poly(P, m)))
     L = LaurentRing(ring)
     zi = ring.invert(zeta)
     limit = Endo([MultiPoly(ring, 2, {(1, 0): zeta}),

@@ -33,10 +33,8 @@ from .rings import (
     MINUS_INF,
     up_deg,
     up_gcd_monic,
-    up_mul,
     up_pow,
     up_scale,
-    up_sub,
 )
 
 
@@ -191,10 +189,7 @@ class PlaneAut:
     def power(self, m: int) -> "PlaneAut":
         if m < 0:
             return self.inverse().power(-m)
-        out = PlaneAut.identity(self.ring)
-        for _ in range(m):
-            out = self.compose(out)
-        return out
+        return PlaneAut(self.fwd.power(m), self.inv.power(m), verify=False)
 
     def verify(self) -> bool:
         return self.fwd.compose(self.inv).is_identity and self.inv.compose(self.fwd).is_identity
@@ -251,8 +246,7 @@ class InfinityPoint:
 def _as_plane_endo(f):
     e = f.fwd if isinstance(f, PlaneAut) else f
     if e.nvars != 2:
-        raise ArityMismatchError("points at infinity are computed in the plane only; "
-                                 "for more variables use infinity_equations")
+        raise ArityMismatchError("points at infinity are computed in the plane only")
     return e
 
 
@@ -323,13 +317,11 @@ def indeterminacy_point(f) -> InfinityPoint:
 
 
 def _infinity_ladder(ring):
-    if hasattr(ring, "p"):
-        for u in range(ring.p):
-            yield (ring.one, ring.from_int(u))
-        yield (ring.zero, ring.one)
-    else:
-        for u in ring.sample_stream():
-            yield (ring.one, u)
+    """[0:1:u] for u in the ring's sample stream, then [0:0:1] once a finite
+    ring runs out."""
+    for u in ring.sample_stream():
+        yield (ring.one, u)
+    yield (ring.zero, ring.one)
 
 
 def image_point_at_infinity(f) -> InfinityPoint:
@@ -363,11 +355,6 @@ def image_point_at_infinity(f) -> InfinityPoint:
             raise NotInvertibleError("image at infinity disagrees with the inverse's "
                                      "indeterminacy point")
     return samples[0]
-
-
-def infinity_equations(f: Endo):
-    """For n >= 3: the equations cutting out I_f on x0 = 0 (the top parts)."""
-    return list(f.highest_part().comps)
 
 
 # ---------------------------------------------------------------------------

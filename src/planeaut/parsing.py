@@ -68,11 +68,18 @@ def _tokenize(src: str):
 
 # -- AST ---------------------------------------------------------------------
 
+# Deepest parenthesis nesting accepted; the parser recurses once per level.
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    """Sums and products are n-ary nodes, so only parentheses recurse."""
+
     def __init__(self, tokens, length):
         self.toks = tokens
         self.i = 0
         self.length = length
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None, self.length)
@@ -87,20 +94,18 @@ class _Parser:
         return tok
 
     def expr(self):
-        node = self.term()
+        terms = [("+", self.term())]
         while self.peek()[0] in ("+", "-"):
             op = self.take()
-            rhs = self.term()
-            node = (op[0] == "+" and "add" or "sub", node, rhs)
-        return node
+            terms.append((op[0], self.term()))
+        return ("sum", terms) if len(terms) > 1 else terms[0][1]
 
     def term(self):
-        node = self.unary()
+        factors = [("*", self.unary(), None)]
         while self.peek()[0] in ("*", "/"):
             op = self.take()
-            rhs = self.unary()
-            node = ("mul" if op[0] == "*" else "div", node, rhs, op[2])
-        return node
+            factors.append((op[0], self.unary(), op[2]))
+        return ("prod", factors) if len(factors) > 1 else factors[0][1]
 
     def unary(self):
         neg = False
@@ -134,19 +139,20 @@ class _Parser:
             self.take()
             return ("t", pos)
         if kind == "(":
+            if self.depth == _MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
             self.take()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             self.take(")")
             return node
         raise ParseError("expected a number, variable, t or parenthesis", pos)
 
 
-def _collect(node, kinds, out):
-    if node[0] in kinds:
-        out.append(node)
-    for child in node[1:]:
-        if isinstance(child, tuple):
-            _collect(child, kinds, out)
+def _first_t(tokens):
+    """Position of the first t token, or None."""
+    return next((pos for kind, _, pos in tokens if kind == "t"), None)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -158,7 +164,7 @@ def _const_unit(poly: MultiPoly, pos: int, what: str):
     return poly.constant_value()
 
 
-def _eval(node, R, K, nvars, laurent):
+def _eval(node, R, K, nvars):
     kind = node[0]
     if kind == "int":
         return MultiPoly.from_int(R, nvars, node[1])
@@ -172,23 +178,30 @@ def _eval(node, R, K, nvars, laurent):
     if kind == "t":
         return MultiPoly(R, nvars, {(0,) * nvars: {1: K.one}})
     if kind == "neg":
-        return -_eval(node[1], R, K, nvars, laurent)
-    if kind == "add":
-        return _eval(node[1], R, K, nvars, laurent) + _eval(node[2], R, K, nvars, laurent)
-    if kind == "sub":
-        return _eval(node[1], R, K, nvars, laurent) - _eval(node[2], R, K, nvars, laurent)
-    if kind == "mul":
-        return _eval(node[1], R, K, nvars, laurent) * _eval(node[2], R, K, nvars, laurent)
-    if kind == "div":
-        lhs = _eval(node[1], R, K, nvars, laurent)
-        rhs = _eval(node[2], R, K, nvars, laurent)
-        c = _const_unit(rhs, node[3], "divisor")
-        try:
-            return lhs.scale(R.invert(c))
-        except NotInvertibleError as exc:
-            raise ParseError(f"cannot divide: {exc}", node[3]) from None
+        return -_eval(node[1], R, K, nvars)
+    if kind == "sum":
+        terms = iter(node[1])
+        acc = _eval(next(terms)[1], R, K, nvars)
+        for op, child in terms:
+            rhs = _eval(child, R, K, nvars)
+            acc = acc + rhs if op == "+" else acc - rhs
+        return acc
+    if kind == "prod":
+        factors = iter(node[1])
+        acc = _eval(next(factors)[1], R, K, nvars)
+        for op, child, pos in factors:
+            rhs = _eval(child, R, K, nvars)
+            if op == "*":
+                acc = acc * rhs
+                continue
+            c = _const_unit(rhs, pos, "divisor")
+            try:
+                acc = acc.scale(R.invert(c))
+            except NotInvertibleError as exc:
+                raise ParseError(f"cannot divide: {exc}", pos) from None
+        return acc
     if kind == "pow":
-        base = _eval(node[1], R, K, nvars, laurent)
+        base = _eval(node[1], R, K, nvars)
         e = node[2]
         if e >= 0:
             return base ** e
@@ -200,9 +213,8 @@ def _eval(node, R, K, nvars, laurent):
     raise ParseError("malformed expression", -1)
 
 
-def _parse_components(src: str):
-    tokens = _tokenize(src)
-    parser = _Parser(tokens, len(src))
+def _parse_components(tokens, length):
+    parser = _Parser(tokens, length)
     parser.take("(")
     comps = [parser.expr()]
     while parser.peek()[0] == ",":
@@ -218,17 +230,13 @@ def _parse_components(src: str):
 def parse_automorphism(src: str, field):
     """Parse "(expr, ..., expr)" to an Endo over `field`, or to a TFamily
     over field[t, 1/t] when t occurs."""
-    comps = _parse_components(src)
+    tokens = _tokenize(src)
+    comps = _parse_components(tokens, len(src))
     nvars = len(comps)
-    has_t = []
-    for node in comps:
-        _collect(node, ("t",), has_t)
-    if has_t:
+    if _first_t(tokens) is not None:
         R = LaurentRing(field)
-        polys = [_eval(node, R, field, nvars, True) for node in comps]
-        return TFamily(Endo(polys))
-    polys = [_eval(node, field, field, nvars, False) for node in comps]
-    return Endo(polys)
+        return TFamily(Endo([_eval(node, R, field, nvars) for node in comps]))
+    return Endo([_eval(node, field, field, nvars) for node in comps])
 
 
 def parse_polynomial(src: str, field) -> dict:
@@ -239,9 +247,8 @@ def parse_polynomial(src: str, field) -> dict:
     leftover = parser.peek()
     if leftover[0] is not None:
         raise ParseError("trailing input after the expression", leftover[2])
-    ts = []
-    _collect(node, ("t",), ts)
-    if ts:
-        raise ParseError("t is not allowed in a plain polynomial", ts[0][1])
-    poly = _eval(node, field, field, 1, False)
+    t_pos = _first_t(tokens)
+    if t_pos is not None:
+        raise ParseError("t is not allowed in a plain polynomial", t_pos)
+    poly = _eval(node, field, field, 1)
     return {e[0]: c for e, c in poly.terms.items()}

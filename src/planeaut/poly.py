@@ -14,10 +14,11 @@ deg(0) is the MINUS_INF sentinel from rings.py, never an integer.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .errors import ArityMismatchError, RingMismatchError
-from .rings import MINUS_INF
+from .rings import MINUS_INF, power, up_add, up_neg
 
 
 def _gradlex_key(exps):
@@ -105,19 +106,11 @@ class MultiPoly:
 
     def __add__(self, other):
         self._check(other)
-        R = self.ring
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = R.add(out.get(e, R.zero), c)
-            if R.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MultiPoly(R, self.nvars, out, _clean=False)
+        return MultiPoly(self.ring, self.nvars, up_add(self.ring, self.terms, other.terms),
+                         _clean=False)
 
     def __neg__(self):
-        R = self.ring
-        return MultiPoly(R, self.nvars, {e: R.neg(c) for e, c in self.terms.items()}, _clean=False)
+        return MultiPoly(self.ring, self.nvars, up_neg(self.ring, self.terms), _clean=False)
 
     def __sub__(self, other):
         return self + (-other)
@@ -149,14 +142,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.const(self.ring, self.nvars, self.ring.one)
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            b = b * b if n > 1 else b
-            n >>= 1
-        return out
+        return power(self, n, operator.mul, MultiPoly.const(self.ring, self.nvars, self.ring.one))
 
     def compose(self, args: Sequence["MultiPoly"]):
         """Substitute args[i] for x_{i+1}; args live over the same ring."""

@@ -1,4 +1,4 @@
-"""Exact coefficient rings.
+"""Exact coefficient rings and the sparse-dict kernel they share.
 
 Every ring here is a stateless descriptor whose methods operate on plain
 Python values; coefficients are never wrapped in per-value objects, which
@@ -14,13 +14,28 @@ LaurentRing models K[t, 1/t]; FunctionField models K(t) and exists only so
 that automorphisms with Laurent coefficients can be inverted by factoring
 over a genuine field and checking the result back into K[t, 1/t].
 
+Ring contract, besides the arithmetic methods (add, neg, mul, invert, pow,
+is_zero, ...):
+
+    is_finite           True only for PrimeField
+    sample_stream()     an iterator of ring values; a finite ring yields each
+                        element once, in ascending order, and stops; an
+                        infinite ring yields distinct values and never stops
+
+The up_* functions are the one sparse-dict kernel: a value is a dict
+{key: coeff} with no zero coefficients, and add / neg / mul work for any
+keys that support + (integer exponents here, exponent tuples in
+poly.MultiPoly).  power(x, n, mul, one) is the one repeated-squaring
+routine, behind up_pow, LaurentRing.pow, FunctionField.pow and
+MultiPoly.__pow__; Q and F_p use Python's own ** and pow.
+
 The degree / valuation of 0 is the dedicated sentinel MINUS_INF, never an
 integer.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from fractions import Fraction
 
 from .errors import (
@@ -99,7 +114,7 @@ class RationalField:
     """The field Q with Fraction values."""
 
     characteristic = 0
-    is_field = True
+    is_finite = False
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -164,9 +179,6 @@ class RationalField:
             return [-r]
         return [r, -r] if n % 2 == 0 else [r]
 
-    def elements(self):
-        raise UnsupportedFieldError("Q is infinite")
-
     def sample_stream(self):
         n = 0
         while True:
@@ -198,7 +210,7 @@ class RationalField:
 class PrimeField:
     """The field F_p, p prime, with int values in range(p)."""
 
-    is_field = True
+    is_finite = True
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -256,9 +268,6 @@ class PrimeField:
         a %= self.p
         return [x for x in range(self.p) if pow(x, n, self.p) == a]
 
-    def elements(self):
-        return range(self.p)
-
     def sample_stream(self):
         return iter(range(self.p))
 
@@ -287,7 +296,7 @@ class PrimeField:
 class LaurentRing:
     """K[t, 1/t] over a base field K; values are {exponent: coefficient} dicts."""
 
-    is_field = False
+    is_finite = False
 
     def __init__(self, base):
         self.base = base
@@ -306,35 +315,16 @@ class LaurentRing:
         return self.term(0, c)
 
     def add(self, a, b):
-        F = self.base
-        out = dict(a)
-        for e, c in b.items():
-            s = F.add(out.get(e, F.zero), c)
-            if F.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return out
+        return up_add(self.base, a, b)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        F = self.base
-        return {e: F.neg(c) for e, c in a.items()}
+        return up_neg(self.base, a)
 
     def mul(self, a, b):
-        F = self.base
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = F.add(out.get(e, F.zero), F.mul(ca, cb))
-                if F.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
+        return up_mul(self.base, a, b)
 
     def is_zero(self, a):
         return not a
@@ -358,14 +348,7 @@ class LaurentRing:
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.invert(a), -n)
-        out = self.one
-        b = a
-        while n:
-            if n & 1:
-                out = self.mul(out, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return out
+        return power(a, n, self.mul, self.one)
 
     def valuation(self, a):
         return min(a) if a else MINUS_INF
@@ -432,12 +415,19 @@ class LaurentRing:
 
 
 # ---------------------------------------------------------------------------
-# Univariate coefficient-dict helpers, shared by FunctionField and the
-# binary-form root extraction in endo.py.  A polynomial is {degree: coeff}
-# with no zero entries.
+# The sparse-dict kernel.  add, neg and mul take any keys closed under +;
+# the other helpers are univariate, {degree: coeff}.  No zero entries.
 
-def up_trim(F, d):
-    return {e: c for e, c in d.items() if not F.is_zero(c)}
+def power(x, n: int, mul, one):
+    """x^n for n >= 0 by repeated squaring; never squares past the top bit."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
 
 def up_deg(F, d):
     return max(d) if d else MINUS_INF
@@ -476,14 +466,7 @@ def up_mul(F, a, b):
     return out
 
 def up_pow(F, a, n: int):
-    out = {0: F.one}
-    b = a
-    while n:
-        if n & 1:
-            out = up_mul(F, out, b)
-        b = up_mul(F, b, b)
-        n >>= 1
-    return out
+    return power(a, n, functools.partial(up_mul, F), {0: F.one})
 
 def up_divmod(F, a, b):
     if not b:
@@ -548,7 +531,7 @@ class FunctionField:
     working over a field, then checking the result back into K[t,1/t].
     """
 
-    is_field = True
+    is_finite = False
 
     def __init__(self, base):
         self.base = base
@@ -613,14 +596,7 @@ class FunctionField:
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.invert(a), -n)
-        out = self.one
-        b = a
-        while n:
-            if n & 1:
-                out = self.mul(out, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return out
+        return power(a, n, self.mul, self.one)
 
     def from_laurent(self, a: dict):
         v = min(a) if a else 0
@@ -653,13 +629,13 @@ class FunctionField:
     def sample_stream(self):
         """Infinitely many distinct values; over a finite base, polynomials in t
         enumerated by base-p digits, since from_int alone cycles mod p."""
-        p = getattr(self.base, "p", None)
-        if p is None:
+        if not self.base.is_finite:
             n = 0
             while True:
                 yield self.from_int(n)
                 n += 1
         else:
+            p = self.base.characteristic
             n = 0
             while True:
                 num, k, m = {}, 0, n

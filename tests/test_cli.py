@@ -116,3 +116,9 @@ def test_missing_file_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["inverse", "--file", str(tmp_path / "absent.txt")])
     assert exc.value.code == 2
+
+
+def test_deep_nesting_is_exit_2(capsys):
+    rc = main(["inverse", "(" + "(" * 3000 + "x1" + ")" * 3000 + ", x2)"])
+    assert rc == 2
+    assert "nested deeper" in capsys.readouterr().err

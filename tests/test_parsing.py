@@ -4,6 +4,7 @@ import pytest
 
 from planeaut import (
     Endo,
+    MultiPoly,
     ParseError,
     PrimeField,
     RationalField,
@@ -11,6 +12,7 @@ from planeaut import (
     parse_automorphism,
     parse_polynomial,
 )
+from planeaut.parsing import _MAX_DEPTH
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -129,3 +131,25 @@ def test_parse_polynomial_rejects_t():
 def test_parse_polynomial_rejects_x2():
     with pytest.raises(ParseError, match="unknown variable x2"):
         parse_polynomial("x1 + x2", Q)
+
+
+def test_large_polynomial_round_trips():
+    # ~3000 terms, as long as a degree-128 Henon iterate over F5
+    terms = {(i, j): (3 * i + j) % 4 + 1 for i in range(60) for j in range(50)}
+    e = Endo([MultiPoly(F5, 2, terms), MultiPoly.variable(F5, 2, 0)])
+    assert parse_automorphism(str(e), F5) == e
+
+
+def test_long_flat_sum_and_product():
+    e = parse_automorphism("(" + " + ".join(["x1"] * 5000) + ", x2)", Q)
+    assert e.comps[0].terms == {(1, 0): Fraction(5000)}
+    e = parse_automorphism("(" + "*".join(["x1"] * 5000) + ", x2)", Q)
+    assert e.comps[0].terms == {(5000, 0): Fraction(1)}
+
+
+def test_parenthesis_nesting_is_bounded():
+    depth = _MAX_DEPTH
+    ok = parse_automorphism("(" + "(" * depth + "x1" + ")" * depth + ", x2)", Q)
+    assert ok.comps[0].terms == {(1, 0): Fraction(1)}
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_automorphism("(" + "(" * (depth + 1) + "x1" + ")" * (depth + 1) + ", x2)", Q)
