@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .endo import Endo, PlaneAut, image_point_at_infinity
 from .errors import (
+    ArityMismatchError,
     FieldExtensionRequiredError,
     NotInvertibleError,
     NotSpecialError,
@@ -343,6 +344,8 @@ def _reduction_ops(e: Endo):
 
     Returns (ops, final) with op_k o ... o op_1 o e = final and final affine.
     """
+    if e.nvars != 2:
+        raise ArityMismatchError(f"a plane map has 2 variables, got {e.nvars}")
     R = e.ring
     work = e
     ops = []
@@ -454,21 +457,20 @@ def _triangularize_affine(fac: AffineFactor) -> tuple:
     """g with g o fac o g^-1 triangular, as (new_factor, g); needs an eigenvalue in K."""
     R = fac.ring
     tr = R.add(fac.a, fac.d)
+    # eigenvalues are the roots of det(M - lam I) = lam^2 - tr lam + 1
     lam = None
-    if R.is_finite:
-        for cand in R.sample_stream():
-            if R.is_zero(cand):
-                continue
-            # det(M - cand I) = cand^2 - tr cand + 1
-            val = R.add(R.sub(R.mul(cand, cand), R.mul(tr, cand)), R.one)
-            if R.is_zero(val):
-                lam = cand
-                break
+    if R.is_finite and R.characteristic == 2:
+        # 0 is never a root, and 1 is one exactly when tr = 0
+        if R.is_zero(tr):
+            lam = R.one
     else:
-        disc = R.sub(R.mul(tr, tr), R.from_int(4))
-        s = R.sqrt(disc)
+        s = R.sqrt(R.sub(R.mul(tr, tr), R.from_int(4)))
         if s is not None:
-            lam = R.mul(R.add(tr, s), R.invert(R.from_int(2)))
+            half = R.invert(R.from_int(2))
+            lam = R.mul(R.add(tr, s), half)
+            if R.is_finite:
+                # the smaller root, the one an ascending scan of F_p meets first
+                lam = min(lam, R.mul(R.sub(tr, s), half))
     if lam is None:
         raise FieldExtensionRequiredError(
             "linear part has no eigenvalue in the base field")

@@ -50,11 +50,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="text", choices=["text", "json"])
         p.add_argument("--file", help="read input expressions from a file, one per line")
         if verb == "degseq":
-            p.add_argument("--n", type=int, default=4, help="number of iterates")
+            p.add_argument("--n", type=_count, default=4, help="number of iterates")
         if verb == "degenerate":
             p.add_argument("--variant", default="F1", choices=["F1", "F2"],
                            help="which degeneration of a family-(iv) member")
     return top
+
+
+def _count(text: str) -> int:
+    """argparse type of --n: an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 # -- per-verb handlers: (field, inputs, args) -> (verdict, data, checks) -----

@@ -228,8 +228,10 @@ def normal_form(f: PlaneAut) -> NormalForm:
             conj(JonquieresFactor(ring, one, {}, beta))
             if not ring.is_zero(fac.c):
                 raise PlaneAutError("translation part survived its elimination")
+        # only an order dividing some n + 1, n in P, keeps a term alive, so
+        # the search stops at max(P) + 1; a larger order leaves family I
         p = ring.characteristic
-        order = _mult_order(ring, a, p - 1 if p else 2)
+        order = _mult_order(ring, a, min(max(fac.P, default=0) + 1, p - 1 if p else 2))
         kill = {}
         for n, coeff in fac.P.items():
             if order is not None and (n + 1) % order == 0:

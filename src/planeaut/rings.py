@@ -29,6 +29,20 @@ poly.MultiPoly).  power(x, n, mul, one) is the one repeated-squaring
 routine, behind up_pow, LaurentRing.pow, FunctionField.pow and
 MultiPoly.__pow__; Q and F_p use Python's own ** and pow.
 
+Over F_p no routine scans the field; each runs in time polynomial in log p
+(and, for nth_roots, in n):
+
+    is_prime            deterministic Miller-Rabin on the first 13 primes,
+                        exact below 3.3e24; UnsupportedFieldError above
+    PrimeField.sqrt     Tonelli-Shanks; the smaller of the two roots, as an
+                        int in range(p), or None
+    PrimeField.nth_roots
+                        x^n = a reduced to x^g = b, g = gcd(n, p - 1), and
+                        x^g - b split by Cantor-Zassenhaus with the shifts
+                        x + 0, x + 1, ... on the up_* kernel; all roots in
+                        ascending order, the order an ascending scan of F_p
+                        would give, which callers rely on
+
 The degree / valuation of 0 is the dedicated sentinel MINUS_INF, never an
 integer.
 """
@@ -36,6 +50,7 @@ integer.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -97,16 +112,34 @@ def _iroot(x: int, n: int) -> int:
         r = nr
 
 
+# Deterministic Miller-Rabin: the first 13 primes as bases decide every
+# n below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_BOUND:
+        raise UnsupportedFieldError(f"{p} is too large to certify as prime")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in _MR_BASES:
+        x = pow(q, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -259,14 +292,71 @@ class PrimeField:
         return a
 
     def sqrt(self, a):
-        for x in range(self.p):
-            if x * x % self.p == a % self.p:
-                return x
-        return None
+        """The smaller square root of a in range(p), or None (Tonelli-Shanks)."""
+        p = self.p
+        a %= p
+        if a == 0 or p == 2:
+            return a
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        m = s
+        while t != 1:
+            i, t2 = 1, t * t % p
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            r, c = r * b % p, b * b % p
+            t, m = t * c % p, i
+        return min(r, p - r)
 
     def nth_roots(self, a, n: int):
-        a %= self.p
-        return [x for x in range(self.p) if pow(x, n, self.p) == a]
+        """All x in F_p with x^n = a, ascending.
+
+        x^n = a is x^g = b with g = gcd(n, p - 1) and b = a^s, s (n/g) = 1
+        mod (p - 1)/g; the squarefree x^g - b is split by Cantor-Zassenhaus.
+        """
+        if n < 1:
+            raise ValueError("nth_roots needs n >= 1")
+        p = self.p
+        a %= p
+        if a == 0:
+            return [0]
+        g = math.gcd(n, p - 1)
+        m = (p - 1) // g
+        if pow(a, m, p) != 1:
+            return []
+        b = pow(a, pow(n // g, -1, m), p)
+        roots = []
+        self._split_linear({g: 1, 0: (-b) % p}, 0, roots)
+        return sorted(roots)
+
+    def _split_linear(self, f, delta, out):
+        """Append the roots of the monic f, a product of distinct linear
+        factors, to out; gcd(f, (x + d)^((p-1)/2) - 1) splits f for some
+        d = delta, delta + 1, ...  (p odd whenever deg f >= 2)."""
+        deg = up_deg(self, f)
+        if deg == 1:
+            out.append((-f.get(0, 0)) % self.p)
+            return
+        mulmod = lambda u, v: up_divmod(self, up_mul(self, u, v), f)[1]
+        while True:
+            h = power({1: 1, 0: delta} if delta else {1: 1},
+                      (self.p - 1) // 2, mulmod, {0: 1})
+            d = up_gcd_monic(self, up_sub(self, h, {0: 1}), f)
+            if 0 < up_deg(self, d) < deg:
+                self._split_linear(d, delta + 1, out)
+                self._split_linear(up_divmod(self, f, d)[0], delta + 1, out)
+                return
+            delta += 1
 
     def sample_stream(self):
         return iter(range(self.p))

@@ -92,6 +92,25 @@ def test_domain_errors_are_exit_1(argv, capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv,nvars", [
+    (["inverse", "(x1)"], 1),
+    (["classify", "(x1, x2, x3)"], 3),
+], ids=["one-variable", "three-variables"])
+def test_non_plane_map_is_exit_1(argv, nvars, capsys):
+    rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: a plane map has 2 variables, got {nvars}\n"
+
+
+def test_negative_iterate_count_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["degseq", "(x1, x2)", "--n", "-1"])
+    assert exc.value.code == 2
+    assert "--n: must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["degseq", "(x1, x2)", "--n", "0"]) == 0
+    assert capsys.readouterr().out == "verdict: ok\ndegrees: []\n"
+
+
 def test_domain_error_json_shape(capsys):
     rc = main(["xalpha", "(x1 + t*x2, x2)", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
