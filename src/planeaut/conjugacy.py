@@ -206,8 +206,6 @@ def normal_form(f: PlaneAut) -> NormalForm:
     """
     if not f.is_special:
         raise NotSpecialError("normal forms are for Jacobian-1 automorphisms")
-    if not is_algebraic(f):
-        raise NotAlgebraicError("unbounded degree growth; no triangular normal form")
     ring = f.ring
     sj = henon_normalize(f)
     if isinstance(sj, HenonForm):

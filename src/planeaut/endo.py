@@ -28,7 +28,7 @@ from .errors import (
     NotInvertibleError,
     RingMismatchError,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, compose_many
 from .rings import (
     MINUS_INF,
     up_deg,
@@ -76,7 +76,7 @@ class Endo:
             raise RingMismatchError("compose over different rings")
         if self.nvars != other.nvars:
             raise ArityMismatchError("compose with different variable counts")
-        return Endo([c.compose(other.comps) for c in self.comps])
+        return Endo(compose_many(self.comps, other.comps))
 
     def power(self, m: int) -> "Endo":
         if m < 0:

@@ -15,6 +15,7 @@ from planeaut import (
     InfinityPoint,
     LaurentRing,
     MultiPoly,
+    NotAlgebraicError,
     PlaneAut,
     PrimeField,
     RationalField,
@@ -35,6 +36,7 @@ from planeaut import (
     jvdk_factor,
     minimize_conjugator,
     n_map,
+    normal_form,
     parse_automorphism,
     pole_propagation_check,
     verify_conjugacy_certificate,
@@ -124,6 +126,17 @@ def test_criterion_02_degree_dichotomy_and_regular_multiplicativity(corpus):
                 em = f.fwd.compose(em)
                 assert em.degree == d ** m
     assert regular_seen >= 80
+
+
+def test_normal_form_raises_exactly_on_non_algebraic_maps(corpus):
+    for K, word in corpus:
+        f = word_to_plane_aut(word)
+        try:
+            normal_form(f)
+            raised = False
+        except NotAlgebraicError:
+            raised = True
+        assert raised == (not is_algebraic(f))
 
 
 # -- criterion 3: factorization round trip and infinity identities -----------

@@ -4,6 +4,7 @@ Regenerate the golden corpus by running each CASES entry through
 planeaut.cli.main with --format text and --format json and freezing stdout.
 """
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -141,3 +142,13 @@ def test_deep_nesting_is_exit_2(capsys):
     rc = main(["inverse", "(" + "(" * 3000 + "x1" + ")" * 3000 + ", x2)"])
     assert rc == 2
     assert "nested deeper" in capsys.readouterr().err
+
+
+def test_huge_exponent_inverse_is_fast(capsys):
+    # argument powers are built by squaring, not by a ladder up to 10^8
+    start = time.perf_counter()
+    rc = main(["inverse", "(x1 + x2^100000000, x2)"])
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert "inverse: (-x2^100000000 + x1, x2)\n" in capsys.readouterr().out
+    assert elapsed < 5.0

@@ -168,8 +168,9 @@ def test_normal_form_conjugation_identity_nontrivial():
 def test_normal_form_rejections():
     with pytest.raises(NotSpecialError):
         normal_form(aut("(2*x1, x2)"))
-    with pytest.raises(NotAlgebraicError):
+    with pytest.raises(NotAlgebraicError) as exc:
         normal_form(aut("(x2, -x1 + x2^2)"))
+    assert str(exc.value) == "unbounded degree growth; no triangular normal form"
 
 
 # -- conjugacy decisions -----------------------------------------------------

@@ -2,6 +2,7 @@
 routine and the sampling contract, each against the straightforward loop it
 replaced."""
 import itertools
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import planeaut
 from planeaut import (
+    Endo,
     FunctionField,
     LaurentRing,
     MultiPoly,
@@ -22,6 +24,7 @@ from planeaut import (
 from planeaut.cli import _nonzero_samples
 from planeaut.degeneration import _affine_samples
 from planeaut.endo import _infinity_ladder
+from planeaut.poly import compose_many
 from planeaut.rings import power, up_mul, up_pow
 
 Q = RationalField()
@@ -94,6 +97,56 @@ def test_plane_aut_power_matches_linear_compose(src, ring):
     for m in range(-3, 5):
         got, want = f.power(m), _linear_power(f, m)
         assert got.fwd == want.fwd and got.inv == want.inv, m
+
+
+def _ladder_compose(f, args):
+    """Substitution by a linear ladder of argument powers, summed term by term."""
+    R, nv = f.ring, args[0].nvars
+    maxexp = [max((e[i] for e in f.terms), default=0) for i in range(f.nvars)]
+    powers = []
+    for i, a in enumerate(args):
+        ps = [MultiPoly.const(R, nv, R.one)]
+        for _ in range(maxexp[i]):
+            ps.append(ps[-1] * a)
+        powers.append(ps)
+    acc = MultiPoly.zero(R, nv)
+    for e, c in f.terms.items():
+        term = MultiPoly.const(R, nv, c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * powers[i][k]
+        acc = acc + term
+    return acc
+
+
+def _gapped_poly(rng, ring, nvars, coeff, exps, nterms):
+    terms = {tuple(rng.choice(exps) for _ in range(nvars)): coeff(rng)
+             for _ in range(rng.randint(1, nterms))}
+    return MultiPoly(ring, nvars, terms)
+
+
+COEFFS = {
+    "Q": (Q, lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 3))),
+    "F5": (F5, lambda rng: rng.randrange(5)),
+    "Laurent(F3)": (L3, lambda rng: {rng.randint(-2, 2): rng.randint(1, 2)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COEFFS))
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_compose_matches_ladder(name, nvars):
+    ring, coeff = COEFFS[name]
+    rng = random.Random(f"compose/{name}/{nvars}")
+    for _ in range(8):
+        # exponents with gaps in the substituted polynomials, small arguments
+        polys = [_gapped_poly(rng, ring, nvars, coeff, (0, 1, 3, 4, 9), 6)
+                 for _ in range(nvars)]
+        args = [_gapped_poly(rng, ring, nvars, coeff, (0, 1, 2), 3) for _ in range(nvars)]
+        args[0] = args[0] + MultiPoly.variable(ring, nvars, 0)
+        want = [_ladder_compose(f, args) for f in polys]
+        assert [f.compose(args) for f in polys] == want
+        assert compose_many(polys, args) == want
+        assert Endo(polys).compose(Endo(args)) == Endo(want)
 
 
 def test_only_prime_fields_are_finite():
