@@ -56,7 +56,8 @@ class AffineFactor:
 
     @classmethod
     def rotation(cls, ring):
-        """(x2, -x1), moving [0:0:1] to [0:1:0]."""
+        """(x2, -x1), moving [0:0:1] to [0:1:0]; conjugates (a x1, a^-1 x2) to
+        (a^-1 x1, a x2) and (x1, x2 + 1) to (x1 + 1, x2)."""
         return cls(ring, ring.zero, ring.one, ring.neg(ring.one), ring.zero)
 
     @classmethod
@@ -260,9 +261,6 @@ class AmalgamWord:
 
     def to_plane_aut(self) -> PlaneAut:
         return PlaneAut(self.recompose(), self.inverse_word().recompose(), verify=False)
-
-    def tags(self):
-        return [f.tag for f in self.factors]
 
     def __eq__(self, other):
         return (isinstance(other, AmalgamWord) and self.ring == other.ring
@@ -488,40 +486,39 @@ def _triangularize_affine(fac: AffineFactor) -> tuple:
     return new, g
 
 
-def henon_normalize(f: PlaneAut):
-    """Cyclic reduction to an SJRepresentative (algebraic case) or a HenonForm."""
+def _cyclic_reduction(f: PlaneAut):
+    """(word, h): the factor word of f rotated until it has at most one factor
+    or runs from an affine to a triangular factor, recompose(word) =
+    h o f o h^-1.  f is algebraic exactly when len(word) <= 1."""
     word = jvdk_factor(f)
     h = PlaneAut.identity(f.ring)
-    while True:
-        word = reduce_word(word)
-        n = len(word)
-        if n == 0:
-            return SJRepresentative(JonquieresFactor.identity(f.ring), h)
-        if n == 1:
-            fac = word.factors[0]
-            if fac.tag == "J":
-                return SJRepresentative(fac, h)
-            if fac.in_intersection:
-                return SJRepresentative(fac.as_jonquieres(), h)
-            new, g = _triangularize_affine(fac)
-            h = factor_to_plane_aut(g).compose(h)
-            return SJRepresentative(new.as_jonquieres(), h)
-        tags = word.tags()
-        if tags[0] == tags[-1]:
-            first = word.factors[0]
-            h = factor_to_plane_aut(first).inverse().compose(h)
-            word = AmalgamWord(f.ring, word.factors[1:] + (first,))
-            continue
-        if n % 2 != 0:
+    while len(word) > 1 and (word.factors[0].tag, word.factors[-1].tag) != ("A", "J"):
+        first = word.factors[0]
+        h = factor_to_plane_aut(first).inverse().compose(h)
+        word = reduce_word(AmalgamWord(f.ring, word.factors[1:] + (first,)))
+    return word, h
+
+
+def _finish_normalization(word: AmalgamWord, h: PlaneAut):
+    """The SJRepresentative or HenonForm of a cyclic reduction (word, h)."""
+    if len(word) > 1:
+        if len(word) % 2 or any(fac.in_intersection for fac in word.factors):
             raise NotInvertibleError("inconsistent reduced word")
-        if tags[0] == "J":
-            first = word.factors[0]
-            h = factor_to_plane_aut(first).inverse().compose(h)
-            word = AmalgamWord(f.ring, word.factors[1:] + (first,), reduced=True)
-        for i, fac in enumerate(word.factors):
-            if fac.in_intersection:
-                raise NotInvertibleError("inconsistent reduced word")
         return HenonForm(word, h)
+    if not word.factors:
+        return SJRepresentative(JonquieresFactor.identity(word.ring), h)
+    fac = word.factors[0]
+    if fac.tag == "J":
+        return SJRepresentative(fac, h)
+    if fac.in_intersection:
+        return SJRepresentative(fac.as_jonquieres(), h)
+    new, g = _triangularize_affine(fac)
+    return SJRepresentative(new.as_jonquieres(), factor_to_plane_aut(g).compose(h))
+
+
+def henon_normalize(f: PlaneAut):
+    """Cyclic reduction to an SJRepresentative (algebraic case) or a HenonForm."""
+    return _finish_normalization(*_cyclic_reduction(f))
 
 
 def henon_invariants(h: HenonForm):

@@ -13,8 +13,10 @@ import itertools
 import json
 import sys
 
-from .amalgam import henon_invariants, henon_normalize, jvdk_factor, plane_aut_from_endo
+from .amalgam import HenonForm, henon_invariants, jvdk_factor, plane_aut_from_endo
 from .conjugacy import (
+    _finish,
+    _growth,
     decide_conjugacy,
     decompose_v_delta,
     in_v_subspace,
@@ -31,7 +33,7 @@ from .degeneration import (
     pole_propagation_check,
     x_alpha,
 )
-from .endo import Endo, degree_sequence, is_algebraic, is_dynamically_regular
+from .endo import Endo, degree_sequence, is_dynamically_regular
 from .errors import ParseError, PlaneAutError, UnsupportedFieldError
 from .parsing import parse_automorphism, parse_polynomial
 from .rings import LaurentRing, field_from_name, up_to_str
@@ -114,11 +116,11 @@ def _cmd_factor(field, inputs, args):
 
 def _cmd_classify(field, inputs, args):
     aut = plane_aut_from_endo(_require_endo(inputs[0], "classify"))
-    if not is_algebraic(aut):
-        degs = henon_invariants(henon_normalize(aut))
+    nf = _finish(aut, *_growth(aut))
+    if isinstance(nf, HenonForm):
+        degs = henon_invariants(nf)
         return "Henon", {"family": "Henon", "jonquieres_degrees": list(degs),
                          "word_length": len(degs)}, {}
-    nf = normal_form(aut)
     data = {"family": nf.family,
             "multiplier": field.to_str(nf.multiplier) if nf.multiplier is not None else None,
             "order": nf.order,

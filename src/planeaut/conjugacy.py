@@ -31,6 +31,8 @@ from .amalgam import (
     AffineFactor,
     HenonForm,
     JonquieresFactor,
+    _cyclic_reduction,
+    _finish_normalization,
     factor_to_plane_aut,
     henon_invariants,
     henon_normalize,
@@ -40,6 +42,7 @@ from .errors import (
     NotAlgebraicError,
     NotSpecialError,
     PlaneAutError,
+    RingMismatchError,
     UnsupportedFieldError,
 )
 from .rings import (
@@ -206,8 +209,12 @@ def normal_form(f: PlaneAut) -> NormalForm:
     """
     if not f.is_special:
         raise NotSpecialError("normal forms are for Jacobian-1 automorphisms")
+    return _normal_form(f, henon_normalize(f))
+
+
+def _normal_form(f: PlaneAut, sj) -> NormalForm:
+    """normal_form(f) from the henon_normalize output sj of f."""
     ring = f.ring
-    sj = henon_normalize(f)
     if isinstance(sj, HenonForm):
         raise NotAlgebraicError("unbounded degree growth; no triangular normal form")
     fac = sj.factor
@@ -330,12 +337,6 @@ class ConjugacyResult:
         if self.conjugator is not None:
             out["conjugator"] = str(self.conjugator.fwd)
         return out
-
-
-def _swap_factor(ring) -> AffineFactor:
-    """(x2, -x1); conjugates (a x1, a^-1 x2) to (a^-1 x1, a x2) and
-    (x1, x2+1) to (x1+1, x2)."""
-    return AffineFactor(ring, ring.zero, ring.one, ring.neg(ring.one), ring.zero)
 
 
 def _decide_family_ii(ring, P, Q):
@@ -469,10 +470,12 @@ def _family_iv_conjugator(ring, nf_f: NormalForm, nf_g: NormalForm, c) -> PlaneA
     return factor_to_plane_aut(e.compose(u))
 
 
-def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
-    """Three-valued conjugacy decision between algebraic special automorphisms."""
-    nf_f = normal_form(f)
-    nf_g = normal_form(g)
+def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut, nf_f: NormalForm = None,
+                            nf_g: NormalForm = None) -> ConjugacyResult:
+    """Three-valued conjugacy decision between algebraic special automorphisms,
+    from their normal forms where the caller has them."""
+    nf_f = normal_form(f) if nf_f is None else nf_f
+    nf_g = normal_form(g) if nf_g is None else nf_g
     ring = f.ring
     checks = [f"normal forms {nf_f.family} / {nf_g.family}"]
 
@@ -492,7 +495,7 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
         if ring.eq(a, b):
             return finish("yes", ident, "equal multipliers")
         if ring.eq(ring.mul(a, b), ring.one):
-            return finish("yes", factor_to_plane_aut(_swap_factor(ring)),
+            return finish("yes", factor_to_plane_aut(AffineFactor.rotation(ring)),
                           "inverse multipliers, swapped by (x2, -x1)")
         return finish("no", reason="multipliers are neither equal nor inverse")
     if ff == fg == "II":
@@ -536,7 +539,7 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
         if const_ii and not nf_iv.P:
             k = nf_ii.P[0]
             bridge = factor_to_plane_aut(JonquieresFactor(ring, k, {})).compose(
-                factor_to_plane_aut(_swap_factor(ring)))
+                factor_to_plane_aut(AffineFactor.rotation(ring)))
             h_fam = bridge if ff == "IV" else bridge.inverse()
             return finish("yes", h_fam,
                           "translation matches a constant shear across families")
@@ -544,19 +547,39 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
     return finish("no", reason=f"distinct families {ff} and {fg}")
 
 
+def _growth(f: PlaneAut):
+    """(algebraic, reduction): bounded degree growth of f read off its cyclic
+    reduction (word, h) as len(word) <= 1.  A map of Jacobian != 1 has no
+    factor word: deg(f o f) <= deg(f) decides, and reduction is None."""
+    if not f.is_special:
+        return is_algebraic(f), None
+    reduction = _cyclic_reduction(f)
+    return len(reduction[0]) <= 1, reduction
+
+
+def _finish(f: PlaneAut, algebraic: bool, reduction):
+    """The NormalForm of an algebraic f, else its HenonForm, from _growth(f);
+    raises as normal_form and henon_normalize do."""
+    if reduction is None:
+        return normal_form(f) if algebraic else henon_normalize(f)
+    sj = _finish_normalization(*reduction)
+    return _normal_form(f, sj) if algebraic else sj
+
+
 def decide_conjugacy(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
     """Top-level dispatcher, covering non-algebraic inputs by invariants."""
-    af, ag = is_algebraic(f), is_algebraic(g)
+    if f.ring != g.ring:
+        raise RingMismatchError(f"conjugacy of maps over {f.ring!r} and {g.ring!r}")
+    (af, rf), (ag, rg) = _growth(f), _growth(g)
     if af != ag:
         return ConjugacyResult(
             "no", reason="one map has bounded degree growth, the other does not",
             family_f="algebraic" if af else "Henon",
             family_g="algebraic" if ag else "Henon")
     if af:
-        return are_conjugate_algebraic(f, g)
-    hf = henon_normalize(f)
-    hg = henon_normalize(g)
-    inv_f, inv_g = henon_invariants(hf), henon_invariants(hg)
+        return are_conjugate_algebraic(f, g, _finish(f, af, rf), _finish(g, ag, rg))
+    inv_f = henon_invariants(_finish(f, af, rf))
+    inv_g = henon_invariants(_finish(g, ag, rg))
     checks = [f"cyclic degree data {list(inv_f)} / {list(inv_g)}"]
     if inv_f != inv_g:
         return ConjugacyResult("no", reason="cyclic Jonquieres degree data differ",

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .amalgam import JonquieresFactor, factor_to_plane_aut, plane_aut_from_endo
-from .conjugacy import expand_family_poly
+from .conjugacy import _mult_order, expand_family_poly
 from .endo import Endo, InfinityPoint, PlaneAut, indeterminacy_point
 from .errors import (
     NoPoleError,
@@ -335,11 +335,8 @@ def degenerate_family_ii(ring, P: dict) -> DegenerationWitness:
 def degenerate_family_iii(ring, zeta, m: int, P: dict) -> DegenerationWitness:
     """f = (zeta x1 + x2^{m-1} P(x2^m), zeta^-1 x2) degenerates to the
     diagonal (zeta x1, zeta^-1 x2)."""
-    if m < 2 or not ring.eq(ring.pow(zeta, m), ring.one):
+    if m < 2 or _mult_order(ring, zeta, m) != m:
         raise PlaneAutError("zeta must be a primitive m-th root of unity, m >= 2")
-    for j in range(1, m):
-        if ring.eq(ring.pow(zeta, j), ring.one):
-            raise PlaneAutError("zeta must be a primitive m-th root of unity, m >= 2")
     if not P:
         raise PlaneAutError("family (iii) needs a nonzero survivor polynomial")
     f = factor_to_plane_aut(JonquieresFactor(ring, zeta, expand_family_poly(P, m)))

@@ -14,7 +14,11 @@ is likewise a single point, and X_f = I_{f inverse}.
 Degrees compose multiplicatively, deg(g o f) = deg(g) deg(f), exactly when
 X_f avoids I_g.  Iterating this with g = f separates two regimes:
 algebraic elements, deg(f o f) <= deg(f), and dynamically regular ones,
-deg(f o f) = deg(f)^2.
+deg(f o f) = deg(f)^2.  The conjugacy layer and the CLI do not iterate to
+tell them apart on Jacobian-1 maps: they read bounded growth off the
+cyclically reduced factor word (amalgam), algebraic when at most one factor
+is left.  is_algebraic, the f o f test, is the oracle of that reading and
+the path for maps of Jacobian != 1, which have no factor word.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import (
 from .poly import MultiPoly, compose_many
 from .rings import (
     MINUS_INF,
+    power,
     up_deg,
     up_gcd_monic,
     up_pow,
@@ -81,10 +86,7 @@ class Endo:
     def power(self, m: int) -> "Endo":
         if m < 0:
             raise ValueError("negative iterate of a plain endomorphism")
-        out = Endo.identity(self.ring, self.nvars)
-        for _ in range(m):
-            out = self.compose(out)
-        return out
+        return power(self, m, Endo.compose, Endo.identity(self.ring, self.nvars))
 
     def highest_part(self) -> "Endo":
         """Component-wise degree-d homogeneous part, d = deg of the whole map."""
@@ -141,17 +143,16 @@ class PlaneAut:
             raise ArityMismatchError("PlaneAut lives on the plane")
         if fwd.ring != inv.ring:
             raise RingMismatchError("forward and inverse over different rings")
-        if verify:
-            if not fwd.compose(inv).is_identity or not inv.compose(fwd).is_identity:
-                raise NotInvertibleError("forward and inverse do not compose to the identity")
+        self.fwd = fwd
+        self.inv = inv
+        if verify and not self.verify():
+            raise NotInvertibleError("forward and inverse do not compose to the identity")
         jac = fwd.jacobian()
         if not jac.is_constant or jac.is_zero:
             raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
         if fwd.degree != inv.degree:
             # equal in dimension 2 for every genuine automorphism
             raise NotInvertibleError("degree of forward and inverse differ")
-        self.fwd = fwd
-        self.inv = inv
         self.jac = jac.constant_value()
 
     @classmethod
@@ -181,10 +182,6 @@ class PlaneAut:
     def compose(self, other: "PlaneAut") -> "PlaneAut":
         """self o other; inverses compose in the opposite order."""
         return PlaneAut(self.fwd.compose(other.fwd), other.inv.compose(self.inv), verify=False)
-
-    def conjugate_by(self, h: "PlaneAut") -> "PlaneAut":
-        """h o self o h^-1."""
-        return h.compose(self).compose(h.inverse())
 
     def power(self, m: int) -> "PlaneAut":
         if m < 0:
@@ -411,7 +408,10 @@ def degree_multiplicativity_test(f: PlaneAut, g: PlaneAut) -> MultiplicativityRe
 
 
 def is_algebraic(f: PlaneAut) -> bool:
-    """Bounded degree growth under iteration: deg(f o f) <= deg(f)."""
+    """Bounded degree growth under iteration: deg(f o f) <= deg(f).
+
+    decide_conjugacy and the CLI read growth off the factor word instead;
+    this is their oracle and their path for Jacobian != 1."""
     d2 = f.fwd.compose(f.fwd).degree
     return d2 <= f.degree
 

@@ -26,8 +26,10 @@ The up_* functions are the one sparse-dict kernel: a value is a dict
 {key: coeff} with no zero coefficients, and add / neg / mul work for any
 keys that support + (integer exponents here, exponent tuples in
 poly.MultiPoly).  power(x, n, mul, one) is the one repeated-squaring
-routine, behind up_pow, LaurentRing.pow, FunctionField.pow and
-MultiPoly.__pow__; Q and F_p use Python's own ** and pow.
+routine, behind up_pow, LaurentRing.pow, FunctionField.pow,
+MultiPoly.__pow__, the argument powers of poly.compose_many, Endo.power
+and the Cantor-Zassenhaus split of PrimeField.nth_roots; Q and F_p use
+Python's own ** and pow.
 
 Over F_p no routine scans the field; each runs in time polynomial in log p
 (and, for nth_roots, in n):
@@ -173,9 +175,6 @@ class RationalField:
     def from_int(self, n: int):
         return Fraction(n)
 
-    def is_unit(self, a):
-        return a != 0
-
     def invert(self, a):
         if a == 0:
             raise NotInvertibleError("division by zero in Q")
@@ -273,9 +272,6 @@ class PrimeField:
 
     def from_int(self, n: int):
         return n % self.p
-
-    def is_unit(self, a):
-        return a % self.p != 0
 
     def invert(self, a):
         if a % self.p == 0:
@@ -424,10 +420,6 @@ class LaurentRing:
 
     def from_int(self, n: int):
         return self.from_base(self.base.from_int(n))
-
-    def is_unit(self, a):
-        # units of K[t,1/t] are the nonzero monomials c*t^k
-        return len(a) == 1
 
     def invert(self, a):
         if len(a) != 1:
@@ -674,9 +666,6 @@ class FunctionField:
         if self.base.is_zero(c):
             return self.zero
         return ({0: c}, {0: self.base.one})
-
-    def is_unit(self, a):
-        return bool(a[0])
 
     def invert(self, a):
         if not a[0]:

@@ -152,3 +152,46 @@ def test_huge_exponent_inverse_is_fast(capsys):
     assert rc == 0
     assert "inverse: (-x2^100000000 + x1, x2)\n" in capsys.readouterr().out
     assert elapsed < 5.0
+
+
+# -- the growth decision: Henon classify, mixed and non-special inputs ------
+
+HENON_CLASSIFY_TEXT = ("verdict: Henon\nfamily: Henon\njonquieres_degrees: [2]\n"
+                       "word_length: 1\n")
+
+
+def test_classify_henon_text_and_json(capsys):
+    assert main(["classify", "(x2, -x1 + x2^2)"]) == 0
+    assert capsys.readouterr().out == HENON_CLASSIFY_TEXT
+    assert main(["classify", "(x2, -x1 + x2^2)", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "Henon",
+        "data": {"family": "Henon", "jonquieres_degrees": [2], "word_length": 1},
+        "checks": {}}
+
+
+@pytest.mark.parametrize("f", ["(x2, -x1)", "(2*x1, x2)"], ids=["rotation", "non-special"])
+def test_conj_test_algebraic_against_henon_is_no(f, capsys):
+    # (x2, -x1) has no eigenvalue over Q, so it has no normal form: the
+    # answer rests on degree growth alone
+    assert main(["conj-test", f, "(x2, -x1 + x2^2)"]) == 0
+    assert capsys.readouterr().out == (
+        'verdict: no\nfamilies: ["algebraic", "Henon"]\n'
+        "reason: one map has bounded degree growth, the other does not\n"
+        "conjugator: null\ncheck notes: []\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["conj-test", "(2*x1, x2)", "(3*x1, x2)"],
+     "normal forms are for Jacobian-1 automorphisms"),
+    (["classify", "(2*x1, x2)"], "normal forms are for Jacobian-1 automorphisms"),
+    (["conj-test", "(x2, -2*x1 + x2^2)", "(x2, -x1 + x2^2)"],
+     "factorization needs Jacobian determinant 1"),
+    (["conj-test", "(x2, -x1 + x2^2)", "(x2, -2*x1 + x2^2)"],
+     "factorization needs Jacobian determinant 1"),
+    (["classify", "(x2, -2*x1 + x2^2)"], "factorization needs Jacobian determinant 1"),
+], ids=["conj-algebraic", "classify-algebraic", "conj-henon-f", "conj-henon-g",
+        "classify-henon"])
+def test_non_special_inputs_are_exit_1(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -3,17 +3,25 @@ from fractions import Fraction
 
 import pytest
 
+import planeaut
+import planeaut.cli
 from planeaut import (
     NotAlgebraicError,
     NotSpecialError,
     PlaneAut,
+    PlaneAutError,
     PrimeField,
     RationalField,
+    RingMismatchError,
     UnsupportedFieldError,
     decide_conjugacy,
     decompose_v_delta,
     delta_map,
+    henon_invariants,
+    henon_normalize,
     in_v_subspace,
+    is_algebraic,
+    jvdk_factor,
     minimize_conjugator,
     n_map,
     normal_form,
@@ -22,8 +30,20 @@ from planeaut import (
     solve_scalar_power_system,
     verify_conjugacy_certificate,
 )
+from planeaut.amalgam import factor_to_plane_aut
+from planeaut.conjugacy import ConjugacyResult, are_conjugate_algebraic
 from planeaut.rings import up_add, up_eval
-from conftest import family_iv_element, rand_univariate
+from conftest import (
+    SEED,
+    _algebraic_word_nontrivial,
+    family_ii_rep,
+    family_iv_element,
+    rand_affine,
+    rand_jonquieres,
+    rand_univariate,
+    sample_regular_word,
+    word_to_plane_aut,
+)
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -285,6 +305,127 @@ def test_henon_dispatch():
     assert decide_conjugacy(hen, hen3).verdict == "no"   # degree data differ
     res = decide_conjugacy(hen, hen)
     assert res.verdict == "unknown"                      # invariants agree
+
+
+def _decide_by_iterate(f, g):
+    """The dispatcher that decided growth by deg(f o f) <= deg f before
+    building normal forms or Henon data from scratch: the oracle of the
+    dispatch that reads growth off the factor word."""
+    af, ag = is_algebraic(f), is_algebraic(g)
+    if af != ag:
+        return ConjugacyResult(
+            "no", reason="one map has bounded degree growth, the other does not",
+            family_f="algebraic" if af else "Henon",
+            family_g="algebraic" if ag else "Henon")
+    if af:
+        return are_conjugate_algebraic(f, g)
+    hf = henon_normalize(f)
+    hg = henon_normalize(g)
+    inv_f, inv_g = henon_invariants(hf), henon_invariants(hg)
+    checks = [f"cyclic degree data {list(inv_f)} / {list(inv_g)}"]
+    if inv_f != inv_g:
+        return ConjugacyResult("no", reason="cyclic Jonquieres degree data differ",
+                               family_f="Henon", family_g="Henon", checks=checks)
+    return ConjugacyResult(
+        "unknown",
+        reason="invariants agree; conjugacy of Henon words is not decided",
+        family_f="Henon", family_g="Henon", checks=checks)
+
+
+def _outcome(decide, f, g):
+    try:
+        return decide(f, g).describe()
+    except PlaneAutError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _dispatch_pairs(K):
+    """Seeded pairs: algebraic and Henon maps against affine conjugates, each
+    other and the other kind, plus maps of Jacobian 2 on either side."""
+    rng = random.Random(f"{SEED}/dispatch/{K!r}")
+    alg = [word_to_plane_aut(_algebraic_word_nontrivial(rng, K, max_deg=3))
+           for _ in range(5)]
+    alg += [family_ii_rep(K, rand_univariate(rng, K, 3, nonzero=True)),
+            family_iv_element(K, rand_univariate(rng, K, 2)),
+            aut("(x2, -x1)", K)]
+    hen = [word_to_plane_aut(sample_regular_word(rng, K, 2)) for _ in range(3)]
+    hen.append(word_to_plane_aut(sample_regular_word(rng, K, 2, two_blocks=True)))
+    odd = [aut("(2*x1, x2)", K), aut("(x2, -2*x1 + x2^2)", K)]
+    pairs = []
+    for f in alg + hen:
+        h = factor_to_plane_aut(rand_affine(rng, K))
+        if f.degree == 2 and f in alg:
+            h = factor_to_plane_aut(rand_jonquieres(rng, K, 2)).compose(h)
+        pairs.append((f, h.compose(f).compose(h.inverse())))
+    pairs += list(zip(alg, alg[1:])) + [(hen[0], hen[1]), (hen[3], hen[2])]
+    pairs += [(a, b) for a, b in zip(alg, hen)] + [(b, a) for a, b in zip(alg, hen)]
+    pairs += [(o, x) for o in odd for x in (alg[0], hen[0], odd[0], odd[1])]
+    pairs += [(x, o) for o in odd for x in (alg[0], hen[0])]
+    return pairs
+
+
+@pytest.mark.parametrize("K", [Q, F3, F5], ids=repr)
+def test_decide_conjugacy_matches_the_iterate_dispatcher(K):
+    seen = set()
+    for f, g in _dispatch_pairs(K):
+        want = _outcome(_decide_by_iterate, f, g)
+        assert _outcome(decide_conjugacy, f, g) == want, (str(f), str(g))
+        seen.add(want["verdict"] if isinstance(want, dict) else want[0])
+    assert {"yes", "no", "unknown", "NotSpecialError"} <= seen
+
+
+@pytest.fixture
+def no_iterates_on_special_maps(monkeypatch):
+    """is_algebraic raises on Jacobian-1 maps; jvdk_factor calls are counted."""
+    calls = []
+
+    def guarded(f):
+        if f.is_special:
+            raise AssertionError(f"deg(f o f) computed for the special map {f}")
+        return is_algebraic(f)
+
+    def counted(f):
+        calls.append(f)
+        return jvdk_factor(f)
+
+    for mod in (planeaut.endo, planeaut.conjugacy, planeaut.cli):
+        monkeypatch.setattr(mod, "is_algebraic", guarded, raising=False)
+    monkeypatch.setattr(planeaut.amalgam, "jvdk_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("f,g,verdict", [
+    ("(x1 + x2^2, x2)", "(x1 + 8*x2^2 + 8*x2 + 2, x2)", "yes"),
+    ("(2*x1 + x2^3, 1/2*x2)", "(3*x1, 1/3*x2)", "no"),
+    ("(x2, -x1 + x2^2)", "(x2, -x1 + x2^2 + 1)", "unknown"),
+    ("(x2, -x1 + x2^2)", "(x2, -x1 + x2^3)", "no"),
+    ("(x2, -x1)", "(x2, -x1 + x2^2)", "no"),
+], ids=["algebraic-yes", "algebraic-no", "henon-unknown", "henon-no", "mixed"])
+def test_decide_factors_each_map_once(f, g, verdict, no_iterates_on_special_maps):
+    assert decide_conjugacy(aut(f), aut(g)).verdict == verdict
+    assert len(no_iterates_on_special_maps) == 2
+
+
+def test_non_special_maps_still_decide_by_iterates(no_iterates_on_special_maps):
+    res = decide_conjugacy(aut("(2*x1, x2)"), aut("(x2, -x1 + x2^2)"))
+    assert res.verdict == "no" and res.family_f == "algebraic"
+    assert len(no_iterates_on_special_maps) == 1
+
+
+@pytest.mark.parametrize("src,family", [("(2*x1 + x2^3, 1/2*x2)", "family I"),
+                                        ("(x2, -x1 + x2^2)", "Henon")])
+def test_classify_factors_once(src, family, no_iterates_on_special_maps, capsys):
+    assert planeaut.cli.main(["classify", src]) == 0
+    assert capsys.readouterr().out.startswith(f"verdict: {family}\n")
+    assert len(no_iterates_on_special_maps) == 1
+
+
+@pytest.mark.parametrize("f,g", [("(x2, -x1 + x2^2)", "(x2, -x1 + x2^2)"),
+                                 ("(2*x1, 1/2*x2)", "(x1 + x2^2, x2)")])
+def test_decide_rejects_maps_over_different_rings(f, g):
+    with pytest.raises(RingMismatchError) as exc:
+        decide_conjugacy(aut(f, Q), aut(g, F5))
+    assert str(exc.value) == "conjugacy of maps over Q and F5"
 
 
 # -- certificates and minimization ------------------------------------------

@@ -183,6 +183,9 @@ def test_degenerate_family_iii_rejects_bad_root():
         degenerate_family_iii(F5, 4, 4, {0: 1})                      # order 2, not 4
     with pytest.raises(PlaneAutError):
         degenerate_family_iii(F5, 2, 4, {})                          # empty body
+    with pytest.raises(PlaneAutError) as exc:
+        degenerate_family_iii(Q, Fraction(2), 2, {0: Fraction(1)})   # not a root at all
+    assert str(exc.value) == "zeta must be a primitive m-th root of unity, m >= 2"
 
 
 def test_degenerate_family_iv_f2():

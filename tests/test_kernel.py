@@ -57,6 +57,8 @@ POWERS = {
                      MultiPoly.const(Q, 2, Q.one), _poly(Q, "1/2*x1 - x2^2 + 3")),
     "MultiPoly(F5)": (lambda x, n: x ** n, lambda a, b: a * b,
                       MultiPoly.const(F5, 2, F5.one), _poly(F5, "2*x1*x2 + x2 + 4")),
+    "Endo(Q, 3 variables)": (Endo.power, Endo.compose, Endo.identity(Q, 3),
+                             parse_automorphism("(x1 + x2^2, x2 + x3^2, x3)", Q)),
 }
 
 
