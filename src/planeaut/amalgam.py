@@ -17,6 +17,9 @@ word either collapses to a single factor (the map is conjugate into SJ) or
 stabilizes as an even alternating word a_m j_m ... a_1 j_1 with every a_i
 outside SJ and every j_i outside SAff: a Henon automorphism, whose degree
 is the product of the j_i degrees.
+A map of Jacobian c is recompose(word) o s_c with s_c = (c x1, x2) in
+Aff ∩ J, so the word decides growth for every c (Jung-van der Kulk holds for
+Aut(A^2) = Aff *_(Aff ∩ J) J); plane_aut_from_endo factors once, keeps it.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ class JonquieresFactor:
         R = self.ring
         ai = R.invert(self.a)
         # x2 component inverts to a x2 - a c; x1 picks up -a^-1 P(a x2 - a c)
-        shift = {1: self.a, 0: R.neg(R.mul(self.a, self.c))}
+        shift = up_add(R, {1: self.a}, {0: R.neg(R.mul(self.a, self.c))})
         newP = up_scale(R, up_compose(R, self.P, shift), R.neg(ai))
         return JonquieresFactor(R, ai, newP, R.neg(R.mul(self.a, self.c)))
 
@@ -196,7 +199,7 @@ class JonquieresFactor:
         """self o other."""
         R = self.ring
         a = R.mul(self.a, other.a)
-        inner = {1: R.invert(other.a), 0: other.c}
+        inner = up_add(R, {1: R.invert(other.a)}, {0: other.c})
         newP = up_add(R, up_scale(R, other.P, self.a), up_compose(R, self.P, inner))
         c = R.add(R.mul(R.invert(self.a), other.c), self.c)
         return JonquieresFactor(R, a, newP, c)
@@ -234,15 +237,14 @@ def factor_to_plane_aut(fac) -> PlaneAut:
 class AmalgamWord:
     """A composition word of affine and triangular factors."""
 
-    __slots__ = ("ring", "factors", "reduced")
+    __slots__ = ("ring", "factors")
 
-    def __init__(self, ring, factors, reduced=False):
+    def __init__(self, ring, factors):
         self.ring = ring
         self.factors = tuple(factors)
         for fac in self.factors:
             if fac.ring != ring:
                 raise RingMismatchError("word factors over different rings")
-        self.reduced = reduced
 
     def __len__(self):
         return len(self.factors)
@@ -325,16 +327,7 @@ def reduce_word(w: AmalgamWord) -> AmalgamWord:
                 continue
             changed = True
             break
-    return AmalgamWord(w.ring, facs, reduced=True)
-
-
-def _affine_from_linear_endo(e: Endo) -> AffineFactor:
-    R = e.ring
-    c0, c1 = e.comps
-    return AffineFactor(R,
-                        c0.coeff((1, 0)), c0.coeff((0, 1)),
-                        c1.coeff((1, 0)), c1.coeff((0, 1)),
-                        c0.coeff((0, 0)), c1.coeff((0, 0)))
+    return AmalgamWord(w.ring, facs)
 
 
 def _reduction_ops(e: Endo):
@@ -383,50 +376,49 @@ def _reduction_ops(e: Endo):
     return ops, work
 
 
+def _factor(e: Endo, c) -> AmalgamWord:
+    """The reduced word w with e = recompose(w) o s_c, c the Jacobian of e and
+    s_c = (c x1, x2): its last affine factor is final o s_c^-1."""
+    ops, final = _reduction_ops(e)
+    R = e.ring
+    ci = R.invert(c)
+    c0, c1 = final.comps
+    last = AffineFactor(R, R.mul(c0.coeff((1, 0)), ci), c0.coeff((0, 1)),
+                        R.mul(c1.coeff((1, 0)), ci), c1.coeff((0, 1)),
+                        c0.coeff((0, 0)), c1.coeff((0, 0)))
+    return reduce_word(AmalgamWord(R, [op.inverse() for op in ops] + [last]))
+
+
+def plane_aut_from_endo(e: Endo) -> PlaneAut:
+    """Validate e as a plane automorphism: factor it once as recompose(w) o s_c,
+    invert it as s_c^-1 o recompose(w^-1), whose composition check certifies
+    w too, and keep w as the result's word."""
+    jac = e.jacobian()
+    if not jac.is_constant or jac.is_zero:
+        raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
+    R, c = e.ring, jac.constant_value()
+    word = _factor(e, c)
+    inv = word.inverse_word().recompose()
+    if not R.eq(c, R.one):
+        inv = Endo([inv.comps[0].scale(R.invert(c)), inv.comps[1]])
+    aut = PlaneAut(e, inv, verify=True)
+    aut.word = word
+    return aut
+
+
+def _word(f: PlaneAut) -> AmalgamWord:
+    """The word w of f = recompose(w) o s_c: the one plane_aut_from_endo kept,
+    else (f built by composition) a fresh factorization."""
+    return f.word if f.word is not None else _factor(f.fwd, f.jac)
+
+
 def jvdk_factor(f) -> AmalgamWord:
     """Alternating special-affine / triangular word recomposing to f."""
     e = f.fwd if isinstance(f, PlaneAut) else f
     jac = e.jacobian()
     if not jac.is_constant or not e.ring.eq(jac.constant_value(), e.ring.one):
         raise NotSpecialError("factorization needs Jacobian determinant 1")
-    ops, final = _reduction_ops(e)
-    factors = [op.inverse() for op in ops]
-    factors.append(_affine_from_linear_endo(final))
-    word = reduce_word(AmalgamWord(e.ring, factors))
-    if word.recompose() != e:
-        raise NotInvertibleError("factor word does not recompose to the input")
-    return word
-
-
-def plane_aut_from_endo(e: Endo) -> PlaneAut:
-    """Validate an endomorphism as a plane automorphism, computing its inverse."""
-    jac = e.jacobian()
-    if not jac.is_constant or jac.is_zero:
-        raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
-    ops, final = _reduction_ops(e)
-    R = e.ring
-    c0, c1 = final.comps
-    a, b = c0.coeff((1, 0)), c0.coeff((0, 1))
-    c, d = c1.coeff((1, 0)), c1.coeff((0, 1))
-    det = R.sub(R.mul(a, d), R.mul(b, c))
-    if R.is_zero(det):
-        raise NotInvertibleError("affine part is singular")
-    di = R.invert(det)
-    ia, ib = R.mul(d, di), R.neg(R.mul(b, di))
-    ic, id_ = R.neg(R.mul(c, di)), R.mul(a, di)
-    tx, ty = c0.coeff((0, 0)), c1.coeff((0, 0))
-    x1 = MultiPoly.variable(R, 2, 0)
-    x2 = MultiPoly.variable(R, 2, 1)
-    one = MultiPoly.const(R, 2, R.one)
-    inv = Endo([
-        x1.scale(ia) + x2.scale(ib)
-        + one.scale(R.neg(R.add(R.mul(ia, tx), R.mul(ib, ty)))),
-        x1.scale(ic) + x2.scale(id_)
-        + one.scale(R.neg(R.add(R.mul(ic, tx), R.mul(id_, ty)))),
-    ])
-    for op in reversed(ops):
-        inv = inv.compose(op.to_endo())
-    return PlaneAut(e, inv, verify=True)
+    return _word(f) if isinstance(f, PlaneAut) else _factor(e, e.ring.one)
 
 
 @dataclass
@@ -442,13 +434,6 @@ class HenonForm:
     with recompose(word) = h o original o h^-1."""
     word: AmalgamWord
     conjugator: PlaneAut
-
-    @property
-    def m(self) -> int:
-        return len(self.word) // 2
-
-    def core(self) -> PlaneAut:
-        return self.word.to_plane_aut()
 
 
 def _triangularize_affine(fac: AffineFactor) -> tuple:
@@ -486,21 +471,38 @@ def _triangularize_affine(fac: AffineFactor) -> tuple:
     return new, g
 
 
+def _twist(fac, c):
+    """s_c o fac o s_c^-1 for s_c = (c x1, x2): c scales the x1 row of fac and
+    c^-1 its x1 column, so the tag, the degree and SAff ∩ SJ are kept."""
+    R = fac.ring
+    if fac.tag == "J":
+        return JonquieresFactor(R, fac.a, up_scale(R, fac.P, c), fac.c)
+    return AffineFactor(R, fac.a, R.mul(c, fac.b), R.mul(fac.c, R.invert(c)), fac.d,
+                        R.mul(c, fac.e), fac.f)
+
+
 def _cyclic_reduction(f: PlaneAut):
     """(word, h): the factor word of f rotated until it has at most one factor
-    or runs from an affine to a triangular factor, recompose(word) =
-    h o f o h^-1.  f is algebraic exactly when len(word) <= 1."""
-    word = jvdk_factor(f)
-    h = PlaneAut.identity(f.ring)
+    or runs from an affine to a triangular factor, recompose(word) o s_c =
+    h o f o h^-1 for c the Jacobian of f.  As F1^-1 o (F1 ... Fn o s_c) o F1
+    = (F2 ... Fn o s_c F1 s_c^-1) o s_c, F1 moves to the end twisted by s_c.
+    f is algebraic exactly when len(word) <= 1."""
+    R, c = f.ring, f.jac
+    word = _word(f)
+    h = PlaneAut.identity(R)
     while len(word) > 1 and (word.factors[0].tag, word.factors[-1].tag) != ("A", "J"):
         first = word.factors[0]
         h = factor_to_plane_aut(first).inverse().compose(h)
-        word = reduce_word(AmalgamWord(f.ring, word.factors[1:] + (first,)))
+        last = first if R.eq(c, R.one) else _twist(first, c)
+        word = reduce_word(AmalgamWord(R, word.factors[1:] + (last,)))
     return word, h
 
 
-def _finish_normalization(word: AmalgamWord, h: PlaneAut):
-    """The SJRepresentative or HenonForm of a cyclic reduction (word, h)."""
+def _finish_normalization(f: PlaneAut, word: AmalgamWord, h: PlaneAut):
+    """The SJRepresentative or HenonForm of f from its cyclic reduction
+    (word, h); f must have Jacobian 1."""
+    if not f.is_special:
+        raise NotSpecialError("factorization needs Jacobian determinant 1")
     if len(word) > 1:
         if len(word) % 2 or any(fac.in_intersection for fac in word.factors):
             raise NotInvertibleError("inconsistent reduced word")
@@ -518,7 +520,7 @@ def _finish_normalization(word: AmalgamWord, h: PlaneAut):
 
 def henon_normalize(f: PlaneAut):
     """Cyclic reduction to an SJRepresentative (algebraic case) or a HenonForm."""
-    return _finish_normalization(*_cyclic_reduction(f))
+    return _finish_normalization(f, *_cyclic_reduction(f))
 
 
 def henon_invariants(h: HenonForm):

@@ -13,10 +13,8 @@ import itertools
 import json
 import sys
 
-from .amalgam import HenonForm, henon_invariants, jvdk_factor, plane_aut_from_endo
+from .amalgam import henon_invariants, henon_normalize, jvdk_factor, plane_aut_from_endo
 from .conjugacy import (
-    _finish,
-    _growth,
     decide_conjugacy,
     decompose_v_delta,
     in_v_subspace,
@@ -34,7 +32,7 @@ from .degeneration import (
     x_alpha,
 )
 from .endo import Endo, degree_sequence, is_dynamically_regular
-from .errors import ParseError, PlaneAutError, UnsupportedFieldError
+from .errors import NotAlgebraicError, ParseError, PlaneAutError, UnsupportedFieldError
 from .parsing import parse_automorphism, parse_polynomial
 from .rings import LaurentRing, field_from_name, up_to_str
 
@@ -116,9 +114,10 @@ def _cmd_factor(field, inputs, args):
 
 def _cmd_classify(field, inputs, args):
     aut = plane_aut_from_endo(_require_endo(inputs[0], "classify"))
-    nf = _finish(aut, *_growth(aut))
-    if isinstance(nf, HenonForm):
-        degs = henon_invariants(nf)
+    try:
+        nf = normal_form(aut)
+    except NotAlgebraicError:
+        degs = henon_invariants(henon_normalize(aut))
         return "Henon", {"family": "Henon", "jonquieres_degrees": list(degs),
                          "word_length": len(degs)}, {}
     data = {"family": nf.family,

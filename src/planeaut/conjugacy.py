@@ -29,15 +29,13 @@ from dataclasses import dataclass, field
 
 from .amalgam import (
     AffineFactor,
-    HenonForm,
     JonquieresFactor,
     _cyclic_reduction,
     _finish_normalization,
     factor_to_plane_aut,
     henon_invariants,
-    henon_normalize,
 )
-from .endo import PlaneAut, is_algebraic
+from .endo import PlaneAut
 from .errors import (
     NotAlgebraicError,
     NotSpecialError,
@@ -205,18 +203,20 @@ def normal_form(f: PlaneAut) -> NormalForm:
 
     The returned conjugator h satisfies rep = h o f o h^-1, verified by
     composition.  Applied to a representative it returns the identity
-    conjugator.
+    conjugator.  Growth is decided first: a Henon map of any Jacobian raises
+    NotAlgebraicError, an algebraic one of Jacobian != 1 NotSpecialError.
     """
+    return _normal_form(f, _cyclic_reduction(f))
+
+
+def _normal_form(f: PlaneAut, reduction) -> NormalForm:
+    """normal_form(f) from the cyclic reduction (word, h) of f."""
+    ring = f.ring
+    if len(reduction[0]) > 1:
+        raise NotAlgebraicError("unbounded degree growth; no triangular normal form")
     if not f.is_special:
         raise NotSpecialError("normal forms are for Jacobian-1 automorphisms")
-    return _normal_form(f, henon_normalize(f))
-
-
-def _normal_form(f: PlaneAut, sj) -> NormalForm:
-    """normal_form(f) from the henon_normalize output sj of f."""
-    ring = f.ring
-    if isinstance(sj, HenonForm):
-        raise NotAlgebraicError("unbounded degree growth; no triangular normal form")
+    sj = _finish_normalization(f, *reduction)
     fac = sj.factor
     h = sj.conjugator
 
@@ -548,22 +548,10 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut, nf_f: NormalForm = None,
 
 
 def _growth(f: PlaneAut):
-    """(algebraic, reduction): bounded degree growth of f read off its cyclic
-    reduction (word, h) as len(word) <= 1.  A map of Jacobian != 1 has no
-    factor word: deg(f o f) <= deg(f) decides, and reduction is None."""
-    if not f.is_special:
-        return is_algebraic(f), None
+    """(algebraic, reduction): bounded degree growth of f, for every Jacobian,
+    read off its cyclic reduction (word, h) as len(word) <= 1."""
     reduction = _cyclic_reduction(f)
     return len(reduction[0]) <= 1, reduction
-
-
-def _finish(f: PlaneAut, algebraic: bool, reduction):
-    """The NormalForm of an algebraic f, else its HenonForm, from _growth(f);
-    raises as normal_form and henon_normalize do."""
-    if reduction is None:
-        return normal_form(f) if algebraic else henon_normalize(f)
-    sj = _finish_normalization(*reduction)
-    return _normal_form(f, sj) if algebraic else sj
 
 
 def decide_conjugacy(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
@@ -576,10 +564,11 @@ def decide_conjugacy(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
             "no", reason="one map has bounded degree growth, the other does not",
             family_f="algebraic" if af else "Henon",
             family_g="algebraic" if ag else "Henon")
+    # a map of Jacobian != 1 raises NotSpecialError only here, once growth is known
     if af:
-        return are_conjugate_algebraic(f, g, _finish(f, af, rf), _finish(g, ag, rg))
-    inv_f = henon_invariants(_finish(f, af, rf))
-    inv_g = henon_invariants(_finish(g, ag, rg))
+        return are_conjugate_algebraic(f, g, _normal_form(f, rf), _normal_form(g, rg))
+    inv_f = henon_invariants(_finish_normalization(f, *rf))
+    inv_g = henon_invariants(_finish_normalization(g, *rg))
     checks = [f"cyclic degree data {list(inv_f)} / {list(inv_g)}"]
     if inv_f != inv_g:
         return ConjugacyResult("no", reason="cyclic Jonquieres degree data differ",

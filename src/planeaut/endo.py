@@ -15,10 +15,10 @@ Degrees compose multiplicatively, deg(g o f) = deg(g) deg(f), exactly when
 X_f avoids I_g.  Iterating this with g = f separates two regimes:
 algebraic elements, deg(f o f) <= deg(f), and dynamically regular ones,
 deg(f o f) = deg(f)^2.  The conjugacy layer and the CLI do not iterate to
-tell them apart on Jacobian-1 maps: they read bounded growth off the
-cyclically reduced factor word (amalgam), algebraic when at most one factor
-is left.  is_algebraic, the f o f test, is the oracle of that reading and
-the path for maps of Jacobian != 1, which have no factor word.
+tell them apart: they read bounded growth off the cyclically reduced factor
+word that amalgam.plane_aut_from_endo stores on every PlaneAut it builds,
+for every Jacobian, algebraic when at most one factor is left.
+is_algebraic, the f o f test, is the oracle of that reading.
 """
 
 from __future__ import annotations
@@ -134,9 +134,10 @@ def _det(mat):
 
 
 class PlaneAut:
-    """An automorphism of the affine plane together with its inverse."""
+    """An automorphism of the affine plane together with its inverse; word,
+    fwd = recompose(word) o (jac x1, x2), is set by plane_aut_from_endo only."""
 
-    __slots__ = ("fwd", "inv", "jac")
+    __slots__ = ("fwd", "inv", "jac", "word")
 
     def __init__(self, fwd: Endo, inv: Endo, *, verify: bool = True):
         if fwd.nvars != 2:
@@ -154,6 +155,7 @@ class PlaneAut:
             # equal in dimension 2 for every genuine automorphism
             raise NotInvertibleError("degree of forward and inverse differ")
         self.jac = jac.constant_value()
+        self.word = None
 
     @classmethod
     def identity(cls, ring):
@@ -410,8 +412,8 @@ def degree_multiplicativity_test(f: PlaneAut, g: PlaneAut) -> MultiplicativityRe
 def is_algebraic(f: PlaneAut) -> bool:
     """Bounded degree growth under iteration: deg(f o f) <= deg(f).
 
-    decide_conjugacy and the CLI read growth off the factor word instead;
-    this is their oracle and their path for Jacobian != 1."""
+    decide_conjugacy and the CLI read growth off the factor word instead,
+    for every Jacobian; this is the oracle of that reading."""
     d2 = f.fwd.compose(f.fwd).degree
     return d2 <= f.degree
 

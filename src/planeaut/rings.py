@@ -27,9 +27,9 @@ The up_* functions are the one sparse-dict kernel: a value is a dict
 keys that support + (integer exponents here, exponent tuples in
 poly.MultiPoly).  power(x, n, mul, one) is the one repeated-squaring
 routine, behind up_pow, LaurentRing.pow, FunctionField.pow,
-MultiPoly.__pow__, the argument powers of poly.compose_many, Endo.power
-and the Cantor-Zassenhaus split of PrimeField.nth_roots; Q and F_p use
-Python's own ** and pow.
+MultiPoly.__pow__, the gap powers of up_compose and poly.compose_many,
+Endo.power and the Cantor-Zassenhaus split of PrimeField.nth_roots; Q and
+F_p use Python's own ** and pow.
 
 Over F_p no routine scans the field; each runs in time polynomial in log p
 (and, for nth_roots, in n):
@@ -580,14 +580,16 @@ def up_gcd_monic(F, a, b):
     return up_monic(F, a)
 
 def up_compose(F, a, b):
-    """Substitution a(b) by Horner."""
-    if not a:
-        return {}
-    acc = {}
-    for k in range(max(a), -1, -1):
-        acc = up_mul(F, acc, b)
-        if k in a:
-            acc = up_add(F, acc, {0: a[k]})
+    """Substitution a(b) by Horner over the exponents of a that occur, each
+    gap between them taken as one power of b."""
+    exps = sorted(a, reverse=True)
+    acc, gaps = {}, {}
+    for k, below in zip(exps, exps[1:] + [0]):
+        acc = up_add(F, acc, {0: a[k]})
+        if k > below:
+            if k - below not in gaps:
+                gaps[k - below] = up_pow(F, b, k - below)
+            acc = up_mul(F, acc, gaps[k - below])
     return acc
 
 def up_eval(F, a, x):

@@ -144,13 +144,19 @@ def test_deep_nesting_is_exit_2(capsys):
     assert "nested deeper" in capsys.readouterr().err
 
 
-def test_huge_exponent_inverse_is_fast(capsys):
-    # argument powers are built by squaring, not by a ladder up to 10^8
+@pytest.mark.parametrize("verb,line", [
+    ("inverse", "inverse: (-x2^100000000 + x1, x2)\n"),
+    ("factor", 'factors: [{"tag": "jonquieres", "a": "1", "P": "1*x2^100000000", "c": "0"}]\n'),
+    ("classify", "representative: (x2^100000000 + x1, x2)\n"),
+], ids=["inverse", "factor", "classify"])
+def test_huge_exponent_inverse_is_fast(verb, line, capsys):
+    # argument and substitution powers are built by squaring, not by a ladder
+    # up to 10^8
     start = time.perf_counter()
-    rc = main(["inverse", "(x1 + x2^100000000, x2)"])
+    rc = main([verb, "(x1 + x2^100000000, x2)"])
     elapsed = time.perf_counter() - start
     assert rc == 0
-    assert "inverse: (-x2^100000000 + x1, x2)\n" in capsys.readouterr().out
+    assert line in capsys.readouterr().out
     assert elapsed < 5.0
 
 

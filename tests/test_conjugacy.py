@@ -6,6 +6,7 @@ import pytest
 import planeaut
 import planeaut.cli
 from planeaut import (
+    Endo,
     NotAlgebraicError,
     NotSpecialError,
     PlaneAut,
@@ -31,7 +32,7 @@ from planeaut import (
     verify_conjugacy_certificate,
 )
 from planeaut.amalgam import factor_to_plane_aut
-from planeaut.conjugacy import ConjugacyResult, are_conjugate_algebraic
+from planeaut.conjugacy import ConjugacyResult, _growth, are_conjugate_algebraic
 from planeaut.rings import up_add, up_eval
 from conftest import (
     SEED,
@@ -339,9 +340,25 @@ def _outcome(decide, f, g):
         return type(exc).__name__, str(exc)
 
 
+def _scaled_maps(rng, K):
+    """Seeded h o (W o s_c) o h^-1: W an algebraic or a Henon word, s_c =
+    (c x1, x2) for each c in 2..5 that is not 0 or 1 in K, and h affine or
+    J o affine."""
+    out = []
+    for i, c in enumerate(sorted({K.from_int(c) for c in range(2, 6)} - {K.zero, K.one})):
+        s_c = aut(f"({K.to_str(c)}*x1, x2)", K)
+        for word in (_algebraic_word_nontrivial(rng, K, max_deg=2),
+                     sample_regular_word(rng, K, 2)):
+            h = factor_to_plane_aut(rand_affine(rng, K))
+            if i % 2 == 0 and len(out) % 2 == 0:
+                h = factor_to_plane_aut(rand_jonquieres(rng, K, 2)).compose(h)
+            out.append(h.compose(word_to_plane_aut(word)).compose(s_c).compose(h.inverse()))
+    return out
+
+
 def _dispatch_pairs(K):
     """Seeded pairs: algebraic and Henon maps against affine conjugates, each
-    other and the other kind, plus maps of Jacobian 2 on either side."""
+    other and the other kind, plus maps of Jacobian != 1 on either side."""
     rng = random.Random(f"{SEED}/dispatch/{K!r}")
     alg = [word_to_plane_aut(_algebraic_word_nontrivial(rng, K, max_deg=3))
            for _ in range(5)]
@@ -361,6 +378,9 @@ def _dispatch_pairs(K):
     pairs += [(a, b) for a, b in zip(alg, hen)] + [(b, a) for a, b in zip(alg, hen)]
     pairs += [(o, x) for o in odd for x in (alg[0], hen[0], odd[0], odd[1])]
     pairs += [(x, o) for o in odd for x in (alg[0], hen[0])]
+    scaled = _scaled_maps(rng, K)
+    pairs += list(zip(scaled, scaled[1:])) + [(o, alg[1]) for o in scaled[::2]]
+    pairs += [(hen[1], o) for o in scaled[1::2]]
     return pairs
 
 
@@ -374,23 +394,39 @@ def test_decide_conjugacy_matches_the_iterate_dispatcher(K):
     assert {"yes", "no", "unknown", "NotSpecialError"} <= seen
 
 
+@pytest.mark.parametrize("K", [Q, F3, F5], ids=repr)
+def test_growth_of_scaled_maps_matches_iterates(K):
+    x1, x2 = Endo.identity(K, 2).comps
+    kinds = set()
+    for f in _scaled_maps(random.Random(f"{SEED}/scaled/{K!r}"), K):
+        f = plane_aut_from_endo(f.fwd)
+        s_c = Endo([x1.scale(f.jac), x2])
+        assert not f.is_special
+        assert f.word.recompose().compose(s_c) == f.fwd
+        algebraic, (word, h) = _growth(f)
+        assert algebraic == is_algebraic(f), str(f)
+        kinds.add(algebraic)
+        assert word.recompose().compose(s_c) == h.compose(f).compose(h.inverse()).fwd
+    assert kinds == {True, False}
+
+
 @pytest.fixture
 def no_iterates_on_special_maps(monkeypatch):
-    """is_algebraic raises on Jacobian-1 maps; jvdk_factor calls are counted."""
+    """is_algebraic raises on every map; amalgam._reduction_ops calls are
+    counted, plane_aut_from_endo's included."""
     calls = []
+    reduction_ops = planeaut.amalgam._reduction_ops
 
     def guarded(f):
-        if f.is_special:
-            raise AssertionError(f"deg(f o f) computed for the special map {f}")
-        return is_algebraic(f)
+        raise AssertionError(f"deg(f o f) computed for {f}")
 
-    def counted(f):
-        calls.append(f)
-        return jvdk_factor(f)
+    def counted(e):
+        calls.append(e)
+        return reduction_ops(e)
 
     for mod in (planeaut.endo, planeaut.conjugacy, planeaut.cli):
         monkeypatch.setattr(mod, "is_algebraic", guarded, raising=False)
-    monkeypatch.setattr(planeaut.amalgam, "jvdk_factor", counted)
+    monkeypatch.setattr(planeaut.amalgam, "_reduction_ops", counted)
     return calls
 
 
@@ -404,12 +440,21 @@ def no_iterates_on_special_maps(monkeypatch):
 def test_decide_factors_each_map_once(f, g, verdict, no_iterates_on_special_maps):
     assert decide_conjugacy(aut(f), aut(g)).verdict == verdict
     assert len(no_iterates_on_special_maps) == 2
+    assert jvdk_factor(aut(f)).recompose() == parse_automorphism(f, Q)
+    assert len(no_iterates_on_special_maps) == 3
 
 
-def test_non_special_maps_still_decide_by_iterates(no_iterates_on_special_maps):
-    res = decide_conjugacy(aut("(2*x1, x2)"), aut("(x2, -x1 + x2^2)"))
-    assert res.verdict == "no" and res.family_f == "algebraic"
-    assert len(no_iterates_on_special_maps) == 1
+@pytest.mark.parametrize("f,g,outcome", [
+    ("(2*x1, x2)", "(x2, -x1 + x2^2)", "no"),
+    ("(x2, -x1)", "(x2, -2*x1 + x2^2)", "no"),
+    ("(2*x1, x2)", "(3*x1, x2)", "normal forms are for Jacobian-1 automorphisms"),
+    ("(x2, -2*x1 + x2^2)", "(x2, -x1 + x2^2)", "factorization needs Jacobian determinant 1"),
+], ids=["algebraic-henon", "henon-algebraic", "algebraic-pair", "henon-pair"])
+def test_non_special_maps_decide_without_iterates(f, g, outcome,
+                                                  no_iterates_on_special_maps):
+    res = _outcome(decide_conjugacy, aut(f), aut(g))
+    assert (res["verdict"] if isinstance(res, dict) else res[1]) == outcome
+    assert len(no_iterates_on_special_maps) == 2
 
 
 @pytest.mark.parametrize("src,family", [("(2*x1 + x2^3, 1/2*x2)", "family I"),

@@ -119,6 +119,13 @@ def test_univariate_helpers():
     # composition (x^2 - 1) o (2x + 1) = 4x^2 + 4x
     comp = up_compose(Q, P, {1: Fraction(2), 0: Fraction(1)})
     assert comp == {2: Fraction(4), 1: Fraction(4)}
+    # Horner over the exponents that occur: gaps, no constant term, 10^8
+    S, b = {5: Fraction(1), 2: Fraction(3)}, {1: Fraction(2), 0: Fraction(1)}
+    comp = up_compose(Q, S, b)
+    for x in range(-2, 3):
+        assert up_eval(Q, comp, Fraction(x)) == up_eval(Q, S, up_eval(Q, b, Fraction(x)))
+    assert up_compose(Q, {}, b) == {}
+    assert up_compose(Q, {10 ** 8: Fraction(3)}, {1: Fraction(-1)}) == {10 ** 8: Fraction(3)}
     assert up_mul(Q, D, D) == {2: Fraction(1), 1: Fraction(-2), 0: Fraction(1)}
     assert up_add(Q, P, {2: Fraction(-1)}) == {0: Fraction(-1)}
     assert up_to_str(Q, P, "u") == "1*u^2 + -1"
