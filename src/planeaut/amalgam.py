@@ -408,17 +408,19 @@ def plane_aut_from_endo(e: Endo) -> PlaneAut:
 
 def _word(f: PlaneAut) -> AmalgamWord:
     """The word w of f = recompose(w) o s_c: the one plane_aut_from_endo kept,
-    else (f built by composition) a fresh factorization."""
-    return f.word if f.word is not None else _factor(f.fwd, f.jac)
+    else (f built by composition) a fresh factorization, kept on f."""
+    if f.word is None:
+        f.word = _factor(f.fwd, f.jac)
+    return f.word
 
 
 def jvdk_factor(f) -> AmalgamWord:
     """Alternating special-affine / triangular word recomposing to f."""
-    e = f.fwd if isinstance(f, PlaneAut) else f
-    jac = e.jacobian()
-    if not jac.is_constant or not e.ring.eq(jac.constant_value(), e.ring.one):
+    special = f.is_special if isinstance(f, PlaneAut) else (
+        f.jacobian() == MultiPoly.const(f.ring, f.nvars, f.ring.one))
+    if not special:
         raise NotSpecialError("factorization needs Jacobian determinant 1")
-    return _word(f) if isinstance(f, PlaneAut) else _factor(e, e.ring.one)
+    return _word(f) if isinstance(f, PlaneAut) else _factor(f, f.ring.one)
 
 
 @dataclass

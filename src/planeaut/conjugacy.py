@@ -15,6 +15,10 @@ powers up to a shift of the variable.  Base fields here are not closed, so
 decisions are three-valued: yes (with a certificate verified by
 composition), no (an invariant obstruction), or unknown when the deciding
 scalar equation has no root in the field but would have one in a closure.
+Over F_p, family II when p divides the degree and family IV, whose
+representative has rep^p = (x1 + N(P)(x2), x2) for P the expanded family
+polynomial, come down to a shift equation Q(x) = a P(a x + b); its shifts in
+F_p are the roots (PrimeField.roots) of the gcd of its x^j coefficients.
 
 Char-p bookkeeping uses the difference operator d(F) = F(x+1) - F(x), the
 period sum N(F) = F(x) + F(x+1) + ... + F(x+p-1), and the subspace V
@@ -63,15 +67,42 @@ def delta_map(ring, P: dict) -> dict:
     return up_sub(ring, shifted, P)
 
 
+def _binom_mod(n: int, j: int, p: int) -> int:
+    """C(n, j) mod p, digit by digit in base p (Lucas)."""
+    out = 1
+    while j and out:
+        (n, a), (j, b) = divmod(n, p), divmod(j, p)
+        out = out * math.comb(a, b) % p
+    return out
+
+
+def _binomials_mod(n: int, p: int) -> dict:
+    """{j: C(n, j) mod p} over the j with C(n, j) != 0 mod p: by Lucas, the j
+    whose base-p digits lie below those of n, digit rows by recurrence."""
+    out, place = {0: 1}, 1
+    while n:
+        n, d = divmod(n, p)
+        row = [1]
+        for i in range(d):
+            row.append(row[-1] * (d - i) * pow(i + 1, -1, p) % p)
+        out = {j + i * place: c * r % p for j, c in out.items() for i, r in enumerate(row)}
+        place *= p
+    return out
+
+
 def n_map(ring, P: dict) -> dict:
-    """P(x) + P(x+1) + ... + P(x+p-1), char p only."""
+    """P(x) + P(x+1) + ... + P(x+p-1), char p only, in closed form: the power
+    sum of i^j over F_p is -1 for j >= 1 with (p - 1) | j and 0 otherwise, so
+    N(x^n) = -sum C(n, j) x^(n-j) over those j, C(n, j) mod p by Lucas."""
     p = ring.characteristic
     if p == 0:
         raise UnsupportedFieldError("the period sum needs positive characteristic")
-    acc = {}
-    for i in range(p):
-        acc = up_add(ring, acc, up_compose(ring, P, {1: ring.one, 0: ring.from_int(i)}))
-    return acc
+    step, acc = p - 1, {}
+    for n, c in P.items():
+        for j in range(step, n + 1, step):
+            acc[n - j] = ring.sub(acc.get(n - j, ring.zero),
+                                  ring.mul(c, ring.from_int(_binom_mod(n, j, p))))
+    return {e: c for e, c in acc.items() if not ring.is_zero(c)}
 
 
 def in_v_subspace(ring, P: dict) -> bool:
@@ -370,90 +401,58 @@ def _decide_family_ii(ring, P, Q):
             return ("no", None, "scalar power system is inconsistent")
         for a in roots:
             b = ring.sub(sP, ring.mul(a, sQ))
-            if _family_ii_certified(ring, P, Q, a, b):
+            if _shift_certified(ring, P, Q, a, b):
                 return ("yes", (a, b), "scalar system solved in the base field")
         return ("unknown", None,
                 "requires field extension: the scalar equation has no root here")
-    # p divides d: no depression; finite scan is complete for this field
-    for ai in range(1, p):
-        a = ring.from_int(ai)
-        for bi in range(p):
-            b = ring.from_int(bi)
-            if _family_ii_certified(ring, P, Q, a, b):
-                return ("yes", (a, b), "found by exhaustive scan")
+    # p divides d: no depression, but the x^d coefficient forces
+    # a^(d+1) P_d = Q_d, and for each such a the shifts b are gcd roots
+    for a in ring.nth_roots(ring.mul(Q[d], ring.invert(P[d])), d + 1):
+        b = _solve_shift(ring, P, Q, a)[1]
+        if b is not None:
+            return ("yes", (a, b), "scalar and shift equations solved in the base field")
     return ("unknown", None,
             "no conjugating pair over this field; extensions not examined")
 
 
-def _family_ii_certified(ring, P, Q, a, b) -> bool:
+def _shift_certified(ring, P, Q, a, b) -> bool:
+    """Q(x) = a P(a x + b): family II, and family IV's p-th powers at a = 1."""
     rhs = up_scale(ring, up_compose(ring, P, {1: a, 0: b}), a)
     return rhs == Q
 
 
-def _pth_power_poly(nf: NormalForm) -> dict:
-    """P~ with rep^p = (x1 + P~(x2), x2), for a family-IV normal form."""
-    ring = nf.ring
+def _solve_shift(ring, P: dict, Q: dict, a):
+    """(g, b) for Q(x) = a P(a x + b) over F_p: g the gcd of the x^j
+    coefficients of a P(a x + b) - Q(x), each a polynomial in b, and b its
+    smallest root in F_p, certified, or None."""
     p = ring.characteristic
-    power = nf.aut.power(p).fwd
-    c0, c1 = power.comps
-    if c1.terms != {(0, 1): ring.one}:
-        raise PlaneAutError("p-th power is not a pure shear")
-    out = {}
-    for e, c in c0.terms.items():
-        if e == (1, 0):
-            if not ring.eq(c, ring.one):
-                raise PlaneAutError("p-th power is not a pure shear")
-            continue
-        if e[0] != 0:
-            raise PlaneAutError("p-th power is not a pure shear")
-        out[e[1]] = c
-    return out
-
-
-def _shift_poly(ring, P, c):
-    return up_compose(ring, P, {1: ring.one, 0: c})
+    eqns = {j: {0: ring.neg(c)} for j, c in Q.items()}
+    for n, cn in P.items():
+        for j, binom in _binomials_mod(n, p).items():
+            term = ring.mul(ring.mul(cn, ring.from_int(binom)), ring.pow(a, j + 1))
+            eqns[j] = up_add(ring, eqns.get(j, {}), {n - j: term})
+    g = {}
+    for eqn in eqns.values():
+        g = up_gcd_monic(ring, g, eqn)
+        if up_deg(ring, g) == 0:
+            break
+    bs = ring.roots(g)
+    if bs and not _shift_certified(ring, P, Q, a, bs[0]):
+        raise PlaneAutError("shift root fails its equation")
+    return g, (bs[0] if bs else None)
 
 
 def _decide_family_iv(ring, nf_f: NormalForm, nf_g: NormalForm):
-    """Conjugacy via p-th powers: P~, Q~ must agree up to a shift of x."""
-    p = ring.characteristic
-    if p == 0:
+    """Conjugacy via p-th powers (x1 + N(P)(x2), x2): N(P), N(Q) of the
+    expanded family polynomials must agree up to a shift c of x."""
+    if ring.characteristic == 0:
         return ("yes", None, "both are the translation")
-    Pt = _pth_power_poly(nf_f)
-    Qt = _pth_power_poly(nf_g)
+    Pt, Qt = n_map(ring, nf_f.expanded()), n_map(ring, nf_g.expanded())
     if up_deg(ring, Pt) != up_deg(ring, Qt):
         return ("no", None, "p-th power degrees differ")
-    for ci in range(p):
-        c = ring.from_int(ci)
-        if _shift_poly(ring, Pt, c) == Qt:
-            return ("yes", c, f"shift c = {ring.to_str(c)} matches the p-th powers")
-    # no shift in F_p; decide closure solvability by the gcd of the
-    # coefficient equations in c
-    degP = up_deg(ring, Pt)
-    if degP is MINUS_INF:
-        return ("no", None, "p-th powers differ and admit no shift")
-    eqns = []
-    for j in range(degP + 1):
-        poly_c = {}
-        for n, cn in Pt.items():
-            if n < j:
-                continue
-            coeff = ring.mul(cn, ring.from_int(math.comb(n, j)))
-            if not ring.is_zero(coeff):
-                poly_c[n - j] = ring.add(poly_c.get(n - j, ring.zero), coeff)
-        poly_c = {e: c for e, c in poly_c.items() if not ring.is_zero(c)}
-        qj = Qt.get(j, ring.zero)
-        if not ring.is_zero(qj):
-            poly_c = up_sub(ring, poly_c, {0: qj})
-        if poly_c:
-            eqns.append(poly_c)
-    if not eqns:
-        return ("no", None, "p-th powers differ and admit no shift")
-    g = eqns[0]
-    for e in eqns[1:]:
-        g = up_gcd_monic(ring, g, e)
-        if up_deg(ring, g) == 0:
-            break
+    g, c = _solve_shift(ring, Pt, Qt, ring.one)
+    if c is not None:
+        return ("yes", c, f"shift c = {ring.to_str(c)} matches the p-th powers")
     if up_deg(ring, g) == 0:
         return ("no", None, "no shift exists over any extension")
     return ("unknown", None,
@@ -461,7 +460,7 @@ def _decide_family_iv(ring, nf_f: NormalForm, nf_g: NormalForm):
 
 
 def _family_iv_conjugator(ring, nf_f: NormalForm, nf_g: NormalForm, c) -> PlaneAut:
-    shifted = _shift_poly(ring, nf_f.expanded(), c)
+    shifted = up_compose(ring, nf_f.expanded(), {1: ring.one, 0: c})
     v2, r2 = _kill_delta(ring, shifted)
     if v2 != nf_g.expanded():
         raise PlaneAutError("shifted V-part mismatch in the family-IV certificate")

@@ -317,19 +317,28 @@ def _witness(f, tag, conjugator, expected_limit, params=None) -> DegenerationWit
     return w
 
 
+def _degenerate_diagonal(ring, tag, zeta, m: int, P: dict, params) -> DegenerationWitness:
+    """f = (zeta x1 + x2^{m-1} P(x2^m), zeta^-1 x2) degenerates to the
+    diagonal (zeta x1, zeta^-1 x2) along conjugation by (x1 / t, t x2)."""
+    f = factor_to_plane_aut(JonquieresFactor(ring, zeta, expand_family_poly(P, m)))
+    L = LaurentRing(ring)
+    zi = ring.invert(zeta)
+    limit = Endo([MultiPoly(ring, 2, {(1, 0): zeta}),
+                  MultiPoly(ring, 2, {(0, 1): zi})])
+    w = _witness(f, tag, _diag_t(L).inverse(), limit, params)
+    expected = {(1, 0): {0: zeta}}
+    for k, c in P.items():
+        expected[(0, m - 1 + m * k)] = {m * (k + 1): c}
+    if w.family.endo != Endo([MultiPoly(L, 2, expected),
+                              MultiPoly(L, 2, {(0, 1): {0: zi}})]):
+        raise PlaneAutError(f"family ({tag}) degeneration has an unexpected shape")
+    return w
+
+
 def degenerate_family_ii(ring, P: dict) -> DegenerationWitness:
     """f = (x1 + P(x2), x2) degenerates to the identity along
-    (x1 + t P(t x2), x2)."""
-    f = factor_to_plane_aut(JonquieresFactor(ring, ring.one, P))
-    L = LaurentRing(ring)
-    w = _witness(f, "ii", _diag_t(L).inverse(), Endo.identity(ring, 2))
-    expected = {(1, 0): {0: ring.one}}
-    for k, c in P.items():
-        expected[(0, k)] = {k + 1: c}
-    if w.family.endo != Endo([MultiPoly(L, 2, expected),
-                              MultiPoly(L, 2, {(0, 1): {0: ring.one}})]):
-        raise PlaneAutError("family (ii) degeneration has an unexpected shape")
-    return w
+    (x1 + t P(t x2), x2): the diagonal case zeta = 1, m = 1."""
+    return _degenerate_diagonal(ring, "ii", ring.one, 1, P, {})
 
 
 def degenerate_family_iii(ring, zeta, m: int, P: dict) -> DegenerationWitness:
@@ -339,20 +348,7 @@ def degenerate_family_iii(ring, zeta, m: int, P: dict) -> DegenerationWitness:
         raise PlaneAutError("zeta must be a primitive m-th root of unity, m >= 2")
     if not P:
         raise PlaneAutError("family (iii) needs a nonzero survivor polynomial")
-    f = factor_to_plane_aut(JonquieresFactor(ring, zeta, expand_family_poly(P, m)))
-    L = LaurentRing(ring)
-    zi = ring.invert(zeta)
-    limit = Endo([MultiPoly(ring, 2, {(1, 0): zeta}),
-                  MultiPoly(ring, 2, {(0, 1): zi})])
-    w = _witness(f, "iii", _diag_t(L).inverse(), limit,
-                 {"zeta": zeta, "m": m})
-    expected = {(1, 0): {0: zeta}}
-    for k, c in P.items():
-        expected[(0, m - 1 + m * k)] = {m * (k + 1): c}
-    if w.family.endo != Endo([MultiPoly(L, 2, expected),
-                              MultiPoly(L, 2, {(0, 1): {0: zi}})]):
-        raise PlaneAutError("family (iii) degeneration has an unexpected shape")
-    return w
+    return _degenerate_diagonal(ring, "iii", zeta, m, P, {"zeta": zeta, "m": m})
 
 
 def _family_iv_alpha(lring: LaurentRing, d: int, q: int, lam) -> TFamily:

@@ -135,7 +135,8 @@ def _det(mat):
 
 class PlaneAut:
     """An automorphism of the affine plane together with its inverse; word,
-    fwd = recompose(word) o (jac x1, x2), is set by plane_aut_from_endo only."""
+    fwd = recompose(word) o (jac x1, x2), is set by its first factorization
+    (amalgam.plane_aut_from_endo, or amalgam._word for a composed map)."""
 
     __slots__ = ("fwd", "inv", "jac", "word")
 

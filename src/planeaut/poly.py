@@ -209,12 +209,6 @@ class MultiPoly:
         return MultiPoly(self.ring, self.nvars,
                          {e: c for e, c in self.terms.items() if sum(e) == d}, _clean=False)
 
-    def highest_part(self):
-        d = self.degree
-        if d is MINUS_INF:
-            return self
-        return self.homogeneous_part(d)
-
     def partial(self, i: int):
         """Partial derivative with respect to x_{i+1}."""
         R = self.ring

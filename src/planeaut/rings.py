@@ -28,7 +28,7 @@ keys that support + (integer exponents here, exponent tuples in
 poly.MultiPoly).  power(x, n, mul, one) is the one repeated-squaring
 routine, behind up_pow, LaurentRing.pow, FunctionField.pow,
 MultiPoly.__pow__, the gap powers of up_compose and poly.compose_many,
-Endo.power and the Cantor-Zassenhaus split of PrimeField.nth_roots; Q and
+Endo.power and the Cantor-Zassenhaus split of PrimeField.nth_roots and roots; Q and
 F_p use Python's own ** and pow.
 
 Over F_p no routine scans the field; each runs in time polynomial in log p
@@ -44,6 +44,8 @@ Over F_p no routine scans the field; each runs in time polynomial in log p
                         x + 0, x + 1, ... on the up_* kernel; all roots in
                         ascending order, the order an ascending scan of F_p
                         would give, which callers rely on
+    PrimeField.roots    the roots of a univariate f, ascending: those of
+                        gcd(f, x^p - x), split by the same Cantor-Zassenhaus
 
 The degree / valuation of 0 is the dedicated sentinel MINUS_INF, never an
 integer.
@@ -226,9 +228,6 @@ class RationalField:
     def needs_parens(self, a):
         return False
 
-    def sort_key(self, a):
-        return (a.numerator, a.denominator)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -331,27 +330,37 @@ class PrimeField:
         if pow(a, m, p) != 1:
             return []
         b = pow(a, pow(n // g, -1, m), p)
-        roots = []
-        self._split_linear({g: 1, 0: (-b) % p}, 0, roots)
-        return sorted(roots)
+        return self._split_linear({g: 1, 0: (-b) % p})
 
-    def _split_linear(self, f, delta, out):
-        """Append the roots of the monic f, a product of distinct linear
-        factors, to out; gcd(f, (x + d)^((p-1)/2) - 1) splits f for some
+    def roots(self, f):
+        """All x in F_p with f(x) = 0, ascending; f a {degree: coeff} dict.
+
+        r = f mod (x^p - x) has the values of f on F_p: range(p) if r = 0,
+        else the roots of gcd(r, x^p - x), x^p taken by powering x mod r.
+        """
+        p = self.p
+        r = up_divmod(self, f, {p: 1, 1: p - 1})[1]
+        if not r:
+            return range(p)
+        mulmod = lambda u, v: up_divmod(self, up_mul(self, u, v), r)[1]
+        return self._split_linear(
+            up_gcd_monic(self, up_sub(self, power({1: 1}, p, mulmod, {0: 1}), {1: 1}), r))
+
+    def _split_linear(self, f, delta=0):
+        """The roots, ascending, of the monic f, a product of distinct linear
+        factors; gcd(f, (x + d)^((p-1)/2) - 1) splits f for some
         d = delta, delta + 1, ...  (p odd whenever deg f >= 2)."""
         deg = up_deg(self, f)
-        if deg == 1:
-            out.append((-f.get(0, 0)) % self.p)
-            return
+        if deg < 2:
+            return [(-f.get(0, 0)) % self.p] if deg == 1 else []
         mulmod = lambda u, v: up_divmod(self, up_mul(self, u, v), f)[1]
         while True:
             h = power({1: 1, 0: delta} if delta else {1: 1},
                       (self.p - 1) // 2, mulmod, {0: 1})
             d = up_gcd_monic(self, up_sub(self, h, {0: 1}), f)
             if 0 < up_deg(self, d) < deg:
-                self._split_linear(d, delta + 1, out)
-                self._split_linear(up_divmod(self, f, d)[0], delta + 1, out)
-                return
+                return sorted(self._split_linear(d, delta + 1)
+                              + self._split_linear(up_divmod(self, f, d)[0], delta + 1))
             delta += 1
 
     def sample_stream(self):
@@ -365,9 +374,6 @@ class PrimeField:
 
     def needs_parens(self, a):
         return False
-
-    def sort_key(self, a):
-        return a
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -482,9 +488,6 @@ class LaurentRing:
 
     def needs_parens(self, a):
         return len(a) > 1
-
-    def sort_key(self, a):
-        return tuple((e, self.base.sort_key(c)) for e, c in sorted(a.items()))
 
     def __eq__(self, other):
         return isinstance(other, LaurentRing) and other.base == self.base

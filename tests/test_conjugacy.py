@@ -444,6 +444,31 @@ def test_decide_factors_each_map_once(f, g, verdict, no_iterates_on_special_maps
     assert len(no_iterates_on_special_maps) == 3
 
 
+def test_composed_map_is_factored_once(no_iterates_on_special_maps):
+    f, h = aut("(x1 + x2^3, x2)"), aut("(x1, x2 + x1^2)")
+    g = h.compose(f).compose(h.inverse())
+    assert g.degree == 12 and g.word is None
+    no_iterates_on_special_maps.clear()
+    for _ in range(3):
+        normal_form(g)
+    jvdk_factor(g)
+    henon_normalize(g)
+    assert len(no_iterates_on_special_maps) == 1
+    assert g.word.recompose() == g.fwd
+
+
+def test_jvdk_factor_reads_the_stored_jacobian(monkeypatch):
+    f, scaled = aut("(x2, -x1 + x2^2)"), aut("(2*x1 + x2^2, x2)")
+
+    def recomputed(self):
+        raise AssertionError(f"Jacobian of {self} computed again")
+
+    monkeypatch.setattr(Endo, "jacobian", recomputed)
+    assert jvdk_factor(f) is f.word
+    with pytest.raises(NotSpecialError, match="factorization needs Jacobian determinant 1"):
+        jvdk_factor(scaled)
+
+
 @pytest.mark.parametrize("f,g,outcome", [
     ("(2*x1, x2)", "(x2, -x1 + x2^2)", "no"),
     ("(x2, -x1)", "(x2, -2*x1 + x2^2)", "no"),
