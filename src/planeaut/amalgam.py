@@ -35,7 +35,7 @@ from .errors import (
     RingMismatchError,
 )
 from .poly import MultiPoly
-from .rings import MINUS_INF, up_add, up_compose, up_deg, up_scale
+from .rings import MINUS_INF, up_add, up_deg, up_scale, up_shift
 
 
 class AffineFactor:
@@ -179,11 +179,8 @@ class JonquieresFactor:
 
     def to_endo(self) -> Endo:
         R = self.ring
-        x1 = MultiPoly.variable(R, 2, 0)
         x2 = MultiPoly.variable(R, 2, 1)
-        comp0 = x1.scale(self.a)
-        for k, v in self.P.items():
-            comp0 = comp0 + MultiPoly.monomial(R, 2, (0, k), v)
+        comp0 = MultiPoly(R, 2, {(1, 0): self.a, **{(0, k): v for k, v in self.P.items()}})
         comp1 = x2.scale(R.invert(self.a)) + MultiPoly.const(R, 2, self.c)
         return Endo([comp0, comp1])
 
@@ -191,16 +188,16 @@ class JonquieresFactor:
         R = self.ring
         ai = R.invert(self.a)
         # x2 component inverts to a x2 - a c; x1 picks up -a^-1 P(a x2 - a c)
-        shift = up_add(R, {1: self.a}, {0: R.neg(R.mul(self.a, self.c))})
-        newP = up_scale(R, up_compose(R, self.P, shift), R.neg(ai))
-        return JonquieresFactor(R, ai, newP, R.neg(R.mul(self.a, self.c)))
+        minus_ac = R.neg(R.mul(self.a, self.c))
+        newP = up_scale(R, up_shift(R, self.P, self.a, minus_ac), R.neg(ai))
+        return JonquieresFactor(R, ai, newP, minus_ac)
 
     def compose(self, other: "JonquieresFactor") -> "JonquieresFactor":
         """self o other."""
         R = self.ring
         a = R.mul(self.a, other.a)
-        inner = up_add(R, {1: R.invert(other.a)}, {0: other.c})
-        newP = up_add(R, up_scale(R, other.P, self.a), up_compose(R, self.P, inner))
+        newP = up_add(R, up_scale(R, other.P, self.a),
+                      up_shift(R, self.P, R.invert(other.a), other.c))
         c = R.add(R.mul(R.invert(self.a), other.c), self.c)
         return JonquieresFactor(R, a, newP, c)
 

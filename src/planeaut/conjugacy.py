@@ -18,7 +18,8 @@ scalar equation has no root in the field but would have one in a closure.
 Over F_p, family II when p divides the degree and family IV, whose
 representative has rep^p = (x1 + N(P)(x2), x2) for P the expanded family
 polynomial, come down to a shift equation Q(x) = a P(a x + b); its shifts in
-F_p are the roots (PrimeField.roots) of the gcd of its x^j coefficients.
+F_p are the roots (PrimeField.roots) of the gcd of its x^j coefficients:
+the t-coefficients of a P(a x + t) - Q(x), by rings.up_shift over K[t].
 
 Char-p bookkeeping uses the difference operator d(F) = F(x+1) - F(x), the
 period sum N(F) = F(x) + F(x+1) + ... + F(x+p-1), and the subspace V
@@ -49,11 +50,12 @@ from .errors import (
 )
 from .rings import (
     MINUS_INF,
+    LaurentRing,
     up_add,
-    up_compose,
     up_deg,
     up_gcd_monic,
     up_scale,
+    up_shift,
     up_sub,
     up_to_str,
 )
@@ -63,8 +65,7 @@ from .rings import (
 
 def delta_map(ring, P: dict) -> dict:
     """P(x+1) - P(x)."""
-    shifted = up_compose(ring, P, {1: ring.one, 0: ring.one})
-    return up_sub(ring, shifted, P)
+    return up_sub(ring, up_shift(ring, P, ring.one, ring.one), P)
 
 
 def _binom_mod(n: int, j: int, p: int) -> int:
@@ -73,20 +74,6 @@ def _binom_mod(n: int, j: int, p: int) -> int:
     while j and out:
         (n, a), (j, b) = divmod(n, p), divmod(j, p)
         out = out * math.comb(a, b) % p
-    return out
-
-
-def _binomials_mod(n: int, p: int) -> dict:
-    """{j: C(n, j) mod p} over the j with C(n, j) != 0 mod p: by Lucas, the j
-    whose base-p digits lie below those of n, digit rows by recurrence."""
-    out, place = {0: 1}, 1
-    while n:
-        n, d = divmod(n, p)
-        row = [1]
-        for i in range(d):
-            row.append(row[-1] * (d - i) * pow(i + 1, -1, p) % p)
-        out = {j + i * place: c * r % p for j, c in out.items() for i, r in enumerate(row)}
-        place *= p
     return out
 
 
@@ -391,8 +378,8 @@ def _decide_family_ii(ring, P, Q):
                                ring.invert(ring.mul(ring.from_int(d), P[d]))))
         sQ = ring.neg(ring.mul(Q.get(d - 1, ring.zero),
                                ring.invert(ring.mul(ring.from_int(d), Q[d]))))
-        Ph = up_compose(ring, P, {1: ring.one, 0: sP})
-        Qh = up_compose(ring, Q, {1: ring.one, 0: sQ})
+        Ph = up_shift(ring, P, ring.one, sP)
+        Qh = up_shift(ring, Q, ring.one, sQ)
         if set(Ph) != set(Qh):
             return ("no", None, "coefficient supports differ after depression")
         system = {j + 1: ring.mul(Qh[j], ring.invert(Ph[j])) for j in Ph}
@@ -417,20 +404,17 @@ def _decide_family_ii(ring, P, Q):
 
 def _shift_certified(ring, P, Q, a, b) -> bool:
     """Q(x) = a P(a x + b): family II, and family IV's p-th powers at a = 1."""
-    rhs = up_scale(ring, up_compose(ring, P, {1: a, 0: b}), a)
-    return rhs == Q
+    return up_scale(ring, up_shift(ring, P, a, b), a) == Q
 
 
 def _solve_shift(ring, P: dict, Q: dict, a):
     """(g, b) for Q(x) = a P(a x + b) over F_p: g the gcd of the x^j
-    coefficients of a P(a x + b) - Q(x), each a polynomial in b, and b its
-    smallest root in F_p, certified, or None."""
-    p = ring.characteristic
-    eqns = {j: {0: ring.neg(c)} for j, c in Q.items()}
-    for n, cn in P.items():
-        for j, binom in _binomials_mod(n, p).items():
-            term = ring.mul(ring.mul(cn, ring.from_int(binom)), ring.pow(a, j + 1))
-            eqns[j] = up_add(ring, eqns.get(j, {}), {n - j: term})
+    coefficients of a P(a x + t) - Q(x), each a polynomial in t (up_shift over
+    K[t]), and b its smallest root in F_p, certified, or None."""
+    K = LaurentRing(ring)
+    lift = lambda D: {e: {0: c} for e, c in D.items()}
+    at = {0: a}
+    eqns = up_sub(K, up_scale(K, up_shift(K, lift(P), at, K.t), at), lift(Q))
     g = {}
     for eqn in eqns.values():
         g = up_gcd_monic(ring, g, eqn)
@@ -460,8 +444,7 @@ def _decide_family_iv(ring, nf_f: NormalForm, nf_g: NormalForm):
 
 
 def _family_iv_conjugator(ring, nf_f: NormalForm, nf_g: NormalForm, c) -> PlaneAut:
-    shifted = up_compose(ring, nf_f.expanded(), {1: ring.one, 0: c})
-    v2, r2 = _kill_delta(ring, shifted)
+    v2, r2 = _kill_delta(ring, up_shift(ring, nf_f.expanded(), ring.one, c))
     if v2 != nf_g.expanded():
         raise PlaneAutError("shifted V-part mismatch in the family-IV certificate")
     u = JonquieresFactor(ring, ring.one, {}, ring.neg(c))

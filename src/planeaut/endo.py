@@ -38,8 +38,7 @@ from .rings import (
     power,
     up_deg,
     up_gcd_monic,
-    up_pow,
-    up_scale,
+    up_shift,
 )
 
 
@@ -136,7 +135,10 @@ def _det(mat):
 class PlaneAut:
     """An automorphism of the affine plane together with its inverse; word,
     fwd = recompose(word) o (jac x1, x2), is set by its first factorization
-    (amalgam.plane_aut_from_endo, or amalgam._word for a composed map)."""
+    (amalgam.plane_aut_from_endo, or amalgam._word for a composed map).
+    The Jacobian of an automorphism is a constant, so jac is its value at the
+    origin, read off the linear part of fwd; verify=False trusts the caller
+    that fwd is an automorphism."""
 
     __slots__ = ("fwd", "inv", "jac", "word")
 
@@ -149,13 +151,15 @@ class PlaneAut:
         self.inv = inv
         if verify and not self.verify():
             raise NotInvertibleError("forward and inverse do not compose to the identity")
-        jac = fwd.jacobian()
-        if not jac.is_constant or jac.is_zero:
+        R = fwd.ring
+        (a, b), (c, d) = ([q.coeff(e) for e in ((1, 0), (0, 1))] for q in fwd.comps)
+        jac = R.sub(R.mul(a, d), R.mul(b, c))
+        if R.is_zero(jac):
             raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
         if fwd.degree != inv.degree:
             # equal in dimension 2 for every genuine automorphism
             raise NotInvertibleError("degree of forward and inverse differ")
-        self.jac = jac.constant_value()
+        self.jac = jac
         self.word = None
 
     @classmethod
@@ -279,8 +283,7 @@ def _single_root(F, h):
     while s > 1:
         r = F.pth_root(r)
         s //= p
-    check = up_scale(F, up_pow(F, {1: F.one, 0: F.neg(r)}, m), lead)
-    if check != h:
+    if up_shift(F, {m: lead}, F.one, F.neg(r)) != h:
         raise FieldExtensionRequiredError("point at infinity is not rational over the base field")
     return r
 

@@ -26,10 +26,15 @@ The up_* functions are the one sparse-dict kernel: a value is a dict
 {key: coeff} with no zero coefficients, and add / neg / mul work for any
 keys that support + (integer exponents here, exponent tuples in
 poly.MultiPoly).  power(x, n, mul, one) is the one repeated-squaring
-routine, behind up_pow, LaurentRing.pow, FunctionField.pow,
-MultiPoly.__pow__, the gap powers of up_compose and poly.compose_many,
-Endo.power and the Cantor-Zassenhaus split of PrimeField.nth_roots and roots; Q and
-F_p use Python's own ** and pow.
+routine, behind LaurentRing.pow, FunctionField.pow, MultiPoly.__pow__, the
+gap powers of poly.compose_many, Endo.power and the Cantor-Zassenhaus split
+of PrimeField.nth_roots and roots; Q and F_p use Python's own ** and pow.
+
+up_shift(F, P, a, b) = P(a x + b), a != 0, is the one univariate
+substitution, over any ring here (the F_p shift equations run it over
+LaurentRing(F) with b = t).  It sums each term's binomial expansion over
+binomials(n, p), the j with C(n, j) != 0 in characteristic p: by Lucas,
+prod(n_i + 1) of them for the base-p digits n_i of n.  b = 0 keeps P sparse.
 
 Over F_p no routine scans the field; each runs in time polynomial in log p
 (and, for nth_roots, in n):
@@ -53,7 +58,6 @@ integer.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -453,11 +457,7 @@ class LaurentRing:
 
     def specialize(self, a, c):
         """Evaluate at t = c, c a nonzero base-field value."""
-        F = self.base
-        acc = F.zero
-        for e, coeff in a.items():
-            acc = F.add(acc, F.mul(coeff, F.pow(c, e)))
-        return acc
+        return up_eval(self.base, a, c)
 
     def split_sign(self, a):
         if len(a) == 1:
@@ -550,9 +550,6 @@ def up_mul(F, a, b):
                 out[e] = s
     return out
 
-def up_pow(F, a, n: int):
-    return power(a, n, functools.partial(up_mul, F), {0: F.one})
-
 def up_divmod(F, a, b):
     if not b:
         raise ZeroDivisionError("univariate division by zero")
@@ -582,18 +579,38 @@ def up_gcd_monic(F, a, b):
         a, b = b, up_divmod(F, a, b)[1]
     return up_monic(F, a)
 
-def up_compose(F, a, b):
-    """Substitution a(b) by Horner over the exponents of a that occur, each
-    gap between them taken as one power of b."""
-    exps = sorted(a, reverse=True)
-    acc, gaps = {}, {}
-    for k, below in zip(exps, exps[1:] + [0]):
-        acc = up_add(F, acc, {0: a[k]})
-        if k > below:
-            if k - below not in gaps:
-                gaps[k - below] = up_pow(F, b, k - below)
-            acc = up_mul(F, acc, gaps[k - below])
-    return acc
+def binomials(n: int, p: int) -> dict:
+    """{j: C(n, j)} over the j with C(n, j) != 0 in characteristic p: the
+    whole row for p = 0; for p > 0, by Lucas, the products of the digit rows
+    C(n_i, j_i) mod p, each row built in O(n_i) with the inverse recurrence
+    1/i = -(p // i) / (p mod i) mod p."""
+    if p == 0:
+        return {j: math.comb(n, j) for j in range(n + 1)}
+    out, place = {0: 1}, 1
+    while n:
+        n, d = divmod(n, p)
+        inv, row = [0, 1], [1]
+        for i in range(2, d + 1):
+            inv.append(-(p // i) * inv[p % i] % p)
+        for i in range(d):
+            row.append(row[-1] * (d - i) * inv[i + 1] % p)
+        out = {j + i * place: c * r % p for j, c in out.items() for i, r in enumerate(row)}
+        place *= p
+    return out
+
+def up_shift(F, P, a, b):
+    """The substitution P(a x + b), a != 0: each term c x^n expands to sum
+    C(n, j) c a^j b^(n-j) x^j over binomials(n, char F), each power raised once,
+    so char p visits only Lucas-nonzero terms; b = 0 keeps the support of P."""
+    if F.is_zero(b):
+        return {n: F.mul(c, F.pow(a, n)) for n, c in P.items()}
+    out, apow, bpow = {}, {}, {}
+    for n, c in P.items():
+        for j, binom in binomials(n, F.characteristic).items():
+            aj = apow[j] if j in apow else apow.setdefault(j, F.pow(a, j))
+            bk = bpow[n - j] if n - j in bpow else bpow.setdefault(n - j, F.pow(b, n - j))
+            out[j] = F.add(out.get(j, F.zero), F.mul(F.mul(c, F.from_int(binom)), F.mul(aj, bk)))
+    return {j: c for j, c in out.items() if not F.is_zero(c)}
 
 def up_eval(F, a, x):
     acc = F.zero

@@ -6,6 +6,7 @@ where exact fifth iterates stay affordable, degree 2 over Q and degrees
 caps from the word samplers are maxima, not a promise of uniformity.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from planeaut import (
     RationalField,
     is_algebraic,
 )
+from planeaut.rings import power, up_add, up_mul
 
 SEED = 20260823
 
@@ -200,3 +202,18 @@ def family_iv_element(K, Q) -> PlaneAut:
     Qp = MultiPoly(K, 2, {(0, k): c for k, c in Q.items()})
     Qshift = Qp.compose([x1, x2 - one])
     return PlaneAut(Endo([x1 + Qp, x2 + one]), Endo([x1 - Qshift, x2 - one]))
+
+
+def horner_compose(F, a, b):
+    """The substitution a(b) by Horner over the exponents of a that occur,
+    each gap between them one power of b by repeated squaring: the kernel's
+    substitution before rings.up_shift, kept as the oracle of up_shift."""
+    exps = sorted(a, reverse=True)
+    acc, gaps = {}, {}
+    for k, below in zip(exps, exps[1:] + [0]):
+        acc = up_add(F, acc, {0: a[k]})
+        if k > below:
+            if k - below not in gaps:
+                gaps[k - below] = power(b, k - below, functools.partial(up_mul, F), {0: F.one})
+            acc = up_mul(F, acc, gaps[k - below])
+    return acc

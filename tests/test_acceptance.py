@@ -42,7 +42,7 @@ from planeaut import (
     verify_conjugacy_certificate,
 )
 from planeaut.cli import main as cli_main
-from planeaut.rings import up_add, up_compose, up_deg, up_scale
+from planeaut.rings import up_add, up_deg, up_scale, up_shift
 
 from conftest import (
     SEED,
@@ -83,7 +83,7 @@ def _triangular(K, R_poly, c):
     cc = MultiPoly.const(K, 2, c)
     fwd_r = sum((x2.__pow__(e).scale(v) for e, v in R_poly.items()),
                 MultiPoly.zero(K, 2))
-    shifted = up_compose(K, R_poly, {1: K.one, 0: K.neg(c)})
+    shifted = up_shift(K, R_poly, K.one, K.neg(c))
     bwd_r = sum((x2.__pow__(e).scale(v) for e, v in shifted.items()),
                 MultiPoly.zero(K, 2))
     return PlaneAut(Endo([x1 + fwd_r, x2 + cc]),
@@ -296,7 +296,7 @@ def test_criterion_06_family_ii_scaled_shift_pairs():
             for _ in range(2):
                 a = rand_scalar(rng, K, nonzero=True)
                 b = rand_scalar(rng, K)
-                Q_poly = up_scale(K, up_compose(K, P, {1: a, 0: b}), a)
+                Q_poly = up_scale(K, up_shift(K, P, a, b), a)
                 _assert_yes(family_ii_rep(K, P), family_ii_rep(K, Q_poly))
                 pairs += 1
             bump = dict(P)
@@ -306,7 +306,7 @@ def test_criterion_06_family_ii_scaled_shift_pairs():
     # char p dividing the degree
     P5 = {5: 1}
     for b in (1, 2):
-        Q5 = up_compose(F5, P5, {1: 1, 0: b})
+        Q5 = up_shift(F5, P5, 1, b)
         _assert_yes(family_ii_rep(F5, P5), family_ii_rep(F5, Q5))
         pairs += 1
     _assert_no(family_ii_rep(F5, P5), family_ii_rep(F5, {6: 1, 5: 1}))

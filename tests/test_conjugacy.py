@@ -469,6 +469,29 @@ def test_jvdk_factor_reads_the_stored_jacobian(monkeypatch):
         jvdk_factor(scaled)
 
 
+@pytest.mark.parametrize("K", [Q, F5], ids=repr)
+def test_plane_auts_take_their_jacobian_from_their_parts(monkeypatch, K):
+    """plane_aut_from_endo differentiates once; compose, inverse, power,
+    identity and factor_to_plane_aut differentiate nothing, and each stored
+    Jacobian equals the one differentiated from fwd."""
+    rng = random.Random(f"{SEED}/jacobians/{K!r}")
+    calls, differentiate = [], Endo.jacobian
+
+    def counted(self):
+        calls.append(self)
+        return differentiate(self)
+
+    monkeypatch.setattr(Endo, "jacobian", counted)
+    f, g = aut("(3*x1 + x2^2, x2 + 1)", K), aut("(x2, -2*x1 + x2^2)", K)
+    assert len(calls) == 2
+    built = [f.compose(g), g.inverse(), f.power(3), g.power(-2), PlaneAut.identity(K),
+             factor_to_plane_aut(rand_jonquieres(rng, K, 3)),
+             factor_to_plane_aut(rand_affine(rng, K))]
+    assert len(calls) == 2
+    for h in built:
+        assert K.eq(h.jac, differentiate(h.fwd).constant_value()), h
+
+
 @pytest.mark.parametrize("f,g,outcome", [
     ("(2*x1, x2)", "(x2, -x1 + x2^2)", "no"),
     ("(x2, -x1)", "(x2, -2*x1 + x2^2)", "no"),

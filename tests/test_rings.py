@@ -15,12 +15,12 @@ from planeaut import (
 )
 from planeaut.rings import (
     up_add,
-    up_compose,
     up_deg,
     up_divmod,
     up_eval,
     up_gcd_monic,
     up_mul,
+    up_shift,
     up_to_str,
 )
 
@@ -117,15 +117,15 @@ def test_univariate_helpers():
     assert up_deg(Q, {}) is MINUS_INF
     assert up_eval(Q, P, Fraction(3)) == Fraction(8)
     # composition (x^2 - 1) o (2x + 1) = 4x^2 + 4x
-    comp = up_compose(Q, P, {1: Fraction(2), 0: Fraction(1)})
+    comp = up_shift(Q, P, Fraction(2), Fraction(1))
     assert comp == {2: Fraction(4), 1: Fraction(4)}
-    # Horner over the exponents that occur: gaps, no constant term, 10^8
+    # gaps, no constant term, 10^8
     S, b = {5: Fraction(1), 2: Fraction(3)}, {1: Fraction(2), 0: Fraction(1)}
-    comp = up_compose(Q, S, b)
+    comp = up_shift(Q, S, Fraction(2), Fraction(1))
     for x in range(-2, 3):
         assert up_eval(Q, comp, Fraction(x)) == up_eval(Q, S, up_eval(Q, b, Fraction(x)))
-    assert up_compose(Q, {}, b) == {}
-    assert up_compose(Q, {10 ** 8: Fraction(3)}, {1: Fraction(-1)}) == {10 ** 8: Fraction(3)}
+    assert up_shift(Q, {}, Fraction(2), Fraction(1)) == {}
+    assert up_shift(Q, {10 ** 8: Fraction(3)}, Fraction(-1), Q.zero) == {10 ** 8: Fraction(3)}
     assert up_mul(Q, D, D) == {2: Fraction(1), 1: Fraction(-2), 0: Fraction(1)}
     assert up_add(Q, P, {2: Fraction(-1)}) == {0: Fraction(-1)}
     assert up_to_str(Q, P, "u") == "1*u^2 + -1"

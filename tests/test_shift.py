@@ -25,8 +25,8 @@ from planeaut.conjugacy import (
     _kill_delta,
     n_map,
 )
-from planeaut.rings import MINUS_INF, up_add, up_compose, up_deg, up_gcd_monic, up_scale, up_sub
-from conftest import SEED
+from planeaut.rings import MINUS_INF, up_add, up_deg, up_gcd_monic, up_scale, up_sub
+from conftest import SEED, horner_compose
 
 FIELDS = [PrimeField(p) for p in (2, 3, 5, 7)]
 
@@ -34,7 +34,7 @@ FIELDS = [PrimeField(p) for p in (2, 3, 5, 7)]
 # -- the scans, as they stood before the gcd -----------------------------------
 
 def _certified(ring, P, Q, a, b):
-    return up_scale(ring, up_compose(ring, P, {1: a, 0: b}), a) == Q
+    return up_scale(ring, horner_compose(ring, P, {1: a, 0: b}), a) == Q
 
 
 def _scan_family_ii(ring, P, Q):
@@ -60,7 +60,7 @@ def _pth_power_poly(nf):
 
 
 def _shift_poly(ring, P, c):
-    return up_compose(ring, P, {1: ring.one, 0: c})
+    return horner_compose(ring, P, {1: ring.one, 0: c})
 
 
 def _scan_family_iv(ring, nf_f, nf_g):
@@ -107,7 +107,7 @@ def _scan_family_iv(ring, nf_f, nf_g):
 def _n_map_loop(ring, P):
     acc = {}
     for i in range(ring.characteristic):
-        acc = up_add(ring, acc, up_compose(ring, P, {1: ring.one, 0: ring.from_int(i)}))
+        acc = up_add(ring, acc, horner_compose(ring, P, {1: ring.one, 0: ring.from_int(i)}))
     return acc
 
 
@@ -138,7 +138,7 @@ def test_family_ii_matches_the_pair_scan(K):
         P = _poly(rng, K, d)
         if i % 2:
             a, b = rng.randrange(1, p), rng.randrange(p)
-            Q = up_scale(K, up_compose(K, P, {1: a, 0: b}), a)
+            Q = up_scale(K, horner_compose(K, P, {1: a, 0: b}), a)
         else:
             Q = _poly(rng, K, d, low=rng.randrange(2))
         got, want = _decide_family_ii(K, P, Q), _scan_family_ii(K, P, Q)
@@ -162,7 +162,7 @@ def test_family_iv_matches_the_shift_scan():
             P = _poly(rng, K, rng.randrange(3))
             if i % 3 == 0:
                 # Q~ the V-part of P~(x + c), whose period sum is N(P~)(x + c)
-                shifted = up_compose(K, _iv_form(K, P).expanded(), {1: 1, 0: rng.randrange(p)})
+                shifted = horner_compose(K, _iv_form(K, P).expanded(), {1: 1, 0: rng.randrange(p)})
                 Q = _compress(_kill_delta(K, shifted)[0], p)
             elif i % 3 == 1:
                 Q = _poly(rng, K, max(P))
@@ -239,7 +239,7 @@ def test_family_ii_with_p_dividing_the_degree_is_fast(capsys):
 
 
 def test_family_iv_shift_gcd_at_a_large_prime_is_fast():
-    # the forms alone: building the maps expands (x2 - 1)^(2p - 1) densely
+    # the forms alone; test_up_shift.py times building such a map
     K = PrimeField(10007)
     nf_f, nf_g = NormalForm("IV", K, P={0: 1, 1: 2}), NormalForm("IV", K, P={0: 3, 1: 2})
     start = time.perf_counter()
