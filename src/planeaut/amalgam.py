@@ -6,10 +6,10 @@ plus a translation) and the special triangular maps SJ, of the form
 [F1, ..., Fn] standing for the composition F1 o F2 o ... o Fn.
 
 The factorization loop is the constructive reading of the generation
-theorem: while deg f >= 2, the line at infinity is contracted to a single
-point X_f; an affine move puts that point at [0:1:0], after which the top
-form of the first component is a constant multiple of a power of the top
-form of the second, and a triangular subtraction strictly drops the degree.
+theorem (Jung, van der Kulk): while deg f >= 2, one stage is an affine move
+read off the component degrees, which leaves deg f1 > deg f2, then one
+triangular factor, as the top form of f1 is a constant times a power of the
+top form of f2 until their degrees meet.
 
 A reduced word alternates tags, with no interior factor lying in
 SAff ∩ SJ (the triangular affine maps).  Cyclic reduction of a reduced
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .endo import Endo, PlaneAut, image_point_at_infinity
+from .endo import Endo, PlaneAut
 from .errors import (
     ArityMismatchError,
     FieldExtensionRequiredError,
@@ -328,49 +328,48 @@ def reduce_word(w: AmalgamWord) -> AmalgamWord:
 
 
 def _reduction_ops(e: Endo):
-    """Left-compose affine moves and triangular subtractions until degree <= 1.
+    """Left-compose one affine move and one triangular factor per stage until
+    degree <= 1: the Jung-van der Kulk descent on the components (u, v).
 
+    The move comes from the degrees: (v, -u) when deg u < deg v, v - r u
+    with r the ratio of the top forms when they are equal, none when
+    deg u > deg v.  Then u -= c v^k while deg u > deg v, with top(u) =
+    c top(v^k), and the stage's subtractions are one (x1 + P(x2), x2).
     Returns (ops, final) with op_k o ... o op_1 o e = final and final affine.
     """
     if e.nvars != 2:
         raise ArityMismatchError(f"a plane map has 2 variables, got {e.nvars}")
     R = e.ring
-    work = e
+    u, v = e.comps
     ops = []
-    while work.degree >= 2:
-        x_pt = image_point_at_infinity(work)
-        y1, y2 = x_pt.coords
-        if R.is_zero(y1):
-            move = AffineFactor.rotation(R)
-        elif R.is_zero(y2):
-            move = None
-        else:
-            move = AffineFactor.shear(R, y2)
-        if move is not None:
-            work = move.to_endo().compose(work)
-            ops.append(move)
-        # now the word contracts infinity to [0:1:0]: second degree dropped
-        e2 = work.comps[1].degree
-        if e2 is MINUS_INF or e2 < 1:
-            raise NotInvertibleError("degenerate second component; not an automorphism")
-        while work.comps[0].degree > e2:
-            d1 = work.comps[0].degree
+    while max(u.degree, v.degree) >= 2:
+        if u.degree < v.degree:
+            ops.append(AffineFactor.rotation(R))
+            u, v = v, -u
+        elif u.degree == v.degree:
+            exp, lead = u.leading_term()
+            r = R.mul(v.coeff(exp), R.invert(lead))
+            ops.append(AffineFactor.shear(R, r))
+            v = v - u.scale(r)
+        e2 = v.degree
+        if not 1 <= e2 < u.degree:
+            raise NotInvertibleError("top forms not proportional; not an automorphism")
+        P = {}
+        while u.degree > e2:
+            d1 = u.degree
             if d1 % e2 != 0:
                 raise NotInvertibleError("top degrees incompatible; not an automorphism")
             k = d1 // e2
-            top1 = work.comps[0].homogeneous_part(d1)
-            top2k = work.comps[1].homogeneous_part(e2) ** k
-            exp, lead = top2k.leading_term()
+            vk = v ** k
+            top1, topk = u.homogeneous_part(d1), vk.homogeneous_part(d1)
+            exp, lead = topk.leading_term()
             c = R.mul(top1.coeff(exp), R.invert(lead))
-            if top1 != top2k.scale(c):
+            if top1 != topk.scale(c):
                 raise NotInvertibleError("top forms not proportional; not an automorphism")
-            sub = JonquieresFactor.elementary(R, {k: R.neg(c)})
-            work = sub.to_endo().compose(work)
-            ops.append(sub)
-            after = work.comps[0].degree
-            if after is not MINUS_INF and after >= d1:
-                raise NotInvertibleError("degree reduction stalled; not an automorphism")
-    return ops, work
+            P[k] = R.neg(c)
+            u = u + vk.scale(P[k])
+        ops.append(JonquieresFactor.elementary(R, P))
+    return ops, Endo([u, v])
 
 
 def _factor(e: Endo, c) -> AmalgamWord:

@@ -127,8 +127,8 @@ def _cmd_classify(field, inputs, args):
                            if nf.family in ("II", "III", "IV") else None),
             "representative": str(nf.aut.fwd),
             "conjugator": str(nf.conjugator.fwd)}
-    checks = {"conjugation": nf.conjugator.compose(aut)
-              .compose(nf.conjugator.inverse()).fwd == nf.aut.fwd}
+    checks = {"conjugation": nf.conjugator.fwd.compose(aut.fwd)
+              .compose(nf.conjugator.inv) == nf.aut.fwd}
     return f"family {nf.family}", data, checks
 
 
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         try:
             with open(args.file) as fh:
                 raw += [line.strip() for line in fh if line.strip()]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             parser.error(str(exc))
     arity, _, parse, handler = _VERBS[args.verb]
     if len(raw) != arity:

@@ -290,7 +290,7 @@ def _normal_form(f: PlaneAut, reduction) -> NormalForm:
         raise PlaneAutError("normalized factor does not match its family shape")
     nf.aut = factor_to_plane_aut(rep)
     nf.conjugator = h
-    if h.compose(f).compose(h.inverse()).fwd != nf.aut.fwd:
+    if h.fwd.compose(f.fwd).compose(h.inv) != nf.aut.fwd:
         raise PlaneAutError("normal-form conjugation identity failed")
     return nf
 
@@ -465,7 +465,7 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut, nf_f: NormalForm = None,
         conj = None
         if verdict == "yes":
             conj = nf_g.conjugator.inverse().compose(h_fam).compose(nf_f.conjugator)
-            if conj.compose(f).compose(conj.inverse()).fwd != g.fwd:
+            if conj.fwd.compose(f.fwd).compose(conj.inv) != g.fwd:
                 raise PlaneAutError("assembled conjugator failed its composition check")
             checks.append("certificate verified by composition")
         return ConjugacyResult(verdict, conj, reason, nf_f.family, nf_g.family, checks)
@@ -581,7 +581,7 @@ class CertificateReport:
 
 def verify_conjugacy_certificate(f: PlaneAut, g: PlaneAut, h: PlaneAut) -> CertificateReport:
     """Exact check of g = h o f o h^-1 plus the two degree-bound reports."""
-    valid = h.compose(f).compose(h.inverse()).fwd == g.fwd
+    valid = h.fwd.compose(f.fwd).compose(h.inv) == g.fwd
     dh, dg = h.degree, g.degree
     return CertificateReport(valid, f.degree, dg, dh,
                              square_bound=dh * dh <= dg,

@@ -23,12 +23,13 @@ is_zero, ...):
                         infinite ring yields distinct values and never stops
 
 The up_* functions are the one sparse-dict kernel: a value is a dict
-{key: coeff} with no zero coefficients, and add / neg / mul work for any
-keys that support + (integer exponents here, exponent tuples in
-poly.MultiPoly).  power(x, n, mul, one) is the one repeated-squaring
-routine, behind LaurentRing.pow, FunctionField.pow, MultiPoly.__pow__, the
-gap powers of poly.compose_many, Endo.power and the Cantor-Zassenhaus split
-of PrimeField.nth_roots and roots; Q and F_p use Python's own ** and pow.
+{key: coeff} with no zero coefficients.  add / neg take any keys, and
+poly.MultiPoly uses them on exponent tuples; mul adds keys with +, so it
+needs int exponents (+ concatenates tuples).  power(x, n, mul, one) is the
+one repeated-squaring routine, behind LaurentRing.pow, FunctionField.pow,
+MultiPoly.__pow__, the gap powers of poly.compose_many, Endo.power and the
+Cantor-Zassenhaus split of PrimeField.nth_roots and roots; Q and F_p use
+Python's own ** and pow.
 
 up_shift(F, P, a, b) = P(a x + b), a != 0, is the one univariate
 substitution, over any ring here (the F_p shift equations run it over
@@ -500,8 +501,8 @@ class LaurentRing:
 
 
 # ---------------------------------------------------------------------------
-# The sparse-dict kernel.  add, neg and mul take any keys closed under +;
-# the other helpers are univariate, {degree: coeff}.  No zero entries.
+# The sparse-dict kernel.  add and neg take any keys (MultiPoly's tuples
+# too); mul and the rest are univariate, {degree: coeff}.  No zero entries.
 
 def power(x, n: int, mul, one):
     """x^n for n >= 0 by repeated squaring; never squares past the top bit."""

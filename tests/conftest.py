@@ -13,14 +13,18 @@ from fractions import Fraction
 import pytest
 
 from planeaut import (
+    MINUS_INF,
     AffineFactor,
     AmalgamWord,
+    ArityMismatchError,
     Endo,
     JonquieresFactor,
     MultiPoly,
+    NotInvertibleError,
     PlaneAut,
     PrimeField,
     RationalField,
+    image_point_at_infinity,
     is_algebraic,
 )
 from planeaut.rings import power, up_add, up_mul
@@ -217,3 +221,47 @@ def horner_compose(F, a, b):
                 gaps[k - below] = power(b, k - below, functools.partial(up_mul, F), {0: F.one})
             acc = up_mul(F, acc, gaps[k - below])
     return acc
+
+
+def monomial_reduction_ops(e: Endo):
+    """amalgam._reduction_ops before one factor per stage, kept as its oracle:
+    the affine move is read off the image point at infinity, and each top
+    monomial c x2^k is subtracted as its own elementary factor by a full
+    Endo.compose."""
+    if e.nvars != 2:
+        raise ArityMismatchError(f"a plane map has 2 variables, got {e.nvars}")
+    R = e.ring
+    work = e
+    ops = []
+    while work.degree >= 2:
+        y1, y2 = image_point_at_infinity(work).coords
+        if R.is_zero(y1):
+            move = AffineFactor.rotation(R)
+        elif R.is_zero(y2):
+            move = None
+        else:
+            move = AffineFactor.shear(R, y2)
+        if move is not None:
+            work = move.to_endo().compose(work)
+            ops.append(move)
+        e2 = work.comps[1].degree
+        if e2 is MINUS_INF or e2 < 1:
+            raise NotInvertibleError("degenerate second component; not an automorphism")
+        while work.comps[0].degree > e2:
+            d1 = work.comps[0].degree
+            if d1 % e2 != 0:
+                raise NotInvertibleError("top degrees incompatible; not an automorphism")
+            k = d1 // e2
+            top1 = work.comps[0].homogeneous_part(d1)
+            top2k = work.comps[1].homogeneous_part(e2) ** k
+            exp, lead = top2k.leading_term()
+            c = R.mul(top1.coeff(exp), R.invert(lead))
+            if top1 != top2k.scale(c):
+                raise NotInvertibleError("top forms not proportional; not an automorphism")
+            sub = JonquieresFactor.elementary(R, {k: R.neg(c)})
+            work = sub.to_endo().compose(work)
+            ops.append(sub)
+            after = work.comps[0].degree
+            if after is not MINUS_INF and after >= d1:
+                raise NotInvertibleError("degree reduction stalled; not an automorphism")
+    return ops, work

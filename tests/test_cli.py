@@ -138,6 +138,15 @@ def test_missing_file_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_undecodable_file_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "maps.txt"
+    src.write_bytes(b"\xff\xfe(x1, x2)\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--file", str(src)])
+    assert exc.value.code == 2
+    assert "can't decode" in capsys.readouterr().err
+
+
 def test_deep_nesting_is_exit_2(capsys):
     rc = main(["inverse", "(" + "(" * 3000 + "x1" + ")" * 3000 + ", x2)"])
     assert rc == 2
