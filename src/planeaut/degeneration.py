@@ -367,6 +367,16 @@ def _family_iv_alpha(lring: LaurentRing, d: int, q: int, lam) -> TFamily:
     return TFamily(a, ainv, check=True)
 
 
+def _frobenius(P: MultiPoly, q: int) -> MultiPoly:
+    """P^q over F_p[t, 1/t], q a power of p, with coefficient values in
+    range(p): (sum c t^k x^e)^q = sum c^q t^(qk) x^(qe) in characteristic p,
+    and c^q = c on F_p, so every x- and t-exponent is multiplied by q and
+    nothing is multiplied out."""
+    return MultiPoly(P.ring, P.nvars,
+                     {tuple(q * k for k in e): {q * k: c for k, c in lc.items()}
+                      for e, lc in P.terms.items()}, _clean=False)
+
+
 def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitness:
     """f = (x1 + Q(x2), x2 + 1) over char p: two degenerations, one with
     value (x1, x2+1) at t=0 and one with value (x1, x2)."""
@@ -404,15 +414,13 @@ def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitn
     P = tP.map_coeffs(lambda c: L.shift(c, -1), L)
     if any(L.valuation(c) < 0 for c in P.terms.values()):
         raise PlaneAutError("family (iv) auxiliary polynomial has a pole")
-    expected_second = x2_L - (P ** q).scale({q - d: lam})
+    expected_second = x2_L - _frobenius(P, q).scale({q - d: lam})
     if A.comps[1] != expected_second:
         raise PlaneAutError("family (iv) conjugate has an unexpected shape")
 
     # the defining identity: Q(t^d x2 + lam x1^q + 1/t) = mu/t^d + P/t^{d-1}
     S = alpha.endo.comps[1]
-    lhs = MultiPoly.zero(L, 2)
-    for k, c in Q.items():
-        lhs = lhs + (S ** k).scale(L.from_base(c))
+    lhs = MultiPoly(L, 1, {(k,): L.from_base(c) for k, c in Q.items()}).compose([S])
     rhs = MultiPoly(L, 2, {(0, 0): {-d: mu}}) + P.map_coeffs(
         lambda c: L.shift(c, -(d - 1)), L)
     if lhs != rhs:

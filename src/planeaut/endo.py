@@ -191,9 +191,15 @@ class PlaneAut:
         return PlaneAut(self.fwd.compose(other.fwd), other.inv.compose(self.inv), verify=False)
 
     def power(self, m: int) -> "PlaneAut":
+        """self^m as f o f^k (and f^-1 o f^-k): substituting f^k into f raises
+        its arguments only to deg f, where squaring, f^k o f^k, would raise
+        them to deg f^k."""
         if m < 0:
             return self.inverse().power(-m)
-        return PlaneAut(self.fwd.power(m), self.inv.power(m), verify=False)
+        fwd = inv = Endo.identity(self.ring, 2)
+        for _ in range(m):
+            fwd, inv = self.fwd.compose(fwd), self.inv.compose(inv)
+        return PlaneAut(fwd, inv, verify=False)
 
     def verify(self) -> bool:
         return self.fwd.compose(self.inv).is_identity and self.inv.compose(self.fwd).is_identity

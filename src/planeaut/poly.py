@@ -11,30 +11,44 @@ descending, so x1^2 comes before x1*x2 before x2^2.
 
 deg(0) is the MINUS_INF sentinel from rings.py, never an integer.
 
-Multiplication has two kernels with equal results.  The dict loop pairs every
-term of one factor with every term of the other.  Over F_p and Q a large
-product goes through Kronecker substitution instead (Schoenhage 1982; Harvey,
+Products, powers and compositions run on one int kernel: lower, one int
+product or composition, raise.  _lower turns a term dict over F_p, Q or
+K[t, 1/t] (K = F_p or Q) into its int form (m, den, {exponents: int}): over
+F_p the terms as they are, m = p; over Q the numerators over the common
+denominator den, m = 0; over K[t, 1/t] the t-exponent appended as one more
+exponent slot, which may be negative.  _raise turns an int result back with
+one % p or one Fraction(v, den) per output term, Laurent terms regrouped by
+their x-exponents.  Only FunctionField values do not lower; there the same
+code runs on the ring's own methods (_rmul).
+
+_imul, the one int product, has two kernels with equal results.  The dict
+loop pairs every term of one factor with every term of the other, sums the
+int products and reduces mod m once.  From _PACK_MIN_PRODUCTS term products
+on it goes through Kronecker substitution instead (Schoenhage 1982; Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
 J. Symb. Comp. 2009): each exponent tuple maps to one slot of the product's
-dense exponent box, each factor is packed into one integer with a fixed-width
-byte field per slot, wide enough that no carry crosses a field, CPython's
-Karatsuba bignum multiply does the convolution, and the product is read back
-through to_bytes.  Over Q the factors are first cleared of denominators, and
-a sign offset on every field makes the signed product fields read back
-unsigned.  __mul__ takes the packed kernel when the factors have at least
-_PACK_MIN_PRODUCTS term products, the ring is F_p or Q, and the box has at
-most _PACK_SLOTS_PER_PRODUCT slots per term product (so sparse factors with
-huge exponents never allocate a dense integer); otherwise the dict loop, which
-stays as the oracle in tests.
+dense exponent box, whose every slot starts at the product's least exponent
+there (so negative t-exponents pack, and boxes shrink), each factor is
+packed into one integer with a fixed-width byte field per slot, wide enough
+that no carry crosses a field, CPython's Karatsuba bignum multiply does the
+convolution, and the product is read back through to_bytes.  Over Q a sign
+offset on every field makes the signed product fields read back unsigned.
+A box of more than _PACK_SLOTS_PER_PRODUCT slots per term product stays on
+the dict loop, so sparse factors with huge exponents never allocate a dense
+integer.  conftest.ring_mul, the dict loop on ring methods, is the oracle.
 
 compose substitutes into every term from one table of argument powers: only
 the powers whose exponents occur are built, each from the previous one times
 the argument raised to the gap, and all terms are summed into one dict.
-compose_many shares that table across the components of a map.
+compose_many shares that table across the components of a map, and builds
+it on int forms: a term's t-exponent shifts the last slot of its image, and
+each term is scaled so that every output has one denominator.
+conftest.ring_compose_many is its oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -44,15 +58,26 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ArityMismatchError, RingMismatchError
-from .rings import MINUS_INF, PrimeField, RationalField, power, up_add, up_neg
+from .rings import (
+    MINUS_INF,
+    LaurentRing,
+    PrimeField,
+    RationalField,
+    power,
+    up_add,
+    up_neg,
+)
 
-# Below this many term products the dict loop is as fast as packing or faster
-# (the two cross between 16 and 32 products on 1- and 2-variable inputs).
-_PACK_MIN_PRODUCTS = 64
+# From this many term products on, _imul packs.  Timed on the products the
+# decide workload makes (2-core machine, int dict loop against packing, per
+# bucket of term products): at 16-23 the loop is 1.4x (F_p) and 1.6x (Q)
+# faster, at 24-31 even over F_p and 1.4x faster over Q, at 32-39 packing
+# is 1.16x faster over F_p and even over Q, at 48-63 1.2-1.4x faster over
+# F_p and even over Q, and from 64 (F_p) and 80 (Q) on 1.5x and more.
+_PACK_MIN_PRODUCTS = 32
 # A dense exponent box larger than this many slots per term product stays on
 # the dict loop: its unpacking would cost more than the loop saves.
 _PACK_SLOTS_PER_PRODUCT = 4
-_PACKED_RINGS = (PrimeField, RationalField)
 # Field widths in bytes that an array typecode holds; others go through
 # int.to_bytes / int.from_bytes one field at a time.
 _ARRAY_CODES = {array(t).itemsize: t for t in "BHILQ"}
@@ -134,7 +159,7 @@ class MultiPoly:
         return e, self.terms[e]
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"{self.ring!r} vs {other.ring!r}")
         if self.nvars != other.nvars:
             raise ArityMismatchError(f"{self.nvars} vs {other.nvars} variables")
@@ -155,24 +180,16 @@ class MultiPoly:
     def __mul__(self, other):
         self._check(other)
         R = self.ring
-        a, b = self.terms, other.terms
-        if len(a) * len(b) >= _PACK_MIN_PRODUCTS and type(R) in _PACKED_RINGS:
-            out = _mul_packed(R, self.nvars, a, b)
-            if out is not None:
-                return MultiPoly(R, self.nvars, out, _clean=False)
-        radd, rmul, rzero = R.add, R.mul, R.zero
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = radd(out.get(e, rzero), rmul(ca, cb))
-                if R.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(R, self.nvars, out, _clean=False)
+        if type(R) is PrimeField:
+            # F_p terms are their own int form, and _imul's reduced result
+            # is already the raised one
+            return MultiPoly(R, self.nvars, _imul(self.terms, other.terms, R.p), _clean=False)
+        low = _lower(R, self.terms)
+        if low is None:
+            return MultiPoly(R, self.nvars, _rmul(R, self.terms, other.terms), _clean=False)
+        m, da, a = low
+        _, db, b = _lower(R, other.terms)
+        return MultiPoly(R, self.nvars, _raise(R, m, da * db, _imul(a, b, m)), _clean=False)
 
     def scale(self, c):
         R = self.ring
@@ -183,7 +200,15 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return power(self, n, operator.mul, MultiPoly.const(self.ring, self.nvars, self.ring.one))
+        R = self.ring
+        low = _lower(R, self.terms)
+        if low is None:
+            return power(self, n, operator.mul, MultiPoly.const(R, self.nvars, R.one))
+        m, den, a = low
+        one = {(0,) * (self.nvars + (type(R) is LaurentRing)): 1}
+        return MultiPoly(R, self.nvars,
+                         _raise(R, m, den ** n, power(a, n, functools.partial(_imul, m=m), one)),
+                         _clean=False)
 
     def compose(self, args: Sequence["MultiPoly"]):
         """Substitute args[i] for x_{i+1}; args live over the same ring."""
@@ -242,7 +267,13 @@ class MultiPoly:
 
 
 def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
-    """[p.compose(args) for p in polys], building each argument power once."""
+    """[p.compose(args) for p in polys], building each argument power once.
+
+    Over a ring _lower takes, the table holds int forms, and the term c x^e
+    of p adds c D^(top - e) times the image of x^e, D the argument
+    denominators and top the largest exponents of p, so every output shares
+    the denominator d_p D^top; a Laurent term c t^k shifts the image's last
+    slot by k.  Over any other ring the same table holds ring values."""
     nvars = len(args)
     for p in polys:
         if p.nvars != nvars:
@@ -250,79 +281,183 @@ def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
     if not args:
         raise ArityMismatchError("compose needs at least one variable")
     R = args[0].ring
-    if any(x.ring != R for x in (*polys, *args)):
+    if any(x.ring is not R and x.ring != R for x in (*polys, *args)):
         raise RingMismatchError("substitution over a different ring")
     nv = args[0].nvars
-    one = MultiPoly.const(R, nv, R.one)
-    used = [set() for _ in range(nvars)]
+    # m stays None over a ring _lower does not take, and dens is empty when
+    # every argument has denominator 1
+    m, dens, bases = None, (), [a.terms for a in args]
+    if (low := [_lower(R, b) for b in bases])[0] is not None:
+        ms, dens, bases = zip(*low)
+        m, dens = ms[0], dens if math.prod(dens) != 1 else ()
+    laurent = m is not None and type(R) is LaurentRing
+    if m is None:
+        mul, one = functools.partial(_rmul, R), {(0,) * nv: R.one}
+    else:
+        mul, one = functools.partial(_imul, m=m), {(0,) * (nv + laurent): 1}
+    monos = {}
     for p in polys:
-        for e in p.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used[i].add(k)
+        monos.update(dict.fromkeys(p.terms))
     powers = []
-    for a, ks in zip(args, used):
+    for a, ks in zip(bases, map(set, zip(*monos))):
         table, gaps = {}, {1: a}
         prev, last = None, 0
+        ks.discard(0)
         for k in sorted(ks):
             g = k - last
             if g not in gaps:
-                gaps[g] = power(a, g, operator.mul, one)
-            prev = gaps[g] if prev is None else prev * gaps[g]
+                gaps[g] = power(a, g, mul, one)
+            prev = gaps[g] if prev is None else mul(prev, gaps[g])
             table[k] = prev
             last = k
         powers.append(table)
-    radd, rmul, is_zero = R.add, R.mul, R.is_zero
     out = []
     for p in polys:
+        den, P = 1, p.terms
+        if m is not None:
+            _, den, P = _lower(R, P)
+        if dens:
+            top = [max(col) for col in zip(*p.terms)]
+            den *= math.prod(map(pow, dens, top))
         acc = {}
-        for e, c in p.terms.items():
-            term = one
-            for i, k in enumerate(e):
-                if k:
-                    term = powers[i][k] if term is one else term * powers[i][k]
-            for te, tc in term.terms.items():
-                s = radd(acc[te], rmul(c, tc)) if te in acc else rmul(c, tc)
-                if is_zero(s):
-                    acc.pop(te, None)
-                else:
-                    acc[te] = s
-        out.append(MultiPoly(R, nv, acc, _clean=False))
+        for e, c in P.items():
+            if dens:
+                c *= math.prod(map(pow, dens, map(operator.sub, top, e)))
+            if laurent:
+                e, k = e[:nvars], e[nvars]
+            term = monos[e]
+            if term is None:
+                # the image of x^e, built once for all polys
+                term = one
+                for table, j in zip(powers, e):
+                    if j:
+                        term = table[j] if term is one else mul(term, table[j])
+                monos[e] = term
+            if m is None:
+                for te, tc in term.items():
+                    acc[te] = R.add(acc[te], R.mul(c, tc)) if te in acc else R.mul(c, tc)
+            else:
+                for te, tc in term.items():
+                    if laurent and k:
+                        te = (*te[:-1], te[-1] + k)
+                    acc[te] = acc.get(te, 0) + c * tc
+        out.append(MultiPoly(R, nv, _raise(R, m, den, acc), _clean=False))
     return out
 
 
-def _mul_packed(R, nvars, a, b):
-    """Product of two term dicts over F_p or Q by Kronecker substitution, or
-    None when the product's dense exponent box has too many slots."""
-    widths = [max(e[i] for e in a) + max(e[i] for e in b) + 1 for i in range(nvars)]
+def _lower(R, terms):
+    """The int form (m, den, flat) of a term dict over F_p, Q or K[t, 1/t]
+    with K one of those, or None over any other ring: flat holds ints, the
+    terms are {e: v / den} mod m (m = p over F_p, 0 over Q), and a Laurent
+    coefficient's t-exponent is one more slot at the end of e.  Over F_p the
+    ints are the terms as they are, maybe outside range(p)."""
+    if type(R) is PrimeField:
+        return R.p, 1, terms
+    base = R.base if type(R) is LaurentRing else R
+    if type(base) is PrimeField:
+        m = base.p
+    elif type(base) is RationalField:
+        m = 0
+    else:
+        return None
+    if base is not R:
+        terms = {(*e, k): c for e, lc in terms.items() for k, c in lc.items()}
+    if m:
+        return m, 1, terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return 0, den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _raise(R, m, den, flat):
+    """The term dict over R of the int form (m, den, flat): one v % m or one
+    Fraction(v, den) per nonzero term, Laurent terms regrouped by their
+    x-exponents.  m = None means flat holds ring values; only zeros go."""
+    if m:
+        flat = {e: r for e, v in flat.items() if (r := v % m)}
+    elif m is None:
+        return {e: v for e, v in flat.items() if not R.is_zero(v)}
+    else:
+        flat = {e: Fraction(v, den) for e, v in flat.items() if v}
+    if type(R) is not LaurentRing:
+        return flat
+    out = {}
+    for e, c in flat.items():
+        x = e[:-1]
+        if x in out:
+            out[x][e[-1]] = c
+        else:
+            out[x] = {e[-1]: c}
+    return out
+
+
+def _imul(a, b, m):
+    """The product of two int term dicts, its values reduced mod m when
+    m > 0 and none zero: the dict loop, accumulating then reducing once, or
+    Kronecker packing from _PACK_MIN_PRODUCTS term products on."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) * len(b) >= _PACK_MIN_PRODUCTS:
+        out = _kronecker(a, b, m)
+        if out is not None:
+            return out
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    if m:
+        return {e: r for e, v in out.items() if (r := v % m)}
+    return {e: v for e, v in out.items() if v}
+
+
+def _rmul(R, a, b):
+    """The product of two term dicts by R's own methods, over the rings that
+    _lower does not take."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(operator.add, ea, eb))
+            s = R.add(out[e], R.mul(ca, cb)) if e in out else R.mul(ca, cb)
+            if R.is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _kronecker(a, b, m):
+    """The product of two int term dicts, reduced mod m, by Kronecker
+    substitution, or None when the product's dense exponent box has too many
+    slots.  Each slot of the box starts at the product's least exponent
+    there, so negative exponents pack too."""
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    lo_a, lo_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
+    widths = [max(x) - la + max(y) - lb + 1
+              for x, y, la, lb in zip(cols_a, cols_b, lo_a, lo_b)]
     nslots = math.prod(widths)
     if nslots > _PACK_SLOTS_PER_PRODUCT * len(a) * len(b):
         return None
-    strides = [math.prod(widths[i + 1:]) for i in range(nvars)]
-    grid = itertools.product(*map(range, widths))
+    strides = [math.prod(widths[i + 1:]) for i in range(len(widths))]
+    off_a = sum(map(operator.mul, lo_a, strides))
+    off_b = sum(map(operator.mul, lo_b, strides))
+    grid = itertools.product(*(range(la + lb, la + lb + w)
+                               for la, lb, w in zip(lo_a, lo_b, widths)))
     # one output field sums at most min(len(a), len(b)) term products
     n = min(len(a), len(b))
-    if type(R) is PrimeField:
-        p = R.p
-        k = _field_bytes(n * (p - 1) ** 2)
-        # reduced here: a polynomial may be built from ints outside range(p),
-        # which the dict loop reduces as it goes
-        prod = (_pack(((e, c % p) for e, c in a.items()), strides, k, nslots)
-                * _pack(((e, c % p) for e, c in b.items()), strides, k, nslots))
-        return {e: r for e, v in zip(grid, _unpack(prod, k, nslots)) if v and (r := v % p)}
-    da = math.lcm(*(c.denominator for c in a.values()))
-    db = math.lcm(*(c.denominator for c in b.values()))
-    ia = {e: c.numerator * (da // c.denominator) for e, c in a.items()}
-    ib = {e: c.numerator * (db // c.denominator) for e, c in b.items()}
-    bound = n * max(map(abs, ia.values())) * max(map(abs, ib.values()))
+    if m:
+        k = _field_bytes(n * (m - 1) ** 2)
+        # reduced here: F_p terms may hold ints outside range(p)
+        prod = (_pack(((e, c % m) for e, c in a.items()), strides, off_a, k, nslots)
+                * _pack(((e, c % m) for e, c in b.items()), strides, off_b, k, nslots))
+        return {e: r for e, v in zip(grid, _unpack(prod, k, nslots)) if v and (r := v % m)}
+    bound = n * max(map(abs, a.values())) * max(map(abs, b.values()))
     # fields hold [-half, half) and read back as value + half in [0, 2 half)
     k = _field_bytes(2 * bound + 1)
     half = 1 << (8 * k - 1)
-    prod = _pack_signed(ia, strides, k, nslots) * _pack_signed(ib, strides, k, nslots)
+    prod = (_pack_signed(a, strides, off_a, k, nslots)
+            * _pack_signed(b, strides, off_b, k, nslots))
     prod += int.from_bytes(half.to_bytes(k, "little") * nslots, "little")
-    d = da * db
-    return {e: Fraction(v - half, d)
-            for e, v in zip(grid, _unpack(prod, k, nslots)) if v != half}
+    return {e: v - half for e, v in zip(grid, _unpack(prod, k, nslots)) if v != half}
 
 
 def _field_bytes(bound):
@@ -332,27 +467,28 @@ def _field_bytes(bound):
     return k if k > 8 else 1 << (k - 1).bit_length()
 
 
-def _pack(items, strides, k, nslots):
-    """sum(c * 256^(k * slot(e))) for (e, c) in items, every c in [0, 256^k)."""
+def _pack(items, strides, off, k, nslots):
+    """sum(c * 256^(k * slot(e))) for (e, c) in items, every c in [0, 256^k),
+    slot(e) = e . strides - off."""
     code = _ARRAY_CODES.get(k)
     if code is not None:
         buf = array(code, [0]) * nslots
         for e, c in items:
-            buf[sum(map(operator.mul, e, strides))] = c
+            buf[sum(map(operator.mul, e, strides)) - off] = c
         if sys.byteorder == "big":
             buf.byteswap()
     else:
         buf = bytearray(nslots * k)
         for e, c in items:
-            o = sum(map(operator.mul, e, strides)) * k
+            o = (sum(map(operator.mul, e, strides)) - off) * k
             buf[o:o + k] = c.to_bytes(k, "little")
     return int.from_bytes(buf, "little")
 
 
-def _pack_signed(terms, strides, k, nslots):
+def _pack_signed(terms, strides, off, k, nslots):
     pos = ((e, c) for e, c in terms.items() if c > 0)
     neg = ((e, -c) for e, c in terms.items() if c < 0)
-    return _pack(pos, strides, k, nslots) - _pack(neg, strides, k, nslots)
+    return _pack(pos, strides, off, k, nslots) - _pack(neg, strides, off, k, nslots)
 
 
 def _unpack(n, k, nslots):

@@ -25,11 +25,14 @@ is_zero, ...):
 The up_* functions are the one sparse-dict kernel: a value is a dict
 {key: coeff} with no zero coefficients.  add / neg take any keys, and
 poly.MultiPoly uses them on exponent tuples; mul adds keys with +, so it
-needs int exponents (+ concatenates tuples).  power(x, n, mul, one) is the
-one repeated-squaring routine, behind LaurentRing.pow, FunctionField.pow,
-MultiPoly.__pow__, the gap powers of poly.compose_many, Endo.power and the
-Cantor-Zassenhaus split of PrimeField.nth_roots and roots; Q and F_p use
-Python's own ** and pow.
+needs int exponents (+ concatenates tuples).  MultiPoly products, powers
+and compositions over Q, F_p and K[t, 1/t] run on poly.py's int kernel,
+never through up_mul.  power(x, n, mul, one) is the one repeated-squaring
+routine, behind LaurentRing.pow, FunctionField.pow, MultiPoly.__pow__ and
+the gap powers of poly.compose_many (both on the int kernel's term dicts),
+Endo.power and the Cantor-Zassenhaus split of PrimeField.nth_roots and
+roots; Q and F_p use Python's own ** and pow.  PlaneAut.power composes
+f o f^k instead, which keeps the substituted arguments at deg f.
 
 up_shift(F, P, a, b) = P(a x + b), a != 0, is the one univariate
 substitution, over any ring here (the F_p shift equations run it over

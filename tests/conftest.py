@@ -223,6 +223,65 @@ def horner_compose(F, a, b):
     return acc
 
 
+def ring_mul(R, a, b):
+    """The product of two term dicts by the ring's own add and mul, pairing
+    every term with every term: MultiPoly.__mul__'s dict loop before the int
+    kernel, kept as its oracle."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = R.add(out.get(e, R.zero), R.mul(ca, cb))
+            if R.is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def ring_compose_many(polys, args):
+    """[p.compose(args) for p in polys] by ring methods: poly.compose_many
+    before the int kernel, with its gap-power table built by ring_mul, kept
+    as its oracle."""
+    R, nv = args[0].ring, args[0].nvars
+    one = {(0,) * nv: R.one}
+    mul = functools.partial(ring_mul, R)
+    used = [set() for _ in args]
+    for p in polys:
+        for e in p.terms:
+            for i, k in enumerate(e):
+                if k:
+                    used[i].add(k)
+    powers = []
+    for a, ks in zip(args, used):
+        table, gaps = {}, {1: a.terms}
+        prev, last = None, 0
+        for k in sorted(ks):
+            g = k - last
+            if g not in gaps:
+                gaps[g] = power(a.terms, g, mul, one)
+            prev = gaps[g] if prev is None else mul(prev, gaps[g])
+            table[k] = prev
+            last = k
+        powers.append(table)
+    out = []
+    for p in polys:
+        acc = {}
+        for e, c in p.terms.items():
+            term = one
+            for i, k in enumerate(e):
+                if k:
+                    term = mul(term, powers[i][k])
+            for te, tc in term.items():
+                s = R.add(acc.get(te, R.zero), R.mul(c, tc))
+                if R.is_zero(s):
+                    acc.pop(te, None)
+                else:
+                    acc[te] = s
+        out.append(MultiPoly(R, nv, acc))
+    return out
+
+
 def monomial_reduction_ops(e: Endo):
     """amalgam._reduction_ops before one factor per stage, kept as its oracle:
     the affine move is read off the image point at infinity, and each top

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from planeaut import (
     pole_propagation_check,
     x_alpha,
 )
+from planeaut.degeneration import _frobenius
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -227,3 +229,18 @@ def test_degenerate_family_iv_needs_char_p():
         degenerate_family_iv(Q, {1: Fraction(1)})
     with pytest.raises(PlaneAutError):
         degenerate_family_iv(F2, {1: 1}, variant="F9")
+
+
+@pytest.mark.parametrize("K", [F2, F3, F5], ids=repr)
+def test_frobenius_matches_the_power(K):
+    # P^q over F_p[t, 1/t] for q = p, p^2: exponents times q against P ** q,
+    # with negative t-exponents in the coefficients
+    rng = random.Random(f"frobenius/{K!r}")
+    L = LaurentRing(K)
+    p = K.characteristic
+    for _ in range(2):
+        P = MultiPoly(L, 2, {(rng.randint(0, 3), rng.randint(0, 3)):
+                             {rng.randint(-3, 3): rng.randrange(1, p) for _ in range(2)}
+                             for _ in range(3)})
+        for q in (p, p * p):
+            assert _frobenius(P, q) == P ** q

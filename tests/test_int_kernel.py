@@ -1,0 +1,235 @@
+"""The int kernel of poly.py against the ring-method oracles.
+
+MultiPoly.__mul__, __pow__ and compose_many lower a polynomial over F_p, Q
+or K[t, 1/t] to int term dicts (poly._lower), work on ints and raise the
+result once (poly._raise).  conftest.ring_mul and conftest.ring_compose_many,
+the dict loop and composition on the ring's own add and mul, are the
+oracles; every case compares the terms dicts exactly.
+"""
+import math
+import random
+import time
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+
+from conftest import ring_compose_many, ring_mul
+from planeaut import (
+    Endo,
+    FunctionField,
+    LaurentRing,
+    MultiPoly,
+    PrimeField,
+    RationalField,
+    poly,
+    rings,
+)
+from planeaut.degeneration import TFamily
+from planeaut.poly import _PACK_MIN_PRODUCTS, _kronecker, _lower, compose_many
+
+Q = RationalField()
+F2, F5 = PrimeField(2), PrimeField(5)
+F1000003, F_M61 = PrimeField(1000003), PrimeField(2 ** 61 - 1)
+BASES = [Q, F2, F5, F1000003, F_M61]
+RINGS = BASES + [LaurentRing(Q), LaurentRing(F5), LaurentRing(F1000003)]
+
+
+def base_coeff(rng, K):
+    """A nonzero value of K: over Q numerators up to 10^30 and denominators
+    up to 10^12 + 39; over F_p ints in range(-3p, 3p) that are not multiples
+    of p, so also outside range(p)."""
+    if K == Q:
+        num = rng.choice([rng.randint(-9, 9), rng.randint(-10 ** 30, 10 ** 30)]) or 1
+        return Fraction(num, rng.choice([1, 1, 2, 3, 7, 10 ** 12 + 39]))
+    return rng.randrange(1, K.p) + K.p * rng.randint(-3, 2)
+
+
+def coeff(rng, R):
+    """A value of R; Laurent values have 1-3 terms with t-exponents in -4..3."""
+    if isinstance(R, LaurentRing):
+        return {rng.randint(-4, 3): base_coeff(rng, R.base) for _ in range(rng.randint(1, 3))}
+    return base_coeff(rng, R)
+
+
+def rand_terms(rng, R, nvars, nterms, maxexp):
+    return {tuple(rng.randint(0, maxexp) for _ in range(nvars)): coeff(rng, R)
+            for _ in range(nterms)}
+
+
+def rand_poly(rng, R, nvars, nterms, maxexp):
+    return MultiPoly(R, nvars, rand_terms(rng, R, nvars, nterms, maxexp))
+
+
+def assert_reduced(p):
+    """No zero value, F_p values in range(p), Laurent values without zero entries."""
+    R = p.ring
+    base = R.base if isinstance(R, LaurentRing) else R
+    for c in p.terms.values():
+        for v in (c.values() if isinstance(R, LaurentRing) else [c]):
+            assert not base.is_zero(v)
+            if isinstance(base, PrimeField):
+                assert 0 < v < base.p
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+@pytest.mark.parametrize("nvars,maxexp", [(1, 12), (2, 4), (3, 2)])
+def test_products_match_the_ring_loop(R, nvars, maxexp):
+    rng = random.Random(f"imul/{R!r}/{nvars}")
+    # term products below and above _PACK_MIN_PRODUCTS, and the int dict
+    # loop alone on the larger ones
+    for na, nb in ((1, 1), (1, 5), (3, 4), (6, 9), (12, 14)):
+        a, b = (rand_poly(rng, R, nvars, n, maxexp) for n in (na, nb))
+        got = a * b
+        assert got.terms == ring_mul(R, a.terms, b.terms)
+        assert_reduced(got)
+        with mock.patch.object(poly, "_PACK_MIN_PRODUCTS", math.inf):
+            assert (a * b).terms == got.terms
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_powers_match_the_ring_loop(R):
+    rng = random.Random(f"ipow/{R!r}")
+    a = rand_poly(rng, R, 2, 4, 2)
+    want = {(0, 0): R.one}
+    for n in range(6):
+        assert (a ** n).terms == want, n
+        want = ring_mul(R, want, a.terms)
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+@pytest.mark.parametrize("nvars,nv", [(1, 1), (2, 2), (3, 3), (1, 3), (3, 2)])
+def test_compositions_match_the_ring_composition(R, nvars, nv):
+    rng = random.Random(f"icompose/{R!r}/{nvars}/{nv}")
+    for _ in range(3):
+        polys = [rand_poly(rng, R, nvars, rng.randint(1, 6), 3) for _ in range(2)]
+        args = [rand_poly(rng, R, nv, rng.randint(1, 4), 2) for _ in range(nvars)]
+        got = compose_many(polys, args)
+        assert got == ring_compose_many(polys, args)
+        for g in got:
+            assert_reduced(g)
+
+
+def test_function_field_compositions_keep_ring_methods():
+    FF = FunctionField(F5)
+    rng = random.Random("icompose/K(t)")
+
+    def value():
+        return FF._norm({1: rng.randrange(1, 5), 0: rng.randrange(5)},
+                        {1: 1, 0: rng.randrange(1, 5)})
+
+    for nvars in (1, 2):
+        polys = [MultiPoly(FF, nvars, {tuple(rng.randint(0, 3) for _ in range(nvars)): value()
+                                       for _ in range(3)}) for _ in range(2)]
+        args = [MultiPoly(FF, 2, {(rng.randint(0, 1), rng.randint(0, 1)): value()
+                                  for _ in range(2)}) for _ in range(nvars)]
+        assert compose_many(polys, args) == ring_compose_many(polys, args)
+        assert (polys[0] * polys[1]).terms == ring_mul(FF, polys[0].terms, polys[1].terms)
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_cancellation_to_zero(R):
+    rng = random.Random(f"cancel/{R!r}")
+    g = rand_poly(rng, R, 2, 5, 3)
+    x1, x2 = (MultiPoly.variable(R, 2, i) for i in range(2))
+    # x1 - x2 at (g, g) is 0, and so is x1^3 x2 - x1 x2^3
+    for p in (x1 - x2, x1 ** 3 * x2 - x1 * x2 ** 3):
+        assert compose_many([p], [g, g])[0].terms == {}
+        assert ring_compose_many([p], [g, g])[0].terms == {}
+    assert (g * MultiPoly.zero(R, 2)).terms == {}
+    if not isinstance(R, PrimeField):
+        return
+    # ints that are multiples of p are zero in F_p
+    zero_mod_p = MultiPoly(R, 2, {(1, 0): R.p, (0, 2): -2 * R.p})
+    assert (zero_mod_p * g).terms == {} == ring_mul(R, zero_mod_p.terms, g.terms)
+    big = MultiPoly(R, 2, {(i, j): R.p * (i + 1) for i in range(9) for j in range(9)})
+    assert (big * big).terms == {}
+    assert compose_many([big], [g, g])[0].terms == {}
+
+
+@pytest.mark.parametrize("R", [Q, F5, F_M61, LaurentRing(Q), LaurentRing(F5)], ids=repr)
+def test_sparse_huge_exponents_stay_off_the_packed_path(R):
+    rng = random.Random(f"ihuge/{R!r}")
+    a = {(10 ** 6 - rng.randrange(1000), rng.randrange(10 ** 6)): coeff(rng, R)
+         for _ in range(40)}
+    b = {(rng.randrange(10 ** 6), 10 ** 6 - rng.randrange(1000)): coeff(rng, R)
+         for _ in range(40)}
+    assert len(a) * len(b) >= _PACK_MIN_PRODUCTS
+    start = time.perf_counter()
+    m, _, ia = _lower(R, a)
+    assert _kronecker(ia, _lower(R, b)[2], m) is None
+    prod = MultiPoly(R, 2, a) * MultiPoly(R, 2, b)
+    # a huge power of a sparse argument: x1^(10^6) + x2^3 at (c x1^3, x2),
+    # c = 2 t^-5 over K[t, 1/t]
+    one = R.one
+    p = MultiPoly(R, 2, {(10 ** 6, 0): one, (0, 3): one})
+    arg = MultiPoly(R, 2, {(3, 0): {-5: 2} if isinstance(R, LaurentRing) else R.from_int(2)})
+    composed = compose_many([p], [arg, MultiPoly.variable(R, 2, 1)])[0]
+    assert time.perf_counter() - start < 1.0
+    assert prod.terms == ring_mul(R, a, b)
+    assert composed == ring_compose_many([p], [arg, MultiPoly.variable(R, 2, 1)])[0]
+    assert composed.degree == 3 * 10 ** 6
+
+
+def test_negative_valuations_pack_with_an_offset():
+    # products whose every t-exponent is negative, large enough to pack
+    rng = random.Random("offset")
+    for R in (LaurentRing(Q), LaurentRing(F5)):
+        a = {(i, j): {-20 - rng.randrange(5): base_coeff(rng, R.base)}
+             for i in range(8) for j in range(8 - i)}
+        m, _, ia = _lower(R, a)
+        assert _kronecker(ia, ia, m) is not None
+        got = MultiPoly(R, 2, a) * MultiPoly(R, 2, a)
+        assert got.terms == ring_mul(R, a, a)
+        assert min(k for c in got.terms.values() for k in c) < -40
+
+
+def test_one_fraction_per_output_term_and_no_fraction_arithmetic():
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(1)
+            return super().__new__(cls, *args, **kwargs)
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic in the int kernel")
+
+    rng = random.Random("fractions")
+    a, b = (rand_poly(rng, Q, 2, 9, 3) for _ in range(2))
+    args = [rand_poly(rng, Q, 2, 3, 2) for _ in range(2)]
+    want_mul = ring_mul(Q, a.terms, b.terms)
+    want_compose = ring_compose_many([a, b], args)
+    ops = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+           "__truediv__", "__rtruediv__", "__pow__"]
+    with mock.patch.object(poly, "Fraction", Counting), \
+            mock.patch.multiple(Fraction, **{op: no_arithmetic for op in ops}):
+        prod = a * b
+        n_mul = len(made)
+        composed = compose_many([a, b], args)
+        n_compose = len(made) - n_mul
+    assert prod.terms == want_mul
+    assert 0 < n_mul <= len(prod.terms)
+    assert composed == want_compose
+    assert 0 < n_compose <= sum(len(c.terms) for c in composed)
+
+
+def test_laurent_products_and_family_compositions_skip_up_mul():
+    def refuse(*args):
+        raise AssertionError("a Laurent value multiplied by up_mul")
+
+    L = LaurentRing(F5)
+    x1, x2 = (MultiPoly.variable(L, 2, i) for i in range(2))
+    t, tinv = MultiPoly.const(L, 2, {1: 1}), MultiPoly.const(L, 2, {-1: 1})
+    f = TFamily(Endo([x1 + t * x2 ** 2, x2]), Endo([x1 - t * x2 ** 2, x2]))
+    g = TFamily(Endo([tinv * x1, t * x2 + x1 ** 3]), Endo([t * x1, tinv * x2 - t ** 2 * x1 ** 3]))
+    a, b = (x1 + tinv) ** 3, t * x2 - x1 ** 2
+    want_mul = ring_mul(L, a.terms, b.terms)
+    want_compose = ring_compose_many(f.endo.comps, g.endo.comps)
+    with mock.patch.object(rings, "up_mul", refuse):
+        prod = a * b
+        fg = f.compose(g)
+    assert prod.terms == want_mul
+    assert list(fg.endo.comps) == want_compose
+    ident = Endo.identity(L, 2)
+    assert fg.endo.compose(fg.inverse().endo) == ident

@@ -95,7 +95,9 @@ def _linear_power(f, m):
 
 @pytest.mark.parametrize("src,ring", [("(x2, -x1 + x2^2 + 1)", Q),
                                       ("(x2, -x1 + 2*x2^2 + x2)", F5),
-                                      ("(2*x1 + x2^2, 1/2*x2)", Q)])
+                                      ("(2*x1 + x2^2, 1/2*x2)", Q),
+                                      ("(x2, -x1 + x2^2 + x2)", Q),
+                                      ("(x1 + 3*x2^3 + x2, x2 + 2)", F5)])
 def test_plane_aut_power_matches_linear_compose(src, ring):
     f = plane_aut_from_endo(parse_automorphism(src, ring))
     for m in range(-3, 5):

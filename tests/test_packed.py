@@ -1,20 +1,19 @@
-"""The Kronecker-packed multiplication kernel against the dict loop.
+"""The Kronecker-packed multiplication kernel against the ring-method dict loop.
 
-MultiPoly.__mul__ packs large products over F_p and Q into one integer; its
-schoolbook dict loop, run with packing switched off, is the oracle.  Every
-case compares the two terms dicts exactly and checks that the packed result
-holds no zero coefficient.
+MultiPoly.__mul__ packs large products over F_p and Q into one integer
+(poly._kronecker on the int forms of poly._lower); the ring-method dict loop
+conftest.ring_mul is the oracle.  Every case compares the terms dicts exactly
+and checks that the packed result holds no zero coefficient.
 """
-import math
 import random
 import time
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
-from planeaut import MultiPoly, PrimeField, RationalField, parse_automorphism, poly
-from planeaut.poly import _PACK_MIN_PRODUCTS, _field_bytes, _mul_packed
+from conftest import ring_mul
+from planeaut import MultiPoly, PrimeField, RationalField, parse_automorphism
+from planeaut.poly import _PACK_MIN_PRODUCTS, _field_bytes, _kronecker, _lower, _raise
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -36,17 +35,20 @@ def rand_terms(rng, K, nvars, nterms, maxexp):
             for _ in range(nterms)}
 
 
-def _mul_dict(K, nvars, a, b):
-    """The product by MultiPoly.__mul__'s dict loop."""
-    with mock.patch.object(poly, "_PACK_MIN_PRODUCTS", math.inf):
-        return (MultiPoly(K, nvars, a) * MultiPoly(K, nvars, b)).terms
+def _mul_packed(K, a, b):
+    """The product of two term dicts by Kronecker packing of their int forms,
+    or None when the packed kernel declines them."""
+    m, da, ia = _lower(K, a)
+    _, db, ib = _lower(K, b)
+    out = _kronecker(ia, ib, m)
+    return None if out is None else _raise(K, m, da * db, out)
 
 
 def assert_kernels_agree(K, nvars, a, b):
-    """The packed kernel runs on a and b, and both kernels give one dict."""
-    packed = _mul_packed(K, nvars, a, b)
+    """The packed kernel runs on a and b and agrees with the oracle."""
+    packed = _mul_packed(K, a, b)
     assert packed is not None
-    assert packed == _mul_dict(K, nvars, a, b)
+    assert packed == ring_mul(K, a, b)
     assert not any(K.is_zero(c) for c in packed.values())
     assert (MultiPoly(K, nvars, a) * MultiPoly(K, nvars, b)).terms == packed
 
@@ -93,13 +95,13 @@ def test_inner_coefficients_cancel():
     for K in RINGS:
         geo = {(i,): K.one for i in range(n)}
         diff = {(1,): K.one, (0,): K.neg(K.one)}
-        assert _mul_packed(K, 1, diff, geo) == {(n,): K.one, (0,): K.neg(K.one)}
+        assert _mul_packed(K, diff, geo) == {(n,): K.one, (0,): K.neg(K.one)}
         assert_kernels_agree(K, 1, diff, geo)
     # over F5, (1 + x1 + x2)^12 * (1 + x1 + x2)^13 = 1 + x1^25 + x2^25: the
     # raw fields are nonzero multiples of 5 that reduce to zero
     lin = MultiPoly(F5, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
     a, b = (lin ** 12).terms, (lin ** 13).terms
-    assert _mul_packed(F5, 2, a, b) == {(0, 0): 1, (25, 0): 1, (0, 25): 1}
+    assert _mul_packed(F5, a, b) == {(0, 0): 1, (25, 0): 1, (0, 25): 1}
     assert_kernels_agree(F5, 2, a, b)
 
 
@@ -142,7 +144,7 @@ def test_sparse_huge_exponents_stay_on_dict_loop(K):
          for _ in range(40)}
     assert len(a) * len(b) >= _PACK_MIN_PRODUCTS
     start = time.perf_counter()
-    assert _mul_packed(K, 2, a, b) is None
+    assert _mul_packed(K, a, b) is None
     prod = MultiPoly(K, 2, a) * MultiPoly(K, 2, b)
     assert time.perf_counter() - start < 1.0
-    assert prod.terms == _mul_dict(K, 2, a, b)
+    assert prod.terms == ring_mul(K, a, b)
