@@ -19,7 +19,8 @@ outside SJ and every j_i outside SAff: a Henon automorphism, whose degree
 is the product of the j_i degrees.
 A map of Jacobian c is recompose(word) o s_c with s_c = (c x1, x2) in
 Aff ∩ J, so the word decides growth for every c (Jung-van der Kulk holds for
-Aut(A^2) = Aff *_(Aff ∩ J) J); plane_aut_from_endo factors once, keeps it.
+Aut(A^2) = Aff *_(Aff ∩ J) J); plane_aut_from_endo factors once, keeps it,
+and _cyclic_reduction keeps the map's cyclic reduction the same way.
 """
 
 from __future__ import annotations
@@ -388,7 +389,8 @@ def _factor(e: Endo, c) -> AmalgamWord:
 def plane_aut_from_endo(e: Endo) -> PlaneAut:
     """Validate e as a plane automorphism: factor it once as recompose(w) o s_c,
     invert it as s_c^-1 o recompose(w^-1), whose composition check certifies
-    w too, and keep w as the result's word."""
+    w too, and keep w as the result's word.  Over K[t, 1/t] every division
+    must be by a unit; LaurentRing.invert raises NotInvertibleError if not."""
     jac = e.jacobian()
     if not jac.is_constant or jac.is_zero:
         raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
@@ -484,7 +486,9 @@ def _cyclic_reduction(f: PlaneAut):
     or runs from an affine to a triangular factor, recompose(word) o s_c =
     h o f o h^-1 for c the Jacobian of f.  As F1^-1 o (F1 ... Fn o s_c) o F1
     = (F2 ... Fn o s_c F1 s_c^-1) o s_c, F1 moves to the end twisted by s_c.
-    f is algebraic exactly when len(word) <= 1."""
+    f is algebraic exactly when len(word) <= 1.  Built once, kept on f."""
+    if f.reduction is not None:
+        return f.reduction
     R, c = f.ring, f.jac
     word = _word(f)
     h = PlaneAut.identity(R)
@@ -493,7 +497,8 @@ def _cyclic_reduction(f: PlaneAut):
         h = factor_to_plane_aut(first).inverse().compose(h)
         last = first if R.eq(c, R.one) else _twist(first, c)
         word = reduce_word(AmalgamWord(R, word.factors[1:] + (last,)))
-    return word, h
+    f.reduction = (word, h)
+    return f.reduction
 
 
 def _finish_normalization(f: PlaneAut, word: AmalgamWord, h: PlaneAut):

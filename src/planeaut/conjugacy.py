@@ -39,6 +39,7 @@ from .amalgam import (
     _finish_normalization,
     factor_to_plane_aut,
     henon_invariants,
+    henon_normalize,
 )
 from .endo import PlaneAut
 from .errors import (
@@ -223,13 +224,12 @@ def normal_form(f: PlaneAut) -> NormalForm:
     composition.  Applied to a representative it returns the identity
     conjugator.  Growth is decided first: a Henon map of any Jacobian raises
     NotAlgebraicError, an algebraic one of Jacobian != 1 NotSpecialError.
+    The verified normal form is built once and kept on f.
     """
-    return _normal_form(f, _cyclic_reduction(f))
-
-
-def _normal_form(f: PlaneAut, reduction) -> NormalForm:
-    """normal_form(f) from the cyclic reduction (word, h) of f."""
+    if f.nf is not None:
+        return f.nf
     ring = f.ring
+    reduction = _cyclic_reduction(f)
     if len(reduction[0]) > 1:
         raise NotAlgebraicError("unbounded degree growth; no triangular normal form")
     if not f.is_special:
@@ -292,6 +292,7 @@ def _normal_form(f: PlaneAut, reduction) -> NormalForm:
     nf.conjugator = h
     if h.fwd.compose(f.fwd).compose(h.inv) != nf.aut.fwd:
         raise PlaneAutError("normal-form conjugation identity failed")
+    f.nf = nf
     return nf
 
 
@@ -452,12 +453,10 @@ def _family_iv_conjugator(ring, nf_f: NormalForm, nf_g: NormalForm, c) -> PlaneA
     return factor_to_plane_aut(e.compose(u))
 
 
-def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut, nf_f: NormalForm = None,
-                            nf_g: NormalForm = None) -> ConjugacyResult:
+def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
     """Three-valued conjugacy decision between algebraic special automorphisms,
-    from their normal forms where the caller has them."""
-    nf_f = normal_form(f) if nf_f is None else nf_f
-    nf_g = normal_form(g) if nf_g is None else nf_g
+    from the normal forms they keep."""
+    nf_f, nf_g = normal_form(f), normal_form(g)
     ring = f.ring
     checks = [f"normal forms {nf_f.family} / {nf_g.family}"]
 
@@ -529,18 +528,17 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut, nf_f: NormalForm = None,
     return finish("no", reason=f"distinct families {ff} and {fg}")
 
 
-def _growth(f: PlaneAut):
-    """(algebraic, reduction): bounded degree growth of f, for every Jacobian,
-    read off its cyclic reduction (word, h) as len(word) <= 1."""
-    reduction = _cyclic_reduction(f)
-    return len(reduction[0]) <= 1, reduction
+def _growth(f: PlaneAut) -> bool:
+    """Bounded degree growth of f, for every Jacobian, read off its cyclic
+    reduction (word, h) as len(word) <= 1."""
+    return len(_cyclic_reduction(f)[0]) <= 1
 
 
 def decide_conjugacy(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
     """Top-level dispatcher, covering non-algebraic inputs by invariants."""
     if f.ring != g.ring:
         raise RingMismatchError(f"conjugacy of maps over {f.ring!r} and {g.ring!r}")
-    (af, rf), (ag, rg) = _growth(f), _growth(g)
+    af, ag = _growth(f), _growth(g)
     if af != ag:
         return ConjugacyResult(
             "no", reason="one map has bounded degree growth, the other does not",
@@ -548,9 +546,9 @@ def decide_conjugacy(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
             family_g="algebraic" if ag else "Henon")
     # a map of Jacobian != 1 raises NotSpecialError only here, once growth is known
     if af:
-        return are_conjugate_algebraic(f, g, _normal_form(f, rf), _normal_form(g, rg))
-    inv_f = henon_invariants(_finish_normalization(f, *rf))
-    inv_g = henon_invariants(_finish_normalization(g, *rg))
+        return are_conjugate_algebraic(f, g)
+    inv_f = henon_invariants(henon_normalize(f))
+    inv_g = henon_invariants(henon_normalize(g))
     checks = [f"cyclic degree data {list(inv_f)} / {list(inv_g)}"]
     if inv_f != inv_g:
         return ConjugacyResult("no", reason="cyclic Jonquieres degree data differ",

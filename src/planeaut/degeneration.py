@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .poly import MultiPoly
-from .rings import MINUS_INF, FunctionField, LaurentRing, up_deg
+from .rings import MINUS_INF, FunctionField, LaurentRing, _iroot, up_deg
 
 
 class TFamily:
@@ -104,8 +104,17 @@ class TFamily:
         return TFamily(self.endo.compose(other.endo), inv, check=False)
 
     def inverse(self) -> "TFamily":
+        """The inverse family, found once and kept: plane_aut_from_endo runs
+        over K[t, 1/t] itself, whose two-sided composition check certifies
+        it; a descent that divides by a non-unit of K[t, 1/t] raises
+        NotInvertibleError there and falls back to _function_field_inverse."""
         if self._inv is None:
-            self._inv = _function_field_inverse(self)
+            if self.nvars != 2:
+                raise NotInvertibleError("generic family inversion is implemented for the plane")
+            try:
+                self._inv = plane_aut_from_endo(self.endo).inv
+            except NotInvertibleError:
+                self._inv = _function_field_inverse(self)
         return TFamily(self._inv, self.endo, check=False)
 
     def __eq__(self, other):
@@ -124,9 +133,10 @@ def lift_plane_aut(f: PlaneAut, lring: LaurentRing) -> TFamily:
 
 
 def _function_field_inverse(fam: TFamily) -> Endo:
-    """Invert over K(t) via the plane factorization, then land back in K[t,1/t]."""
-    if fam.nvars != 2:
-        raise NotInvertibleError("generic family inversion is implemented for the plane")
+    """Invert a plane family over K(t) via the plane factorization, then land
+    back in K[t,1/t]: the route of families whose K[t, 1/t] descent divides
+    by a non-unit, such as ((1+t)(x1 + x2^2) + x2, t (x1 + x2^2) + x2).  It
+    checks the inverse over K(t) and again after mapping it back."""
     L = fam.ring
     FF = FunctionField(L.base)
     lifted = fam.endo.map_coeffs(FF.from_laurent, FF)
@@ -165,9 +175,16 @@ class XAlphaSet:
                 "under_approximation": self.under_approximation}
 
 
+def _round_root(x: int, n: int) -> int:
+    """The integer nearest to the n-th root of x >= 0: the floor k, plus one
+    when x >= (k + 1/2)^n, i.e. 2^n x >= (2k + 1)^n."""
+    k = _iroot(x, n)
+    return k + (2 ** n * x >= (2 * k + 1) ** n)
+
+
 def _affine_samples(K, n, cap):
     # over F_p the first cap tuples of the product use only its first cap elements
-    size = cap if K.is_finite else max(2, round(cap ** (1.0 / n)) + 1)
+    size = cap if K.is_finite else max(2, _round_root(cap, n) + 1)
     base = list(itertools.islice(K.sample_stream(), size))
     return itertools.islice(itertools.product(base, repeat=n), cap)
 

@@ -16,9 +16,10 @@ X_f avoids I_g.  Iterating this with g = f separates two regimes:
 algebraic elements, deg(f o f) <= deg(f), and dynamically regular ones,
 deg(f o f) = deg(f)^2.  The conjugacy layer and the CLI do not iterate to
 tell them apart: they read bounded growth off the cyclically reduced factor
+word, for every Jacobian, algebraic when at most one factor is left.  The
 word that amalgam.plane_aut_from_endo stores on every PlaneAut it builds,
-for every Jacobian, algebraic when at most one factor is left.
-is_algebraic, the f o f test, is the oracle of that reading.
+its cyclic reduction and the map's normal form are each built once and kept
+on the map.  is_algebraic, the f o f test, is the oracle of that reading.
 """
 
 from __future__ import annotations
@@ -133,14 +134,18 @@ def _det(mat):
 
 
 class PlaneAut:
-    """An automorphism of the affine plane together with its inverse; word,
-    fwd = recompose(word) o (jac x1, x2), is set by its first factorization
-    (amalgam.plane_aut_from_endo, or amalgam._word for a composed map).
+    """An automorphism of the affine plane together with its inverse.
+
+    A map keeps what is derived from it the first time it is built: word,
+    fwd = recompose(word) o (jac x1, x2), by its first factorization
+    (amalgam.plane_aut_from_endo, or amalgam._word for a composed map);
+    reduction, its cyclic reduction (word, h) (amalgam._cyclic_reduction);
+    nf, its verified normal form (conjugacy.normal_form).
     The Jacobian of an automorphism is a constant, so jac is its value at the
     origin, read off the linear part of fwd; verify=False trusts the caller
     that fwd is an automorphism."""
 
-    __slots__ = ("fwd", "inv", "jac", "word")
+    __slots__ = ("fwd", "inv", "jac", "word", "reduction", "nf")
 
     def __init__(self, fwd: Endo, inv: Endo, *, verify: bool = True):
         if fwd.nvars != 2:
@@ -160,7 +165,7 @@ class PlaneAut:
             # equal in dimension 2 for every genuine automorphism
             raise NotInvertibleError("degree of forward and inverse differ")
         self.jac = jac
-        self.word = None
+        self.word = self.reduction = self.nf = None
 
     @classmethod
     def identity(cls, ring):

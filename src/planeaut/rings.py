@@ -11,8 +11,9 @@ keeps the polynomial layer fast while staying exact (no floats anywhere).
                         dicts over F, den monic, gcd(num, den) = 1
 
 LaurentRing models K[t, 1/t]; FunctionField models K(t) and exists only so
-that automorphisms with Laurent coefficients can be inverted by factoring
-over a genuine field and checking the result back into K[t, 1/t].
+that an automorphism with Laurent coefficients whose factorization divides
+by a non-unit of K[t, 1/t] can be inverted by factoring over a genuine field
+and checking the result back into K[t, 1/t].
 
 Ring contract, besides the arithmetic methods (add, neg, mul, invert, pow,
 is_zero, ...):
@@ -635,8 +636,9 @@ def up_to_str(F, a, var="t"):
 class FunctionField:
     """K(t) as normalized (num, den) pairs of univariate dicts over K.
 
-    Internal only: used to invert Laurent-coefficient automorphisms by
-    working over a field, then checking the result back into K[t,1/t].
+    Internal only: used to invert a Laurent-coefficient automorphism whose
+    factorization over K[t,1/t] divides by a non-unit, by working over a
+    field, then checking the result back into K[t,1/t].
     """
 
     is_finite = False

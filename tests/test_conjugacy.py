@@ -31,7 +31,7 @@ from planeaut import (
     solve_scalar_power_system,
     verify_conjugacy_certificate,
 )
-from planeaut.amalgam import factor_to_plane_aut
+from planeaut.amalgam import AffineFactor, _cyclic_reduction, factor_to_plane_aut
 from planeaut.conjugacy import ConjugacyResult, _growth, are_conjugate_algebraic
 from planeaut.rings import up_add, up_eval
 from conftest import (
@@ -403,7 +403,7 @@ def test_growth_of_scaled_maps_matches_iterates(K):
         s_c = Endo([x1.scale(f.jac), x2])
         assert not f.is_special
         assert f.word.recompose().compose(s_c) == f.fwd
-        algebraic, (word, h) = _growth(f)
+        algebraic, (word, h) = _growth(f), _cyclic_reduction(f)
         assert algebraic == is_algebraic(f), str(f)
         kinds.add(algebraic)
         assert word.recompose().compose(s_c) == h.compose(f).compose(h.inverse()).fwd
@@ -455,6 +455,73 @@ def test_composed_map_is_factored_once(no_iterates_on_special_maps):
     henon_normalize(g)
     assert len(no_iterates_on_special_maps) == 1
     assert g.word.recompose() == g.fwd
+
+
+@pytest.fixture
+def normalizations(monkeypatch):
+    """Calls of amalgam.reduce_word (each step of a cyclic reduction) and of
+    _finish_normalization (the start of every normal form and Henon form),
+    in every module that binds them."""
+    calls = {"reduce_word": 0, "_finish_normalization": 0}
+    for mod, name in ((planeaut.amalgam, "reduce_word"),
+                      (planeaut.amalgam, "_finish_normalization"),
+                      (planeaut.conjugacy, "_finish_normalization")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _conjugated_pair(rep, K, seed):
+    """Texts of h1 o rep o h1^-1 and h2 o rep o h2^-1, h1 and h2 affine and
+    not triangular, so that each word takes a cyclic reduction step."""
+    rng = random.Random(f"{SEED}/{seed}")
+    f = aut(rep, K)
+    h1, h2 = (factor_to_plane_aut(AffineFactor.rotation(K).compose(rand_affine(rng, K)))
+              for _ in range(2))
+    return tuple(str(h.compose(f).compose(h.inverse())) for h in (h1, h2))
+
+
+def _reduction_steps(normalizations, K, *texts):
+    """reduce_word calls of one cyclic reduction of each map, fresh."""
+    maps = [aut(src, K) for src in texts]
+    normalizations["reduce_word"] = 0
+    for m in maps:
+        _cyclic_reduction(m)
+    return normalizations["reduce_word"]
+
+
+@pytest.mark.parametrize("rep,K,verdict", [
+    ("(x1 + x2^2 + 1, x2)", Q, "yes"),
+    ("(2*x1 + x2^2, 3*x2)", F5, "yes"),
+    ("(x1 + x2^2, x2 + 1)", F3, "yes"),
+], ids=["II-Q", "I-F5", "IV-F3"])
+def test_normal_form_then_decide_normalizes_each_map_once(rep, K, verdict, normalizations):
+    src_f, src_g = _conjugated_pair(rep, K, rep)
+    once = _reduction_steps(normalizations, K, src_f, src_g)
+    f, g = aut(src_f, K), aut(src_g, K)
+    assert _reduction_steps(normalizations, K, src_f) > 0
+    normalizations.update(reduce_word=0, _finish_normalization=0)
+    nf = normal_form(f)
+    res = decide_conjugacy(f, g)
+    assert normalizations == {"reduce_word": once, "_finish_normalization": 2}
+    assert normal_form(f) is nf and res.verdict == verdict
+    assert nf.describe() == normal_form(aut(src_f, K)).describe()
+    assert res.describe() == decide_conjugacy(aut(src_f, K), aut(src_g, K)).describe()
+
+
+def test_henon_normalize_then_decide_reduces_each_map_once(normalizations):
+    src_f, src_g = _conjugated_pair("(x2, -x1 + x2^2 + 1)", Q, "henon")
+    once = _reduction_steps(normalizations, Q, src_f, src_g)
+    assert _reduction_steps(normalizations, Q, src_f) > 0
+    f, g = aut(src_f), aut(src_g)
+    normalizations["reduce_word"] = 0
+    degs = henon_invariants(henon_normalize(f))
+    res = decide_conjugacy(f, g)
+    assert normalizations["reduce_word"] == once
+    assert degs == (2,) and res.verdict == "unknown"
+    assert res.describe() == decide_conjugacy(aut(src_f), aut(src_g)).describe()
 
 
 def test_jvdk_factor_reads_the_stored_jacobian(monkeypatch):

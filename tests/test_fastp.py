@@ -160,11 +160,22 @@ def _family_i_iii_conjugate(rng, K):
 @pytest.mark.parametrize("p", [5, 7, 13, 31, 101])
 def test_normal_form_order_matches_full_scan(p, monkeypatch):
     K = PrimeField(p)
-    rng = random.Random(9000 + p)
-    maps = [_family_i_iii_conjugate(rng, K) for _ in range(20)]
-    fast = [normal_form(f) for f in maps]
-    monkeypatch.setattr(conjugacy, "_mult_order", _old_mult_order)
-    slow = [normal_form(f) for f in maps]
+    # each pass builds its maps from the seed: a map keeps its normal form,
+    # so the second pass must not see the first pass's maps
+    def maps():
+        rng = random.Random(9000 + p)
+        return [_family_i_iii_conjugate(rng, K) for _ in range(20)]
+
+    fast = [normal_form(f) for f in maps()]
+    consulted = []
+
+    def old_mult_order(ring, a, bound):
+        consulted.append(a)
+        return _old_mult_order(ring, a, bound)
+
+    monkeypatch.setattr(conjugacy, "_mult_order", old_mult_order)
+    slow = [normal_form(f) for f in maps()]
+    assert len(consulted) == len(slow)
     families = set()
     for a, b in zip(fast, slow):
         families.add(a.family)

@@ -23,7 +23,7 @@ from planeaut import (
     plane_aut_from_endo,
 )
 from planeaut.cli import _nonzero_samples
-from planeaut.degeneration import _affine_samples
+from planeaut.degeneration import _affine_samples, _round_root
 from planeaut.endo import _infinity_ladder
 from planeaut.poly import compose_many
 from planeaut.rings import power, up_mul
@@ -190,6 +190,14 @@ def test_affine_samples_match_full_enumeration(p):
         for cap in (1, 4, 25, 100):
             got = list(_affine_samples(K, n, cap))
             assert got == _full_enumeration_samples(elements, n, cap), (n, cap)
+
+
+def test_round_root_matches_the_float_rounding():
+    """The samples per coordinate over Q, the nearest integer to cap^(1/n),
+    without a float: the float formula it replaced is the oracle."""
+    for n in range(1, 7):
+        for cap in range(5001):
+            assert _round_root(cap, n) == round(cap ** (1.0 / n)), (cap, n)
 
 
 def test_readme_entry_points_import_from_the_package():
