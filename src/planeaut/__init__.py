@@ -74,7 +74,6 @@ from .parsing import parse_automorphism, parse_polynomial
 from .poly import MultiPoly
 from .rings import (
     MINUS_INF,
-    FunctionField,
     LaurentRing,
     PrimeField,
     RationalField,

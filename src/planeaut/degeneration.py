@@ -25,6 +25,7 @@ from .amalgam import JonquieresFactor, factor_to_plane_aut, plane_aut_from_endo
 from .conjugacy import _mult_order, expand_family_poly
 from .endo import Endo, InfinityPoint, PlaneAut, indeterminacy_point
 from .errors import (
+    NonUnitError,
     NoPoleError,
     NotInvertibleError,
     PlaneAutError,
@@ -33,7 +34,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .poly import MultiPoly
-from .rings import MINUS_INF, FunctionField, LaurentRing, _iroot, up_deg
+from .rings import MINUS_INF, LaurentRing, _iroot, up_deg
 
 
 class TFamily:
@@ -107,14 +108,19 @@ class TFamily:
         """The inverse family, found once and kept: plane_aut_from_endo runs
         over K[t, 1/t] itself, whose two-sided composition check certifies
         it; a descent that divides by a non-unit of K[t, 1/t] raises
-        NotInvertibleError there and falls back to _function_field_inverse."""
+        NonUnitError there and falls back to _formal_inverse, the family's
+        formal inverse over K[t, 1/t].  If that fails its composition check
+        too, the descent's error stands.  Any other descent error is the
+        same over K(t), so no inverse exists and it stands at once."""
         if self._inv is None:
             if self.nvars != 2:
                 raise NotInvertibleError("generic family inversion is implemented for the plane")
             try:
                 self._inv = plane_aut_from_endo(self.endo).inv
-            except NotInvertibleError:
-                self._inv = _function_field_inverse(self)
+            except NonUnitError:
+                self._inv = _formal_inverse(self.endo)
+                if self._inv is None:
+                    raise
         return TFamily(self._inv, self.endo, check=False)
 
     def __eq__(self, other):
@@ -132,26 +138,67 @@ def lift_plane_aut(f: PlaneAut, lring: LaurentRing) -> TFamily:
     return TFamily(lift_endo(f.fwd, lring), lift_endo(f.inv, lring), check=False)
 
 
-def _function_field_inverse(fam: TFamily) -> Endo:
-    """Invert a plane family over K(t) via the plane factorization, then land
-    back in K[t,1/t]: the route of families whose K[t, 1/t] descent divides
-    by a non-unit, such as ((1+t)(x1 + x2^2) + x2, t (x1 + x2^2) + x2).  It
-    checks the inverse over K(t) and again after mapping it back."""
-    L = fam.ring
-    FF = FunctionField(L.base)
-    lifted = fam.endo.map_coeffs(FF.from_laurent, FF)
-    aut = plane_aut_from_endo(lifted)
+def _truncate(p: MultiPoly, k: int) -> MultiPoly:
+    """p without its terms of degree above k."""
+    return MultiPoly(p.ring, p.nvars, {e: c for e, c in p.terms.items() if sum(e) <= k},
+                     _clean=False)
 
-    def back(a):
-        lau = FF.to_laurent(a)
-        if lau is None:
-            raise NotInvertibleError("inverse leaves K[t,1/t]; not a family automorphism")
-        return lau
 
-    inv = aut.inv.map_coeffs(back, L)
-    ident = Endo.identity(L, 2)
-    if fam.endo.compose(inv) != ident or inv.compose(fam.endo) != ident:
-        raise NotInvertibleError("function-field inverse fails over K[t,1/t]")
+def _formal_inverse(e: Endo):
+    """The inverse of a plane family over K[t, 1/t] as the truncation of its
+    formal inverse, or None when e is no automorphism: e at t = 1 fails the
+    descent over K, or the result fails the two-sided composition check.
+
+    With F0 = e - e(0) = L x + H, H of order >= 2, the iteration
+    G <- L^-1 (x - H(G)), truncated to degree k for k = 2..d, d = deg e,
+    gives F0^-1 up to degree d, which is all of it: a plane automorphism
+    over a domain whose Jacobian c is a unit has an inverse of degree <= d,
+    and L^-1 divides only by c (Bass, Connell and Wright, "The Jacobian
+    conjecture: reduction of degree and formal expansion of the inverse",
+    Bull. AMS 1982).  The inverse of e is then G(x - e(0)); G is truncated
+    in the centred variables, before that shift."""
+    jac = e.jacobian()
+    if not jac.is_constant or jac.is_zero:
+        raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
+    R, c = e.ring, jac.constant_value()
+    if len(c) != 1:
+        raise NotInvertibleError("inverse leaves K[t,1/t]; not a family automorphism")
+    # e at t = 1 is an automorphism of K^2 if e is one of K[t, 1/t]^2; the
+    # descent over the field K checks that at once, and spares most
+    # non-automorphisms the iteration, whose terms they let grow
+    try:
+        plane_aut_from_endo(TFamily(e).specialize(R.base.one))
+    except NotInvertibleError:
+        return None
+    ci = R.invert(c)
+    ident = Endo.identity(R, 2)
+    x = ident.comps
+    # the entries of L over c
+    (l11, l12), (l21, l22) = ([R.mul(p.coeff(m), ci) for m in ((1, 0), (0, 1))]
+                              for p in e.comps)
+    H = [MultiPoly(R, 2, {m: v for m, v in p.terms.items() if sum(m) >= 2}, _clean=False)
+         for p in e.comps]
+
+    def solve(u, v):
+        """L^-1 (u, v), L^-1 being the adjugate of L over c."""
+        return [u.scale(l22) - v.scale(l12), v.scale(l11) - u.scale(l21)]
+
+    zero, one = MultiPoly.zero(R, 2), MultiPoly.const(R, 2, R.one)
+    G = solve(*x)
+    for k in range(2, e.degree + 1):
+        # G has no constant term, so G_1^i G_2^j has no term below degree
+        # i + j, and the terms of H with i + j > k add nothing
+        pw = [[one] for _ in G]
+        for g, row in zip(G, pw):
+            while len(row) <= k:
+                row.append(_truncate(row[-1] * g, k))
+        HG = [sum((_truncate(pw[0][i] * pw[1][j], k).scale(v)
+                   for (i, j), v in h.terms.items() if i + j <= k), zero) for h in H]
+        G = solve(x[0] - HG[0], x[1] - HG[1])
+    shift = [xi - MultiPoly.const(R, 2, p.constant_value()) for xi, p in zip(x, e.comps)]
+    inv = Endo(G).compose(Endo(shift))
+    if e.compose(inv) != ident or inv.compose(e) != ident:
+        return None
     return inv
 
 

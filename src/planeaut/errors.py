@@ -48,6 +48,11 @@ class NotInvertibleError(PlaneAutError):
     """Map is not invertible over the coefficient ring in use."""
 
 
+class NonUnitError(NotInvertibleError):
+    """Division by a non-unit of K[t, 1/t]; a family's descent can stop on
+    this alone while its inverse exists over K[t, 1/t]."""
+
+
 class NotSpecialError(PlaneAutError):
     """Operation requires Jacobian determinant exactly 1."""
 

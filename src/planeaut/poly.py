@@ -18,8 +18,8 @@ F_p the terms as they are, m = p; over Q the numerators over the common
 denominator den, m = 0; over K[t, 1/t] the t-exponent appended as one more
 exponent slot, which may be negative.  _raise turns an int result back with
 one % p or one Fraction(v, den) per output term, Laurent terms regrouped by
-their x-exponents.  Only FunctionField values do not lower; there the same
-code runs on the ring's own methods (_rmul).
+their x-exponents.  Every ring in rings.py lowers, so MultiPoly has no
+product path on ring methods.
 
 _imul, the one int product, has two kernels with equal results.  The dict
 loop pairs every term of one factor with every term of the other, sums the
@@ -62,7 +62,6 @@ from .rings import (
     MINUS_INF,
     LaurentRing,
     PrimeField,
-    RationalField,
     power,
     up_add,
     up_neg,
@@ -184,10 +183,7 @@ class MultiPoly:
             # F_p terms are their own int form, and _imul's reduced result
             # is already the raised one
             return MultiPoly(R, self.nvars, _imul(self.terms, other.terms, R.p), _clean=False)
-        low = _lower(R, self.terms)
-        if low is None:
-            return MultiPoly(R, self.nvars, _rmul(R, self.terms, other.terms), _clean=False)
-        m, da, a = low
+        m, da, a = _lower(R, self.terms)
         _, db, b = _lower(R, other.terms)
         return MultiPoly(R, self.nvars, _raise(R, m, da * db, _imul(a, b, m)), _clean=False)
 
@@ -201,10 +197,7 @@ class MultiPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         R = self.ring
-        low = _lower(R, self.terms)
-        if low is None:
-            return power(self, n, operator.mul, MultiPoly.const(R, self.nvars, R.one))
-        m, den, a = low
+        m, den, a = _lower(R, self.terms)
         one = {(0,) * (self.nvars + (type(R) is LaurentRing)): 1}
         return MultiPoly(R, self.nvars,
                          _raise(R, m, den ** n, power(a, n, functools.partial(_imul, m=m), one)),
@@ -269,11 +262,10 @@ class MultiPoly:
 def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
     """[p.compose(args) for p in polys], building each argument power once.
 
-    Over a ring _lower takes, the table holds int forms, and the term c x^e
-    of p adds c D^(top - e) times the image of x^e, D the argument
-    denominators and top the largest exponents of p, so every output shares
-    the denominator d_p D^top; a Laurent term c t^k shifts the image's last
-    slot by k.  Over any other ring the same table holds ring values."""
+    The table holds int forms, and the term c x^e of p adds c D^(top - e)
+    times the image of x^e, D the argument denominators and top the largest
+    exponents of p, so every output shares the denominator d_p D^top; a
+    Laurent term c t^k shifts the image's last slot by k."""
     nvars = len(args)
     for p in polys:
         if p.nvars != nvars:
@@ -284,17 +276,11 @@ def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
     if any(x.ring is not R and x.ring != R for x in (*polys, *args)):
         raise RingMismatchError("substitution over a different ring")
     nv = args[0].nvars
-    # m stays None over a ring _lower does not take, and dens is empty when
-    # every argument has denominator 1
-    m, dens, bases = None, (), [a.terms for a in args]
-    if (low := [_lower(R, b) for b in bases])[0] is not None:
-        ms, dens, bases = zip(*low)
-        m, dens = ms[0], dens if math.prod(dens) != 1 else ()
-    laurent = m is not None and type(R) is LaurentRing
-    if m is None:
-        mul, one = functools.partial(_rmul, R), {(0,) * nv: R.one}
-    else:
-        mul, one = functools.partial(_imul, m=m), {(0,) * (nv + laurent): 1}
+    # dens is empty when every argument has denominator 1
+    ms, dens, bases = zip(*(_lower(R, a.terms) for a in args))
+    m, dens = ms[0], dens if math.prod(dens) != 1 else ()
+    laurent = type(R) is LaurentRing
+    mul, one = functools.partial(_imul, m=m), {(0,) * (nv + laurent): 1}
     monos = {}
     for p in polys:
         monos.update(dict.fromkeys(p.terms))
@@ -313,9 +299,7 @@ def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
         powers.append(table)
     out = []
     for p in polys:
-        den, P = 1, p.terms
-        if m is not None:
-            _, den, P = _lower(R, P)
+        _, den, P = _lower(R, p.terms)
         if dens:
             top = [max(col) for col in zip(*p.terms)]
             den *= math.prod(map(pow, dens, top))
@@ -333,37 +317,25 @@ def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
                     if j:
                         term = table[j] if term is one else mul(term, table[j])
                 monos[e] = term
-            if m is None:
-                for te, tc in term.items():
-                    acc[te] = R.add(acc[te], R.mul(c, tc)) if te in acc else R.mul(c, tc)
-            else:
-                for te, tc in term.items():
-                    if laurent and k:
-                        te = (*te[:-1], te[-1] + k)
-                    acc[te] = acc.get(te, 0) + c * tc
+            for te, tc in term.items():
+                if laurent and k:
+                    te = (*te[:-1], te[-1] + k)
+                acc[te] = acc.get(te, 0) + c * tc
         out.append(MultiPoly(R, nv, _raise(R, m, den, acc), _clean=False))
     return out
 
 
 def _lower(R, terms):
     """The int form (m, den, flat) of a term dict over F_p, Q or K[t, 1/t]
-    with K one of those, or None over any other ring: flat holds ints, the
-    terms are {e: v / den} mod m (m = p over F_p, 0 over Q), and a Laurent
-    coefficient's t-exponent is one more slot at the end of e.  Over F_p the
-    ints are the terms as they are, maybe outside range(p)."""
+    with K one of those: flat holds ints, the terms are {e: v / den} mod m
+    (m = p over F_p, 0 over Q), and a Laurent coefficient's t-exponent is
+    one more slot at the end of e.  Over F_p the ints are the terms as they
+    are, maybe outside range(p)."""
+    if type(R) is LaurentRing:
+        terms = {(*e, k): c for e, lc in terms.items() for k, c in lc.items()}
+        R = R.base
     if type(R) is PrimeField:
         return R.p, 1, terms
-    base = R.base if type(R) is LaurentRing else R
-    if type(base) is PrimeField:
-        m = base.p
-    elif type(base) is RationalField:
-        m = 0
-    else:
-        return None
-    if base is not R:
-        terms = {(*e, k): c for e, lc in terms.items() for k, c in lc.items()}
-    if m:
-        return m, 1, terms
     den = math.lcm(*(c.denominator for c in terms.values()))
     return 0, den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
@@ -371,11 +343,9 @@ def _lower(R, terms):
 def _raise(R, m, den, flat):
     """The term dict over R of the int form (m, den, flat): one v % m or one
     Fraction(v, den) per nonzero term, Laurent terms regrouped by their
-    x-exponents.  m = None means flat holds ring values; only zeros go."""
+    x-exponents."""
     if m:
         flat = {e: r for e, v in flat.items() if (r := v % m)}
-    elif m is None:
-        return {e: v for e, v in flat.items() if not R.is_zero(v)}
     else:
         flat = {e: Fraction(v, den) for e, v in flat.items() if v}
     if type(R) is not LaurentRing:
@@ -408,21 +378,6 @@ def _imul(a, b, m):
     if m:
         return {e: r for e, v in out.items() if (r := v % m)}
     return {e: v for e, v in out.items() if v}
-
-
-def _rmul(R, a, b):
-    """The product of two term dicts by R's own methods, over the rings that
-    _lower does not take."""
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(operator.add, ea, eb))
-            s = R.add(out[e], R.mul(ca, cb)) if e in out else R.mul(ca, cb)
-            if R.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
 
 
 def _kronecker(a, b, m):

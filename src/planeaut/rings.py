@@ -7,13 +7,11 @@ keeps the polynomial layer fast while staying exact (no floats anywhere).
     RationalField       values are fractions.Fraction
     PrimeField(p)       values are int in range(p), p prime
     LaurentRing(F)      values are dict {t-exponent: F-value}, no zero entries
-    FunctionField(F)    values are (num, den) pairs of univariate coefficient
-                        dicts over F, den monic, gcd(num, den) = 1
 
-LaurentRing models K[t, 1/t]; FunctionField models K(t) and exists only so
-that an automorphism with Laurent coefficients whose factorization divides
-by a non-unit of K[t, 1/t] can be inverted by factoring over a genuine field
-and checking the result back into K[t, 1/t].
+LaurentRing models K[t, 1/t] with K = Q or F_p; no ring here models K(t).
+A family over K[t, 1/t] whose Jung-van der Kulk descent divides by a
+non-unit is inverted by its formal inverse, which divides only by the
+Jacobian (degeneration._formal_inverse).
 
 Ring contract, besides the arithmetic methods (add, neg, mul, invert, pow,
 is_zero, ...):
@@ -29,10 +27,10 @@ poly.MultiPoly uses them on exponent tuples; mul adds keys with +, so it
 needs int exponents (+ concatenates tuples).  MultiPoly products, powers
 and compositions over Q, F_p and K[t, 1/t] run on poly.py's int kernel,
 never through up_mul.  power(x, n, mul, one) is the one repeated-squaring
-routine, behind LaurentRing.pow, FunctionField.pow, MultiPoly.__pow__ and
-the gap powers of poly.compose_many (both on the int kernel's term dicts),
-Endo.power and the Cantor-Zassenhaus split of PrimeField.nth_roots and
-roots; Q and F_p use Python's own ** and pow.  PlaneAut.power composes
+routine, behind LaurentRing.pow, MultiPoly.__pow__ and the gap powers of
+poly.compose_many (both on the int kernel's term dicts), Endo.power and the
+Cantor-Zassenhaus split of PrimeField.nth_roots and roots; Q and F_p use
+Python's own ** and pow.  PlaneAut.power composes
 f o f^k instead, which keeps the substituted arguments at deg f.
 
 up_shift(F, P, a, b) = P(a x + b), a != 0, is the one univariate
@@ -68,6 +66,7 @@ from fractions import Fraction
 
 from .errors import (
     FieldExtensionRequiredError,
+    NonUnitError,
     NotInvertibleError,
     PoleAtZeroError,
     UnsupportedFieldError,
@@ -438,7 +437,7 @@ class LaurentRing:
 
     def invert(self, a):
         if len(a) != 1:
-            raise NotInvertibleError("not a unit of K[t,1/t]")
+            raise NonUnitError("not a unit of K[t,1/t]")
         ((e, c),) = a.items()
         return {-e: self.base.invert(c)}
 
@@ -631,149 +630,6 @@ def up_to_str(F, a, var="t"):
         c = F.to_str(a[e])
         parts.append(c if e == 0 else (f"{c}*{var}" if e == 1 else f"{c}*{var}^{e}"))
     return " + ".join(parts)
-
-
-class FunctionField:
-    """K(t) as normalized (num, den) pairs of univariate dicts over K.
-
-    Internal only: used to invert a Laurent-coefficient automorphism whose
-    factorization over K[t,1/t] divides by a non-unit, by working over a
-    field, then checking the result back into K[t,1/t].
-    """
-
-    is_finite = False
-
-    def __init__(self, base):
-        self.base = base
-        self.characteristic = base.characteristic
-        self.zero = ({}, {0: base.one})
-        self.one = ({0: base.one}, {0: base.one})
-
-    def _norm(self, num, den):
-        F = self.base
-        if not num:
-            return ({}, {0: F.one})
-        if not den:
-            raise ZeroDivisionError("zero denominator in K(t)")
-        g = up_gcd_monic(F, num, den)
-        if up_deg(F, g) != 0 or not F.eq(g.get(0, F.zero), F.one):
-            num = up_divmod(F, num, g)[0]
-            den = up_divmod(F, den, g)[0]
-        lead = den[up_deg(F, den)]
-        if not F.eq(lead, F.one):
-            inv = F.invert(lead)
-            num = up_scale(F, num, inv)
-            den = up_scale(F, den, inv)
-        return (num, den)
-
-    def add(self, a, b):
-        F = self.base
-        return self._norm(
-            up_add(F, up_mul(F, a[0], b[1]), up_mul(F, b[0], a[1])),
-            up_mul(F, a[1], b[1]),
-        )
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        return (up_neg(self.base, a[0]), a[1])
-
-    def mul(self, a, b):
-        F = self.base
-        return self._norm(up_mul(F, a[0], b[0]), up_mul(F, a[1], b[1]))
-
-    def is_zero(self, a):
-        return not a[0]
-
-    def eq(self, a, b):
-        return a == b
-
-    def from_int(self, n: int):
-        c = self.base.from_int(n)
-        if self.base.is_zero(c):
-            return self.zero
-        return ({0: c}, {0: self.base.one})
-
-    def invert(self, a):
-        if not a[0]:
-            raise NotInvertibleError("division by zero in K(t)")
-        return self._norm(a[1], a[0])
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.invert(a), -n)
-        return power(a, n, self.mul, self.one)
-
-    def from_laurent(self, a: dict):
-        v = min(a) if a else 0
-        if v < 0:
-            return self._norm({e - v: c for e, c in a.items()}, {-v: self.base.one})
-        return self._norm(dict(a), {0: self.base.one})
-
-    def to_laurent(self, a):
-        """Back to a K[t,1/t] value, or None if the denominator is not a monomial."""
-        num, den = a
-        if not num:
-            return {}
-        if len(den) != 1:
-            return None
-        ((e, c),) = den.items()
-        inv = self.base.invert(c)
-        return {k - e: self.base.mul(x, inv) for k, x in num.items()}
-
-    def pth_root(self, a):
-        p = self.characteristic
-        if p == 0:
-            raise UnsupportedFieldError("no Frobenius over characteristic 0")
-        out = []
-        for part in a:
-            if any(e % p for e in part):
-                raise FieldExtensionRequiredError("p-th root leaves K(t)")
-            out.append({e // p: self.base.pth_root(c) for e, c in part.items()})
-        return self._norm(out[0], out[1])
-
-    def sample_stream(self):
-        """Infinitely many distinct values; over a finite base, polynomials in t
-        enumerated by base-p digits, since from_int alone cycles mod p."""
-        if not self.base.is_finite:
-            n = 0
-            while True:
-                yield self.from_int(n)
-                n += 1
-        else:
-            p = self.base.characteristic
-            n = 0
-            while True:
-                num, k, m = {}, 0, n
-                while m:
-                    if m % p:
-                        num[k] = self.base.from_int(m % p)
-                    m //= p
-                    k += 1
-                yield (num, {0: self.base.one}) if num else self.zero
-                n += 1
-
-    def split_sign(self, a):
-        return (False, a)
-
-    def to_str(self, a):
-        F = self.base
-        if len(a[1]) == 1 and 0 in a[1]:
-            return up_to_str(F, a[0])
-        return f"({up_to_str(F, a[0])})/({up_to_str(F, a[1])})"
-
-    def needs_parens(self, a):
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, FunctionField) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("K(t)", self.base))
-
-    def __repr__(self):
-        return f"{self.base!r}(t)"
 
 
 def field_from_name(name: str):

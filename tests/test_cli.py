@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from planeaut.cli import main
+from planeaut.degeneration import TFamily
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,6 +42,30 @@ def test_json_outputs_are_single_objects():
     for name in CASES:
         doc = json.loads((GOLDEN / f"{name}.json").read_text())
         assert set(doc) == {"verdict", "data", "checks"}
+
+
+# -- t-families -------------------------------------------------------------
+
+NON_TAME = "((1+t)*(x1 + x2^2) + x2, t*(x1 + x2^2) + x2)"
+NON_TAME_INVERSE = ("(-t^2*x1^2 + (2*t^2 + 2*t)*x1*x2 + (-t^2 - 2*t - 1)*x2^2 + x1 - x2, "
+                    "-t*x1 + (t + 1)*x2)")
+
+
+def test_family_inverse_text_and_json(capsys):
+    assert main(["inverse", NON_TAME]) == 0
+    assert capsys.readouterr().out == (
+        f"verdict: ok\ninverse: {NON_TAME_INVERSE}\ncheck composition: true\n")
+    assert main(["inverse", NON_TAME, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "ok", "data": {"inverse": NON_TAME_INVERSE},
+        "checks": {"composition": True}}
+
+
+def test_family_inverse_composition_is_computed(monkeypatch, capsys):
+    # a wrong inverse must show in the check, not a fixed true
+    monkeypatch.setattr(TFamily, "inverse", lambda self: self)
+    assert main(["inverse", NON_TAME, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == {"composition": False}
 
 
 # -- exit codes --------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""TFamily.inverse over K[t, 1/t] against the K(t) route it falls back to.
+"""TFamily.inverse over K[t, 1/t]: the descent against the formal inverse.
 
 A family whose Jung-van der Kulk descent divides only by units of K[t, 1/t]
 is inverted by plane_aut_from_endo over K[t, 1/t] itself; every other family
-goes through _function_field_inverse, which factors over K(t).  That route is
-the oracle here: both must give the same inverse, and the errors of
+goes through _formal_inverse, the truncated formal inverse, which divides
+only by the Jacobian.  Both compute the family's inverse over the function
+field K(t), which is unique, so they must agree; the specializations
+t = c, c in K*, inverted over K, are the independent oracle.  The errors of
 non-automorphisms keep their text."""
 import random
 from unittest import mock
@@ -12,7 +14,6 @@ import pytest
 
 from planeaut import (
     Endo,
-    FunctionField,
     LaurentRing,
     MultiPoly,
     NotInvertibleError,
@@ -25,7 +26,7 @@ from planeaut import (
     x_alpha,
 )
 from planeaut import degeneration
-from planeaut.degeneration import _function_field_inverse, lift_endo
+from planeaut.degeneration import _formal_inverse, lift_endo
 from conftest import SEED, rand_affine, rand_scalar
 
 Q = RationalField()
@@ -37,16 +38,31 @@ NON_TAME = "((1+t)*(x1 + x2^2) + x2, t*(x1 + x2^2) + x2)"
 
 
 @pytest.fixture
-def inversion_rings(monkeypatch):
-    """The ring of every map plane_aut_from_endo factors for degeneration."""
-    rings, factor = [], plane_aut_from_endo
+def inversion_route(monkeypatch):
+    """The ring of every map plane_aut_from_endo factors for degeneration,
+    and "formal" for every _formal_inverse call; the formal inverse first
+    factors the family at t = 1, over K."""
+    route, factor, formal = [], plane_aut_from_endo, _formal_inverse
 
-    def spy(e):
-        rings.append(e.ring)
+    def spy_factor(e):
+        route.append(e.ring)
         return factor(e)
 
-    monkeypatch.setattr(degeneration, "plane_aut_from_endo", spy)
-    return rings
+    def spy_formal(e):
+        route.append("formal")
+        return formal(e)
+
+    monkeypatch.setattr(degeneration, "plane_aut_from_endo", spy_factor)
+    monkeypatch.setattr(degeneration, "_formal_inverse", spy_formal)
+    return route
+
+
+def _assert_specializations_invert(fam, inv):
+    """inv(c) is the inverse of fam(c), inverted over K, for c in K*."""
+    K = fam.base
+    for c in {K.from_int(n) for n in (1, 2, 3)} - {K.zero}:
+        want = plane_aut_from_endo(fam.specialize(c)).inv
+        assert TFamily(inv, check=False).specialize(c) == want, (str(fam), c)
 
 
 def _diag(L, k):
@@ -84,27 +100,29 @@ def _families(K):
 
 
 @pytest.mark.parametrize("K", [Q, F2, F5, F1000003], ids=repr)
-def test_laurent_inverse_matches_the_function_field_route(K, inversion_rings):
+def test_laurent_inverse_matches_the_function_field_route(K, inversion_route):
+    """Both routes to the inverse over K(t) agree on every seeded family."""
     L = LaurentRing(K)
     ident = Endo.identity(L, 2)
     for fam, units in _families(K):
-        inversion_rings.clear()
+        inversion_route.clear()
         inv = fam.inverse().endo
-        assert inversion_rings[0] == L
+        assert inversion_route in ([L], [L, "formal", K]), str(fam)
         if units:
-            assert inversion_rings == [L], str(fam)
-        assert inv == _function_field_inverse(fam), str(fam)
+            assert inversion_route == [L], str(fam)
+        assert inv == _formal_inverse(fam.endo), str(fam)
         assert fam.endo.compose(inv) == ident and inv.compose(fam.endo) == ident
+        _assert_specializations_invert(fam, inv)
 
 
 @pytest.mark.parametrize("K", [Q, F5], ids=repr)
-def test_non_unit_descent_falls_back_to_the_function_field(K, inversion_rings):
+def test_non_unit_descent_falls_back_to_the_function_field(K, inversion_route):
+    """The descent over K[t, 1/t] divides by a non-unit, so the inverse over
+    K(t) comes from the formal inverse, and lies in K[t, 1/t]."""
     fam = parse_automorphism(NON_TAME, K)
-    oracle = _function_field_inverse(parse_automorphism(NON_TAME, K))
-    inversion_rings.clear()
     inv = fam.inverse().endo
-    assert inversion_rings == [LaurentRing(K), FunctionField(K)]
-    assert inv == oracle
+    assert inversion_route == [LaurentRing(K), "formal", K]
+    _assert_specializations_invert(fam, inv)
     want = {Q: "(-t^2*x1^2 + (2*t^2 + 2*t)*x1*x2 + (-t^2 - 2*t - 1)*x2^2 + x1 - x2, "
                "-t*x1 + (t + 1)*x2)",
             F5: "(4*t^2*x1^2 + (2*t^2 + 2*t)*x1*x2 + (4*t^2 + 3*t + 4)*x2^2 + x1 + 4*x2, "
@@ -112,15 +130,71 @@ def test_non_unit_descent_falls_back_to_the_function_field(K, inversion_rings):
     assert str(inv) == want[K]
 
 
-@pytest.mark.parametrize("K", [Q, F5], ids=repr)
-@pytest.mark.parametrize("src,text", [
-    ("((1+t)*x1, x2)", "inverse leaves K[t,1/t]; not a family automorphism"),
-    ("(x1 + t*x2^2, x2 + x1^2)", "Jacobian determinant is not a nonzero constant"),
-], ids=["non-unit-jacobian", "non-constant-jacobian"])
+UNIT = "inverse leaves K[t,1/t]; not a family automorphism"
+JACOBIAN = "Jacobian determinant is not a nonzero constant"
+TOP_FORMS = "top forms not proportional; not an automorphism"
+
+
+@pytest.mark.parametrize("K,src,text", [
+    (Q, "((1+t)*x1, x2)", UNIT),
+    (F5, "((1+t)*x1, x2)", UNIT),
+    (Q, "(x1 + t*x2^2, x2 + x1^2)", JACOBIAN),
+    (F5, "(x1 + t*x2^2, x2 + x1^2)", JACOBIAN),
+    # Jacobian 1 in characteristic 5: the descent's error stands
+    (F5, "(x1 + t*x1^5, x2)", TOP_FORMS),
+    (F5, "(x1 + t*x1^5 + x2^2, x2 + x1^5)", "top degrees incompatible; not an automorphism"),
+    (F5, "((1+t)*x1 + x2^5, x2)", UNIT),
+], ids=["non-unit-jacobian-Q", "non-unit-jacobian-F5", "non-constant-jacobian-Q",
+        "non-constant-jacobian-F5", "top-forms-F5", "top-degrees-F5", "non-unit-jacobian-p-F5"])
 def test_non_automorphism_errors_keep_their_text(K, src, text):
     with pytest.raises(NotInvertibleError) as exc:
         parse_automorphism(src, K).inverse()
     assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("K", [Q, F5], ids=repr)
+def test_formal_inverse_of_a_translated_family(K):
+    """Degree 4, Jacobian 2t and F(0) != 0 in both components: G is
+    truncated in the centred variables and shifted after, since terms above
+    degree 4 there fall below 4 once shifted."""
+    left = parse_automorphism("(t*x1 + t*x2^2 + 2, x2 + 1)", K).endo
+    right = parse_automorphism("(2*x2 + 1, -x1 + t^-1*x2^2 + t)", K).endo
+    e = left.compose(right)
+    assert e.degree == 4
+    assert all(p.constant_value() for p in e.comps)
+    inv = _formal_inverse(e)
+    ident = Endo.identity(e.ring, 2)
+    assert e.compose(inv) == ident and inv.compose(e) == ident
+    assert inv == plane_aut_from_endo(e).inv
+
+
+def test_only_a_non_unit_division_reaches_the_formal_inverse(inversion_route):
+    """Jacobian 1 over F5 and degree 30, no automorphism: the descent fails
+    without dividing by a non-unit, so K(t) gives no inverse either and its
+    error stands at once, without the formal inverse's 29 iterations."""
+    fam = parse_automorphism("(x1 + t*(x1^5 + x2 + 1)^5, x2 + (x1 + x2^5 + 1)^6)", F5)
+    with pytest.raises(NotInvertibleError) as exc:
+        fam.inverse()
+    assert str(exc.value) == "top degrees incompatible; not an automorphism"
+    assert inversion_route == [LaurentRing(F5)]
+
+
+@pytest.mark.parametrize("inner", [
+    "(x1 + (t - 1)*x1^5, x2)",
+    "(x1 + t*(x1^5 + 1)^3, x2 + (x1 + x2^5)^2)",
+], ids=["automorphism-at-1", "degree-20"])
+def test_failed_formal_inverse_keeps_the_descent_error(inner, inversion_route):
+    """NON_TAME o inner over F5 has Jacobian 1 but is no automorphism: its
+    descent divides by a non-unit of K[t, 1/t], and the formal inverse
+    returns None, so the descent's error stands.  The first is the identity
+    at t = 1 and fails the composition check; the second fails at t = 1
+    already, before the iteration, whose terms grow on it."""
+    outer = parse_automorphism(NON_TAME, F5).endo
+    fam = TFamily(outer.compose(parse_automorphism(inner, F5).endo))
+    with pytest.raises(NotInvertibleError) as exc:
+        fam.inverse()
+    assert str(exc.value) == "not a unit of K[t,1/t]"
+    assert inversion_route == [LaurentRing(F5), "formal", F5]
 
 
 def test_family_inversion_needs_the_plane():
@@ -132,13 +206,14 @@ def test_family_inversion_needs_the_plane():
 @pytest.mark.parametrize("K", [Q, F5], ids=repr)
 def test_pole_checks_of_affine_families_never_reach_the_function_field(K):
     """The benchmark's family shape, A o (t^k x1, t^-k x2): inverting it for
-    the pole propagation check divides only by units of K[t, 1/t]."""
+    the pole propagation check divides only by units of K[t, 1/t], so the
+    descent inverts it and the formal inverse never runs."""
     def refuse(*args):
-        raise AssertionError("a K(t) value normalized")
+        raise AssertionError("the formal inverse ran")
 
     f = plane_aut_from_endo(parse_automorphism("(x2, -x1 + x2^2 + 1)", K))
     src = "((2)*t^2*x1 + (3)*t^-2*x2 + (1), (1)*t^2*x1 + (2)*t^-2*x2 + (4))"
-    with mock.patch.object(FunctionField, "_norm", refuse):
+    with mock.patch.object(degeneration, "_formal_inverse", refuse):
         alpha = parse_automorphism(src, K)
         xs = x_alpha(alpha)
         rep = pole_propagation_check(f, alpha)

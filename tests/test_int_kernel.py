@@ -17,7 +17,6 @@ import pytest
 from conftest import ring_compose_many, ring_mul
 from planeaut import (
     Endo,
-    FunctionField,
     LaurentRing,
     MultiPoly,
     PrimeField,
@@ -26,7 +25,7 @@ from planeaut import (
     rings,
 )
 from planeaut.degeneration import TFamily
-from planeaut.poly import _PACK_MIN_PRODUCTS, _kronecker, _lower, compose_many
+from planeaut.poly import _PACK_MIN_PRODUCTS, _kronecker, _lower, _raise, compose_many
 
 Q = RationalField()
 F2, F5 = PrimeField(2), PrimeField(5)
@@ -110,21 +109,20 @@ def test_compositions_match_the_ring_composition(R, nvars, nv):
             assert_reduced(g)
 
 
-def test_function_field_compositions_keep_ring_methods():
-    FF = FunctionField(F5)
-    rng = random.Random("icompose/K(t)")
-
-    def value():
-        return FF._norm({1: rng.randrange(1, 5), 0: rng.randrange(5)},
-                        {1: 1, 0: rng.randrange(1, 5)})
-
-    for nvars in (1, 2):
-        polys = [MultiPoly(FF, nvars, {tuple(rng.randint(0, 3) for _ in range(nvars)): value()
-                                       for _ in range(3)}) for _ in range(2)]
-        args = [MultiPoly(FF, 2, {(rng.randint(0, 1), rng.randint(0, 1)): value()
-                                  for _ in range(2)}) for _ in range(nvars)]
-        assert compose_many(polys, args) == ring_compose_many(polys, args)
-        assert (polys[0] * polys[1]).terms == ring_mul(FF, polys[0].terms, polys[1].terms)
+@pytest.mark.parametrize("R", [Q, F2, F1000003, LaurentRing(Q), LaurentRing(F5)], ids=repr)
+def test_every_ring_lowers_to_an_int_form(R):
+    """MultiPoly has no ring-method path: _lower takes every ring, gives
+    ints (the t-exponent as one more slot) and _raise gives the terms back."""
+    rng = random.Random(f"lower/{R!r}")
+    # R.add reduces F_p values into range(p)
+    p = MultiPoly(R, 2, {e: R.add(R.zero, c) for e, c in rand_terms(rng, R, 2, 6, 3).items()})
+    m, den, flat = _lower(R, p.terms)
+    base = R.base if isinstance(R, LaurentRing) else R
+    assert m == (base.p if isinstance(base, PrimeField) else 0)
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int for v in flat.values())
+    assert all(len(e) == 2 + isinstance(R, LaurentRing) for e in flat)
+    assert MultiPoly(R, 2, _raise(R, m, den, flat)) == p
 
 
 @pytest.mark.parametrize("R", RINGS, ids=repr)

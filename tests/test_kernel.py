@@ -13,7 +13,6 @@ import pytest
 import planeaut
 from planeaut import (
     Endo,
-    FunctionField,
     LaurentRing,
     MultiPoly,
     PlaneAut,
@@ -45,13 +44,11 @@ def _poly(ring, src):
 
 
 L3 = LaurentRing(F3)
-FF5 = FunctionField(F5)
 # name -> (pow under test, mul, one, base)
 POWERS = {
     "Q": (lambda x, n: power(x, n, Q.mul, Q.one), Q.mul, Q.one, Fraction(-3, 2)),
     "F5": (lambda x, n: power(x, n, F5.mul, F5.one), F5.mul, F5.one, 3),
     "Laurent(F3)": (L3.pow, L3.mul, L3.one, {-1: 2, 0: 1, 2: 1}),
-    "FunctionField(F5)": (FF5.pow, FF5.mul, FF5.one, ({1: 1, 0: 2}, {2: 1, 0: 3})),
     "up_mul(Q)": (lambda x, n: power(x, n, functools.partial(up_mul, Q), {0: Q.one}),
                   lambda a, b: up_mul(Q, a, b),
                   {0: Q.one}, {0: Fraction(1, 2), 1: Fraction(-2), 3: Fraction(1)}),
@@ -157,7 +154,7 @@ def test_compose_matches_ladder(name, nvars):
 
 def test_only_prime_fields_are_finite():
     assert PrimeField(7).is_finite
-    for ring in (Q, LaurentRing(F5), FunctionField(F5), FunctionField(Q)):
+    for ring in (Q, LaurentRing(F5)):
         assert not ring.is_finite
 
 
