@@ -21,6 +21,16 @@ A map of Jacobian c is recompose(word) o s_c with s_c = (c x1, x2) in
 Aff ∩ J, so the word decides growth for every c (Jung-van der Kulk holds for
 Aut(A^2) = Aff *_(Aff ∩ J) J); plane_aut_from_endo factors once, keeps it,
 and _cyclic_reduction keeps the map's cyclic reduction the same way.
+
+plane_aut_from_endo certifies the inverse inv = s_c^-1 o recompose(w^-1) it
+builds along the word w = [F_1, ..., F_n] (_check_inverse_by_word): e is
+walked through F_1^-1, ..., F_n^-1, s_c^-1 and s_c o inv through F_n, ...,
+F_1, one factor at a time on the left, and both walks must end at the
+identity.  The first gives inv o e = id, the second R o inv = id for
+R = recompose(w) o s_c, so e = R o inv o e = R and e o inv = id too.  Every
+partial product of a correct walk is a subword's map or its inverse, of
+degree <= deg e, where the full compositions fwd o inv and inv o fwd
+(PlaneAut.verify) build intermediates of degree (deg e)^2.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from .errors import (
     NotSpecialError,
     RingMismatchError,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, compose_chain
 from .rings import MINUS_INF, up_add, up_deg, up_scale, up_shift
 
 
@@ -79,13 +89,14 @@ class AffineFactor:
         return (R.eq(self.a, R.one) and R.is_zero(self.b) and R.is_zero(self.c)
                 and R.eq(self.d, R.one) and R.is_zero(self.e) and R.is_zero(self.f))
 
-    def to_endo(self) -> Endo:
+    def term_dicts(self):
+        """The term dicts of the two components."""
         R = self.ring
-        x1 = MultiPoly.variable(R, 2, 0)
-        x2 = MultiPoly.variable(R, 2, 1)
-        one = MultiPoly.const(R, 2, R.one)
-        return Endo([x1.scale(self.a) + x2.scale(self.b) + one.scale(self.e),
-                     x1.scale(self.c) + x2.scale(self.d) + one.scale(self.f)])
+        return tuple({m: v for m, v in zip(((1, 0), (0, 1), (0, 0)), row) if not R.is_zero(v)}
+                     for row in ((self.a, self.b, self.e), (self.c, self.d, self.f)))
+
+    def to_endo(self) -> Endo:
+        return Endo([MultiPoly(self.ring, 2, t, _clean=False) for t in self.term_dicts()])
 
     def inverse(self) -> "AffineFactor":
         R = self.ring
@@ -178,12 +189,16 @@ class JonquieresFactor:
         d = up_deg(self.ring, self.P)
         return 1 if d is MINUS_INF else max(1, d)
 
-    def to_endo(self) -> Endo:
+    def term_dicts(self):
+        """The term dicts of the two components."""
         R = self.ring
-        x2 = MultiPoly.variable(R, 2, 1)
-        comp0 = MultiPoly(R, 2, {(1, 0): self.a, **{(0, k): v for k, v in self.P.items()}})
-        comp1 = x2.scale(R.invert(self.a)) + MultiPoly.const(R, 2, self.c)
-        return Endo([comp0, comp1])
+        comp1 = {(0, 1): R.invert(self.a)}
+        if not R.is_zero(self.c):
+            comp1[(0, 0)] = self.c
+        return {(1, 0): self.a, **{(0, k): v for k, v in self.P.items()}}, comp1
+
+    def to_endo(self) -> Endo:
+        return Endo([MultiPoly(self.ring, 2, t, _clean=False) for t in self.term_dicts()])
 
     def inverse(self) -> "JonquieresFactor":
         R = self.ring
@@ -233,13 +248,15 @@ def factor_to_plane_aut(fac) -> PlaneAut:
 
 
 class AmalgamWord:
-    """A composition word of affine and triangular factors."""
+    """A composition word of affine and triangular factors; its inverse word
+    is built once and kept."""
 
-    __slots__ = ("ring", "factors")
+    __slots__ = ("ring", "factors", "_inverse")
 
     def __init__(self, ring, factors):
         self.ring = ring
         self.factors = tuple(factors)
+        self._inverse = None
         for fac in self.factors:
             if fac.ring != ring:
                 raise RingMismatchError("word factors over different rings")
@@ -251,13 +268,14 @@ class AmalgamWord:
         return iter(self.factors)
 
     def recompose(self) -> Endo:
-        acc = Endo.identity(self.ring, 2)
-        for fac in reversed(self.factors):
-            acc = fac.to_endo().compose(acc)
-        return acc
+        """F1 o ... o Fn, one factor at a time on the left of the identity."""
+        return Endo(compose_chain(Endo.identity(self.ring, 2).comps,
+                                  [fac.term_dicts() for fac in reversed(self.factors)]))
 
     def inverse_word(self) -> "AmalgamWord":
-        return AmalgamWord(self.ring, [f.inverse() for f in reversed(self.factors)])
+        if self._inverse is None:
+            self._inverse = AmalgamWord(self.ring, [f.inverse() for f in reversed(self.factors)])
+        return self._inverse
 
     def to_plane_aut(self) -> PlaneAut:
         return PlaneAut(self.recompose(), self.inverse_word().recompose(), verify=False)
@@ -386,11 +404,40 @@ def _factor(e: Endo, c) -> AmalgamWord:
     return reduce_word(AmalgamWord(R, [op.inverse() for op in ops] + [last]))
 
 
+def _check_inverse_by_word(e: Endo, inv: Endo, word: AmalgamWord, c) -> None:
+    """Certify inv o e = id and e o inv = id on the stored polynomials, for
+    inv = s_c^-1 o G_n o ... o G_1 recomposed from G_i = F_i^-1 and the word
+    w = [F_1, ..., F_n] of e, s_c = (c x1, x2); NotInvertibleError if not.
+
+    Two walks apply one factor at a time on the left (poly.compose_chain):
+    C takes e through G_1, ..., G_n, s_c^-1 to inv o e, as inv is that
+    recomposition; B takes s_c o inv through F_n, ..., F_1 to R o inv for
+    R = F_1 o ... o F_n o s_c.  Both must give the identity.  Then
+    e = R o (inv o e) = R, so e o inv = R o inv = id as well.
+    w is reduced, so every partial product of a correct walk is the map of a
+    subword or its inverse, of degree <= deg e; a step that would exceed it
+    fails before it is built, which bounds the work on any input.  Each step
+    substitutes into a map of degree <= deg e, where fwd o inv and inv o fwd
+    build intermediates of degree (deg e)^2 before they cancel to (x1, x2)."""
+    R = e.ring
+    forward = [fac.term_dicts() for fac in reversed(word.factors)]
+    backward = [fac.term_dicts() for fac in reversed(word.inverse_word().factors)]
+    if not R.eq(c, R.one):
+        forward.insert(0, ({(1, 0): c}, {(0, 1): R.one}))
+        backward.append(({(1, 0): R.invert(c)}, {(0, 1): R.one}))
+    ident = Endo.identity(R, 2)
+    for start, steps in ((e, backward), (inv, forward)):
+        out = compose_chain(start.comps, steps, e.degree)
+        if out is None or Endo(out) != ident:
+            raise NotInvertibleError("forward and inverse do not compose to the identity")
+
+
 def plane_aut_from_endo(e: Endo) -> PlaneAut:
     """Validate e as a plane automorphism: factor it once as recompose(w) o s_c,
-    invert it as s_c^-1 o recompose(w^-1), whose composition check certifies
-    w too, and keep w as the result's word.  Over K[t, 1/t] every division
-    must be by a unit; LaurentRing.invert raises NotInvertibleError if not."""
+    invert it as s_c^-1 o recompose(w^-1), certify both compositions with
+    the identity along w (_check_inverse_by_word), which certifies w too,
+    and keep w as the result's word.  Over K[t, 1/t] every division must be
+    by a unit; LaurentRing.invert raises NotInvertibleError if not."""
     jac = e.jacobian()
     if not jac.is_constant or jac.is_zero:
         raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
@@ -399,7 +446,8 @@ def plane_aut_from_endo(e: Endo) -> PlaneAut:
     inv = word.inverse_word().recompose()
     if not R.eq(c, R.one):
         inv = Endo([inv.comps[0].scale(R.invert(c)), inv.comps[1]])
-    aut = PlaneAut(e, inv, verify=True)
+    _check_inverse_by_word(e, inv, word, c)
+    aut = PlaneAut(e, inv, verify=False)
     aut.word = word
     return aut
 

@@ -38,9 +38,10 @@ from .rings import MINUS_INF, LaurentRing, _iroot, up_deg
 
 
 class TFamily:
-    """An endomorphism over K[t, 1/t], with an optional verified inverse."""
+    """An endomorphism over K[t, 1/t], with an optional verified inverse and,
+    once x_alpha has sampled it, its X_alpha at the default sample count."""
 
-    __slots__ = ("endo", "_inv")
+    __slots__ = ("endo", "_inv", "_xalpha")
 
     def __init__(self, endo: Endo, inverse: Endo = None, check: bool = True):
         if not isinstance(endo.ring, LaurentRing):
@@ -51,6 +52,7 @@ class TFamily:
                 raise NotInvertibleError("claimed family inverse fails composition")
         self.endo = endo
         self._inv = inverse
+        self._xalpha = None
 
     @property
     def ring(self) -> LaurentRing:
@@ -106,7 +108,7 @@ class TFamily:
 
     def inverse(self) -> "TFamily":
         """The inverse family, found once and kept: plane_aut_from_endo runs
-        over K[t, 1/t] itself, whose two-sided composition check certifies
+        over K[t, 1/t] itself, whose check along the factor word certifies
         it; a descent that divides by a non-unit of K[t, 1/t] raises
         NonUnitError there and falls back to _formal_inverse, the family's
         formal inverse over K[t, 1/t].  If that fails its composition check
@@ -144,32 +146,42 @@ def _truncate(p: MultiPoly, k: int) -> MultiPoly:
                      _clean=False)
 
 
+# Points t = a of K* at which _formal_inverse descends before it iterates.
+_SPECIALIZATIONS = 3
+
+
 def _formal_inverse(e: Endo):
     """The inverse of a plane family over K[t, 1/t] as the truncation of its
-    formal inverse, or None when e is no automorphism: e at t = 1 fails the
-    descent over K, or the result fails the two-sided composition check.
+    formal inverse, or None when e is no automorphism: e at one of the first
+    _SPECIALIZATIONS points t = a of K* fails the descent over K, the
+    formal inverse has a term of degree d + 1, or the result fails the
+    two-sided composition check.
 
     With F0 = e - e(0) = L x + H, H of order >= 2, the iteration
-    G <- L^-1 (x - H(G)), truncated to degree k for k = 2..d, d = deg e,
-    gives F0^-1 up to degree d, which is all of it: a plane automorphism
-    over a domain whose Jacobian c is a unit has an inverse of degree <= d,
-    and L^-1 divides only by c (Bass, Connell and Wright, "The Jacobian
-    conjecture: reduction of degree and formal expansion of the inverse",
-    Bull. AMS 1982).  The inverse of e is then G(x - e(0)); G is truncated
-    in the centred variables, before that shift."""
+    G <- L^-1 (x - H(G)), truncated to degree k for k = 2..d+1, d = deg e,
+    gives F0^-1 up to degree d + 1, whose degree-(d + 1) part must vanish:
+    a plane automorphism over a domain whose Jacobian c is a unit has an
+    inverse of degree <= d, and L^-1 divides only by c (Bass, Connell and
+    Wright, "The Jacobian conjecture: reduction of degree and formal
+    expansion of the inverse", Bull. AMS 1982).  The inverse of e is then
+    G(x - e(0)); G is truncated in the centred variables, before that
+    shift."""
     jac = e.jacobian()
     if not jac.is_constant or jac.is_zero:
         raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
     R, c = e.ring, jac.constant_value()
     if len(c) != 1:
         raise NotInvertibleError("inverse leaves K[t,1/t]; not a family automorphism")
-    # e at t = 1 is an automorphism of K^2 if e is one of K[t, 1/t]^2; the
-    # descent over the field K checks that at once, and spares most
-    # non-automorphisms the iteration, whose terms they let grow
-    try:
-        plane_aut_from_endo(TFamily(e).specialize(R.base.one))
-    except NotInvertibleError:
-        return None
+    # e at t = a, a in K*, is an automorphism of K^2 if e is one of
+    # K[t, 1/t]^2; the descent over the field K checks that at once, and
+    # spares most non-automorphisms the iteration, whose terms they let grow
+    K, fam = R.base, TFamily(e)
+    for a in itertools.islice((a for a in K.sample_stream() if not K.is_zero(a)),
+                              _SPECIALIZATIONS):
+        try:
+            plane_aut_from_endo(fam.specialize(a))
+        except NotInvertibleError:
+            return None
     ci = R.invert(c)
     ident = Endo.identity(R, 2)
     x = ident.comps
@@ -185,7 +197,8 @@ def _formal_inverse(e: Endo):
 
     zero, one = MultiPoly.zero(R, 2), MultiPoly.const(R, 2, R.one)
     G = solve(*x)
-    for k in range(2, e.degree + 1):
+    d = e.degree
+    for k in range(2, d + 2):
         # G has no constant term, so G_1^i G_2^j has no term below degree
         # i + j, and the terms of H with i + j > k add nothing
         pw = [[one] for _ in G]
@@ -195,6 +208,8 @@ def _formal_inverse(e: Endo):
         HG = [sum((_truncate(pw[0][i] * pw[1][j], k).scale(v)
                    for (i, j), v in h.terms.items() if i + j <= k), zero) for h in H]
         G = solve(x[0] - HG[0], x[1] - HG[1])
+    if max(g.degree for g in G) > d:
+        return None
     shift = [xi - MultiPoly.const(R, 2, p.constant_value()) for xi, p in zip(x, e.comps)]
     inv = Endo(G).compose(Endo(shift))
     if e.compose(inv) != ident or inv.compose(e) != ident:
@@ -236,7 +251,15 @@ def _affine_samples(K, n, cap):
     return itertools.islice(itertools.product(base, repeat=n), cap)
 
 
-def x_alpha(fam: TFamily, max_samples: int = 25) -> XAlphaSet:
+# Sample points of x_alpha by default; the set they give is kept on the family.
+_X_ALPHA_SAMPLES = 25
+
+
+def x_alpha(fam: TFamily, max_samples: int = _X_ALPHA_SAMPLES) -> XAlphaSet:
+    """The sampled X_alpha of fam; at the default sample count it is built
+    once and kept on fam, so pole_propagation_check reuses it."""
+    if max_samples == _X_ALPHA_SAMPLES and fam._xalpha is not None:
+        return fam._xalpha
     v = fam.valuation
     if v is MINUS_INF or v >= 0:
         raise NoPoleError(f"family valuation is {v}; X_alpha needs a pole")
@@ -253,7 +276,10 @@ def x_alpha(fam: TFamily, max_samples: int = 25) -> XAlphaSet:
         pt = InfinityPoint.normalize(K, vals)
         if pt not in points:
             points.append(pt)
-    return XAlphaSet(m, tilde, tuple(points))
+    xs = XAlphaSet(m, tilde, tuple(points))
+    if max_samples == _X_ALPHA_SAMPLES:
+        fam._xalpha = xs
+    return xs
 
 
 # -- pole propagation --------------------------------------------------------

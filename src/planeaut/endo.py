@@ -143,7 +143,9 @@ class PlaneAut:
     nf, its verified normal form (conjugacy.normal_form).
     The Jacobian of an automorphism is a constant, so jac is its value at the
     origin, read off the linear part of fwd; verify=False trusts the caller
-    that fwd is an automorphism."""
+    that fwd is an automorphism.  verify() composes fwd o inv and inv o fwd
+    in full; amalgam.plane_aut_from_endo instead certifies both along the
+    factor word, one factor at a time, and passes verify=False."""
 
     __slots__ = ("fwd", "inv", "jac", "word", "reduction", "nf")
 

@@ -164,6 +164,41 @@ def _const_unit(poly: MultiPoly, pos: int, what: str):
     return poly.constant_value()
 
 
+def _monomial(node, K, nvars, laurent):
+    """(key, c) for a product of integers, x_i, t (over K[t, 1/t]) and their
+    powers, divided by nonzero integers, t or their powers: the monomial
+    c x^e t^k with c in K and key e, or e + (k,) over K[t, 1/t].  None for any
+    other node, and for one that would fail, so _eval reports it."""
+    exps, k, c = [0] * nvars, 0, K.one
+    todo = [(node, 1)]
+    while todo:
+        node, sign = todo.pop()
+        kind = node[0]
+        if kind == "prod" and sign == 1:
+            todo.extend((child, 1 if op == "*" else -1) for op, child, _ in node[1])
+            continue
+        if kind == "neg":
+            c = K.neg(c)
+            todo.append((node[1], sign))
+            continue
+        e = 1
+        if kind == "pow":
+            node, e = node[1], node[2]
+            kind = node[0]
+        if kind == "int":
+            v = K.from_int(node[1])
+            if K.is_zero(v) and (e < 0 or sign * e < 0):
+                return None
+            c = K.mul(c, K.pow(v, sign * e))
+        elif kind == "t" and laurent:
+            k += sign * e
+        elif kind == "var" and sign > 0 and e >= 0 and 1 <= node[1] <= nvars:
+            exps[node[1] - 1] += e
+        else:
+            return None
+    return (*exps, k) if laurent else tuple(exps), c
+
+
 def _eval(node, R, K, nvars):
     kind = node[0]
     if kind == "int":
@@ -180,12 +215,29 @@ def _eval(node, R, K, nvars):
     if kind == "neg":
         return -_eval(node[1], R, K, nvars)
     if kind == "sum":
-        terms = iter(node[1])
-        acc = _eval(next(terms)[1], R, K, nvars)
-        for op, child in terms:
-            rhs = _eval(child, R, K, nvars)
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+        # monomial summands go into one term dict, the rest through _eval in
+        # their order, so the first summand that fails reports as before
+        laurent = R is not K
+        monos, rest = {}, None
+        for op, child in node[1]:
+            mono = _monomial(child, K, nvars, laurent)
+            if mono is None:
+                rhs = _eval(child, R, K, nvars)
+                rhs = rhs if op == "+" else -rhs
+                rest = rhs if rest is None else rest + rhs
+                continue
+            key, c = mono
+            monos[key] = K.add(monos.get(key, K.zero), c if op == "+" else K.neg(c))
+        terms = {}
+        for key, c in monos.items():
+            if K.is_zero(c):
+                continue
+            if laurent:
+                terms.setdefault(key[:-1], {})[key[-1]] = c
+            else:
+                terms[key] = c
+        acc = MultiPoly(R, nvars, terms, _clean=False)
+        return acc if rest is None else rest + acc
     if kind == "prod":
         factors = iter(node[1])
         acc = _eval(next(factors)[1], R, K, nvars)

@@ -43,7 +43,9 @@ the argument raised to the gap, and all terms are summed into one dict.
 compose_many shares that table across the components of a map, and builds
 it on int forms: a term's t-exponent shifts the last slot of its image, and
 each term is scaled so that every output has one denominator.
-conftest.ring_compose_many is its oracle.
+conftest.ring_compose_many is its oracle.  compose_chain applies a list of
+maps one at a time on the left and stays on int forms between them, so a
+factor word is recomposed or walked with one lowering and one raising.
 """
 
 from __future__ import annotations
@@ -260,12 +262,8 @@ class MultiPoly:
 
 
 def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
-    """[p.compose(args) for p in polys], building each argument power once.
-
-    The table holds int forms, and the term c x^e of p adds c D^(top - e)
-    times the image of x^e, D the argument denominators and top the largest
-    exponents of p, so every output shares the denominator d_p D^top; a
-    Laurent term c t^k shifts the image's last slot by k."""
+    """[p.compose(args) for p in polys], building each argument power once:
+    the arguments lowered, one _compose_lowered, every output raised."""
     nvars = len(args)
     for p in polys:
         if p.nvars != nvars:
@@ -276,14 +274,31 @@ def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
     if any(x.ring is not R and x.ring != R for x in (*polys, *args)):
         raise RingMismatchError("substitution over a different ring")
     nv = args[0].nvars
-    # dens is empty when every argument has denominator 1
     ms, dens, bases = zip(*(_lower(R, a.terms) for a in args))
-    m, dens = ms[0], dens if math.prod(dens) != 1 else ()
+    m = ms[0]
+    return [MultiPoly(R, nv, _raise(R, m, den, acc), _clean=False)
+            for den, acc in _compose_lowered(R, m, [p.terms for p in polys],
+                                             list(zip(dens, bases)), nv)]
+
+
+def _compose_lowered(R, m, polys, args, nv):
+    """The int forms (den, flat) of p(args) for each term dict p over R, with
+    args int forms (den, flat) in nv variables, mod m; flat values are not
+    reduced.
+
+    The table holds the argument powers, and the term c x^e of p adds
+    c D^(top - e) times the image of x^e, D the argument denominators and
+    top the largest exponents of p, so every output shares the denominator
+    d_p D^top; a Laurent term c t^k shifts the image's last slot by k."""
+    nvars = len(args)
+    dens, bases = zip(*args)
+    # dens is empty when every argument has denominator 1
+    dens = dens if math.prod(dens) != 1 else ()
     laurent = type(R) is LaurentRing
     mul, one = functools.partial(_imul, m=m), {(0,) * (nv + laurent): 1}
     monos = {}
     for p in polys:
-        monos.update(dict.fromkeys(p.terms))
+        monos.update(dict.fromkeys(p))
     powers = []
     for a, ks in zip(bases, map(set, zip(*monos))):
         table, gaps = {}, {1: a}
@@ -299,9 +314,9 @@ def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
         powers.append(table)
     out = []
     for p in polys:
-        _, den, P = _lower(R, p.terms)
+        _, den, P = _lower(R, p)
         if dens:
-            top = [max(col) for col in zip(*p.terms)]
+            top = [max(col) for col in zip(*p)]
             den *= math.prod(map(pow, dens, top))
         acc = {}
         for e, c in P.items():
@@ -321,8 +336,45 @@ def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
                 if laurent and k:
                     te = (*te[:-1], te[-1] + k)
                 acc[te] = acc.get(te, 0) + c * tc
-        out.append(MultiPoly(R, nv, _raise(R, m, den, acc), _clean=False))
+        out.append((den, acc))
     return out
+
+
+def compose_chain(start: Sequence[MultiPoly], steps, bound=None):
+    """steps[-1] o ... o steps[0] o start, each step a map given as its
+    component term dicts over the ring of start: one step at a time on the
+    left, on int forms, so start is lowered once and the result raised once.
+    Over Q each partial product is divided by the content it shares with its
+    denominator.
+
+    None, before the step is built, when a step would build a monomial image
+    of degree above bound.  For a triangular step (a u + P(v), a^-1 v + c)
+    or an affine one, after a partial product of degree <= bound, that is
+    exactly when the next partial product has degree above bound: a^-1 v + c
+    and the affine combinations stay within it, and deg P(v) > deg u leaves
+    nothing to cancel deg P(v) in a u + P(v)."""
+    R, nv = start[0].ring, start[0].nvars
+    ms, dens, flats = zip(*(_lower(R, p.terms) for p in start))
+    m, cur = ms[0], list(zip(dens, flats))
+    for step in steps:
+        if bound is not None:
+            degs = [max((sum(e[:nv]) for e in flat), default=0) for _, flat in cur]
+            if any(sum(map(operator.mul, e, degs)) > bound for p in step for e in p):
+                return None
+        cur = [_reduced(m, den, acc) for den, acc in _compose_lowered(R, m, step, cur, nv)]
+    return [MultiPoly(R, nv, _raise(R, m, den, flat), _clean=False) for den, flat in cur]
+
+
+def _reduced(m, den, flat):
+    """The int form (den, flat) with its values in range(m) and no zeros, or,
+    over Q (m = 0), divided by gcd(den, values)."""
+    if m:
+        return den, {e: r for e, v in flat.items() if (r := v % m)}
+    flat = {e: v for e, v in flat.items() if v}
+    g = math.gcd(den, *flat.values())
+    if g == 1:
+        return den, flat
+    return den // g, {e: v // g for e, v in flat.items()}
 
 
 def _lower(R, terms):

@@ -7,6 +7,7 @@ caps from the word samplers are maxima, not a promise of uniformity.
 """
 
 import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from planeaut import (
     image_point_at_infinity,
     is_algebraic,
 )
+from planeaut import poly
 from planeaut.rings import power, up_add, up_mul
 
 SEED = 20260823
@@ -324,3 +326,31 @@ def monomial_reduction_ops(e: Endo):
             if after is not MINUS_INF and after >= d1:
                 raise NotInvertibleError("degree reduction stalled; not an automorphism")
     return ops, work
+
+
+def two_sided_composition(fwd: Endo, inv: Endo) -> bool:
+    """fwd o inv = id and inv o fwd = id by two full compositions, each of
+    which builds intermediates of degree deg fwd * deg inv: PlaneAut.verify,
+    the check plane_aut_from_endo made before it walked the factor word,
+    kept as the oracle of amalgam._check_inverse_by_word."""
+    ident = Endo.identity(fwd.ring, fwd.nvars)
+    return fwd.compose(inv) == ident and inv.compose(fwd) == ident
+
+
+@pytest.fixture
+def compose_spy(monkeypatch):
+    """The largest degree each composition builds, one entry per call of
+    poly._compose_lowered, which runs every poly.compose_many call and every
+    step of poly.compose_chain: the largest sum of e_i * deg(arg_i) over the
+    monomials x^e substituted, the degree of the largest monomial image, which
+    the output keeps unless its top terms cancel."""
+    degrees, inner = [], poly._compose_lowered
+
+    def spy(R, m, polys, args, nv):
+        degs = [max((sum(e[:nv]) for e in flat), default=0) for _, flat in args]
+        degrees.append(max((sum(map(operator.mul, e, degs)) for p in polys for e in p),
+                           default=0))
+        return inner(R, m, polys, args, nv)
+
+    monkeypatch.setattr(poly, "_compose_lowered", spy)
+    return degrees

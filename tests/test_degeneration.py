@@ -25,6 +25,7 @@ from planeaut import (
     pole_propagation_check,
     x_alpha,
 )
+from planeaut import degeneration
 from planeaut.degeneration import _frobenius
 
 Q = RationalField()
@@ -244,3 +245,26 @@ def test_frobenius_matches_the_power(K):
                              for _ in range(3)})
         for q in (p, p * p):
             assert _frobenius(P, q) == P ** q
+
+
+def test_x_alpha_is_sampled_once_per_family(monkeypatch):
+    """x_alpha keeps the default-sample set on the family, and
+    pole_propagation_check reuses it; another sample count samples again
+    and keeps nothing."""
+    calls, samples = [], degeneration._affine_samples
+
+    def counted(*args):
+        calls.append(args)
+        return samples(*args)
+
+    monkeypatch.setattr(degeneration, "_affine_samples", counted)
+    f = plane_aut_from_endo(parse_automorphism("(x2, -x1 + x2^2 + 1)", Q))
+    alpha = fam("(2*t^2*x1 + 3*t^-2*x2 + 1, t^2*x1 + 2*t^-2*x2 + 4)")
+    xs = x_alpha(alpha)
+    rep = pole_propagation_check(f, alpha)
+    assert len(calls) == 1 and x_alpha(alpha) is xs
+    assert rep.x_points == xs.points
+    fresh = x_alpha(fam(str(alpha)))
+    assert fresh.describe() == xs.describe() and len(calls) == 2
+    few = x_alpha(alpha, max_samples=3)
+    assert len(calls) == 3 and few is not xs and x_alpha(alpha) is xs

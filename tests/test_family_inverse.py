@@ -8,6 +8,7 @@ field K(t), which is unique, so they must agree; the specializations
 t = c, c in K*, inverted over K, are the independent oracle.  The errors of
 non-automorphisms keep their text."""
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -26,7 +27,7 @@ from planeaut import (
     x_alpha,
 )
 from planeaut import degeneration
-from planeaut.degeneration import _formal_inverse, lift_endo
+from planeaut.degeneration import _SPECIALIZATIONS, _formal_inverse, lift_endo
 from conftest import SEED, rand_affine, rand_scalar
 
 Q = RationalField()
@@ -41,7 +42,8 @@ NON_TAME = "((1+t)*(x1 + x2^2) + x2, t*(x1 + x2^2) + x2)"
 def inversion_route(monkeypatch):
     """The ring of every map plane_aut_from_endo factors for degeneration,
     and "formal" for every _formal_inverse call; the formal inverse first
-    factors the family at t = 1, over K."""
+    factors the family over K at t = a for the first _SPECIALIZATIONS
+    elements a of K*, and stops at the first that fails."""
     route, factor, formal = [], plane_aut_from_endo, _formal_inverse
 
     def spy_factor(e):
@@ -55,6 +57,12 @@ def inversion_route(monkeypatch):
     monkeypatch.setattr(degeneration, "plane_aut_from_endo", spy_factor)
     monkeypatch.setattr(degeneration, "_formal_inverse", spy_formal)
     return route
+
+
+def _formal_route(K, points=_SPECIALIZATIONS):
+    """The route of a formal inverse that factors the family at points
+    elements of K*, or at all of them when K* is smaller."""
+    return ["formal"] + [K] * (min(points, K.p - 1) if K.is_finite else points)
 
 
 def _assert_specializations_invert(fam, inv):
@@ -107,7 +115,7 @@ def test_laurent_inverse_matches_the_function_field_route(K, inversion_route):
     for fam, units in _families(K):
         inversion_route.clear()
         inv = fam.inverse().endo
-        assert inversion_route in ([L], [L, "formal", K]), str(fam)
+        assert inversion_route in ([L], [L, *_formal_route(K)]), str(fam)
         if units:
             assert inversion_route == [L], str(fam)
         assert inv == _formal_inverse(fam.endo), str(fam)
@@ -121,7 +129,7 @@ def test_non_unit_descent_falls_back_to_the_function_field(K, inversion_route):
     K(t) comes from the formal inverse, and lies in K[t, 1/t]."""
     fam = parse_automorphism(NON_TAME, K)
     inv = fam.inverse().endo
-    assert inversion_route == [LaurentRing(K), "formal", K]
+    assert inversion_route == [LaurentRing(K), *_formal_route(K)]
     _assert_specializations_invert(fam, inv)
     want = {Q: "(-t^2*x1^2 + (2*t^2 + 2*t)*x1*x2 + (-t^2 - 2*t - 1)*x2^2 + x1 - x2, "
                "-t*x1 + (t + 1)*x2)",
@@ -179,22 +187,68 @@ def test_only_a_non_unit_division_reaches_the_formal_inverse(inversion_route):
     assert inversion_route == [LaurentRing(F5)]
 
 
-@pytest.mark.parametrize("inner", [
-    "(x1 + (t - 1)*x1^5, x2)",
-    "(x1 + t*(x1^5 + 1)^3, x2 + (x1 + x2^5)^2)",
-], ids=["automorphism-at-1", "degree-20"])
-def test_failed_formal_inverse_keeps_the_descent_error(inner, inversion_route):
+@pytest.mark.parametrize("inner,points", [
+    ("(x1 + (t - 1)*x1^5, x2)", 2),
+    ("(x1 + t*(x1^5 + 1)^3, x2 + (x1 + x2^5)^2)", 1),
+    ("(x1 + (t - 1)*(x1^5 + 1)^3, x2 + (t - 1)*(x1 + x2^5)^2)", 2),
+], ids=["automorphism-at-1", "degree-20", "degree-20-automorphism-at-1"])
+def test_failed_formal_inverse_keeps_the_descent_error(inner, points, inversion_route):
     """NON_TAME o inner over F5 has Jacobian 1 but is no automorphism: its
     descent divides by a non-unit of K[t, 1/t], and the formal inverse
-    returns None, so the descent's error stands.  The first is the identity
-    at t = 1 and fails the composition check; the second fails at t = 1
-    already, before the iteration, whose terms grow on it."""
+    returns None, so the descent's error stands.  The first and the third
+    are automorphisms at t = 1 and fail the descent at t = 2; the second
+    fails at t = 1 already.  Each stops before the iteration, whose terms
+    grow on it: the third did not finish in 60 s when only t = 1 was
+    checked."""
     outer = parse_automorphism(NON_TAME, F5).endo
     fam = TFamily(outer.compose(parse_automorphism(inner, F5).endo))
+    start = time.perf_counter()
+    with pytest.raises(NotInvertibleError) as exc:
+        fam.inverse()
+    assert time.perf_counter() - start < 2
+    assert str(exc.value) == "not a unit of K[t,1/t]"
+    assert inversion_route == [LaurentRing(F5), *_formal_route(F5, points)]
+
+
+def test_a_formal_inverse_that_fails_its_composition_keeps_the_descent_error(
+        inversion_route, monkeypatch):
+    """NON_TAME o (x1 + (t + 1) x1^2, x2) over F2 has Jacobian 1 and is an
+    automorphism at t = 1, and its formal inverse has no term of degree
+    deg + 1 (in characteristic 2, (x + a x^2)^-1 = x + a x^2 + a^3 x^4 + ...),
+    so only the composition check rejects it; the descent's error stands."""
+    composed, compose = [], Endo.compose
+
+    def counted(self, other):
+        composed.append(1)
+        return compose(self, other)
+
+    fam = TFamily(parse_automorphism(NON_TAME, F2).endo.compose(
+        parse_automorphism("(x1 + (t + 1)*x1^2, x2)", F2).endo))
+    monkeypatch.setattr(Endo, "compose", counted)
     with pytest.raises(NotInvertibleError) as exc:
         fam.inverse()
     assert str(exc.value) == "not a unit of K[t,1/t]"
-    assert inversion_route == [LaurentRing(F5), "formal", F5]
+    assert inversion_route == [LaurentRing(F2), *_formal_route(F2)]
+    assert composed
+
+
+@pytest.mark.parametrize("inner", [
+    "(x1 + (t + 1)*x1^2 + x2^3, x2 + (t + 1)*(x1 + x2)^2)",
+    "(x1 + (t + 1)*x2^2 + x2^3, x2 + (t + 1)*x1^2)",
+], ids=["square-of-x1", "square-of-x2"])
+def test_formal_inverse_rejects_a_term_of_degree_d_plus_one(inner, monkeypatch):
+    """NON_TAME o inner over F2 has Jacobian 1 and is an automorphism at
+    t = 1, the only element of F2*, but no automorphism: its formal inverse
+    has a term of degree deg + 1, which no inverse has (Bass, Connell and
+    Wright), so it is rejected before any composition."""
+    def refuse(*args):
+        raise AssertionError("the formal inverse composed")
+
+    outer = parse_automorphism(NON_TAME, F2).endo
+    e = outer.compose(parse_automorphism(inner, F2).endo)
+    assert e.jacobian() == MultiPoly.const(e.ring, 2, e.ring.one)
+    monkeypatch.setattr(Endo, "compose", refuse)
+    assert _formal_inverse(e) is None
 
 
 def test_family_inversion_needs_the_plane():

@@ -25,7 +25,14 @@ from planeaut import (
     rings,
 )
 from planeaut.degeneration import TFamily
-from planeaut.poly import _PACK_MIN_PRODUCTS, _kronecker, _lower, _raise, compose_many
+from planeaut.poly import (
+    _PACK_MIN_PRODUCTS,
+    _kronecker,
+    _lower,
+    _raise,
+    compose_chain,
+    compose_many,
+)
 
 Q = RationalField()
 F2, F5 = PrimeField(2), PrimeField(5)
@@ -107,6 +114,30 @@ def test_compositions_match_the_ring_composition(R, nvars, nv):
         assert got == ring_compose_many(polys, args)
         for g in got:
             assert_reduced(g)
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_chains_match_one_composition_per_step(R):
+    """compose_chain keeps int forms between the steps, and over Q divides
+    out the content each partial product shares with its denominator: the
+    result is compose_many step by step, and a bound below the largest
+    monomial image a step builds gives None."""
+    rng = random.Random(f"ichain/{R!r}")
+    for _ in range(4):
+        start = [rand_poly(rng, R, 2, rng.randint(1, 4), 1) for _ in range(2)]
+        steps = [[rand_terms(rng, R, 2, rng.randint(1, 3), 1) for _ in range(2)]
+                 for _ in range(rng.randint(1, 3))]
+        want, built = start, []
+        for step in steps:
+            degs = [max(p.degree, 0) for p in want]
+            built.append(max(e[0] * degs[0] + e[1] * degs[1] for p in step for e in p))
+            want = compose_many([MultiPoly(R, 2, p) for p in step], want)
+        got = compose_chain(start, steps)
+        assert got == want
+        for g in got:
+            assert_reduced(g)
+        assert compose_chain(start, steps, max(built)) == want
+        assert compose_chain(start, steps, max(built) - 1) is None
 
 
 @pytest.mark.parametrize("R", [Q, F2, F1000003, LaurentRing(Q), LaurentRing(F5)], ids=repr)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from planeaut import (
     parse_automorphism,
     parse_polynomial,
 )
+from planeaut import parsing
 from planeaut.parsing import _MAX_DEPTH
 
 Q = RationalField()
@@ -153,3 +155,86 @@ def test_parenthesis_nesting_is_bounded():
     assert ok.comps[0].terms == {(1, 0): Fraction(1)}
     with pytest.raises(ParseError, match="nested deeper"):
         parse_automorphism("(" + "(" * (depth + 1) + "x1" + ")" * (depth + 1) + ", x2)", Q)
+
+
+def _rand_factor(rng, nvars, family, depth, divisor=False):
+    """An integer, x_i (rarely out of range), t in a family, or a
+    parenthesized sum, maybe negated and raised to a power in -2..4; as a
+    divisor mostly a nonzero integer or t."""
+    pick = rng.random()
+    if divisor and pick < 0.9:
+        atom = "t" if family and pick < 0.2 else str(rng.randint(1, 7))
+    elif pick < 0.3:
+        atom = str(rng.randint(0, 7))
+    elif pick < 0.75:
+        atom = f"x{rng.randint(1, nvars + (rng.random() < 0.03))}"
+    elif pick < 0.85 and family:
+        atom = "t"
+    elif depth < 2:
+        atom = f"({_rand_sum(rng, nvars, family, depth + 1)})"
+    else:
+        atom = "x1"
+    if rng.random() < 0.4:
+        atom += f"^{rng.randint(-2, -1) if rng.random() < 0.05 else rng.randint(0, 4)}"
+    return ("-" if rng.random() < 0.15 else "") + atom
+
+
+def _rand_sum(rng, nvars, family, depth=0):
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        term = _rand_factor(rng, nvars, family, depth)
+        for _ in range(rng.randint(0, 3)):
+            op = rng.choice(("*", "*", "*", "/"))
+            term += op + _rand_factor(rng, nvars, family, depth, divisor=op == "/")
+        terms.append(term)
+    out = terms[0]
+    for term in terms[1:]:
+        out += rng.choice((" + ", " - ")) + term
+    return out
+
+
+def _outcome(src, K):
+    try:
+        return "ok", str(parse_automorphism(src, K))
+    except ParseError as exc:
+        return "error", str(exc), exc.pos
+
+
+@pytest.mark.parametrize("K", [Q, F2, F5], ids=repr)
+def test_monomial_summands_match_the_general_path(K, monkeypatch):
+    """_eval reads each monomial summand straight into one term dict; with
+    parsing._monomial switched off every summand goes through the general
+    path, the oracle.  Both give the same map or family, or the same error
+    at the same position, on seeded sums with divisions, negative powers,
+    zero divisors, out-of-range variables and nested sums."""
+    rng = random.Random(f"parse/{K!r}")
+    srcs = []
+    for i in range(300):
+        family = i % 2 == 1
+        srcs.append("(" + ", ".join(_rand_sum(rng, 2, family) for _ in range(2)) + ")")
+    got = [_outcome(src, K) for src in srcs]
+    monkeypatch.setattr(parsing, "_monomial", lambda *args: None)
+    assert got == [_outcome(src, K) for src in srcs]
+    kinds = [g[0] for g in got]
+    assert kinds.count("ok") > 30 and kinds.count("error") > 30
+
+
+def test_a_printed_iterate_parses_without_adding_polynomials(monkeypatch):
+    """A printed 1,474-term F5 iterate is a sum of monomials: it parses
+    into one term dict, with no MultiPoly addition (each one copied the
+    accumulated sum)."""
+    f = parse_automorphism("(x2 + x1^3, -x1 + 2*x2^3 + x2 + 1)", F5)
+    g = f
+    for _ in range(3):
+        g = f.compose(g)
+    src = str(g)
+    added = []
+    add = MultiPoly.__add__
+
+    def counted(self, other):
+        added.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__add__", counted)
+    assert parse_automorphism(src, F5) == g
+    assert sum(len(p.terms) for p in g.comps) == 1474 and not added
