@@ -43,6 +43,7 @@ from .errors import (
     FieldExtensionRequiredError,
     NotInvertibleError,
     NotSpecialError,
+    PlaneAutError,
     RingMismatchError,
 )
 from .poly import MultiPoly, compose_chain
@@ -393,9 +394,13 @@ def _reduction_ops(e: Endo):
 
 def _factor(e: Endo, c) -> AmalgamWord:
     """The reduced word w with e = recompose(w) o s_c, c the Jacobian of e and
-    s_c = (c x1, x2): its last affine factor is final o s_c^-1."""
-    ops, final = _reduction_ops(e)
-    R = e.ring
+    s_c = (c x1, x2)."""
+    return _word_of_descent(e.ring, *_reduction_ops(e), c)
+
+
+def _word_of_descent(R, ops, final, c) -> AmalgamWord:
+    """The reduced word of _reduction_ops' (ops, final) for the map of
+    Jacobian c: its last affine factor is final o s_c^-1."""
     ci = R.invert(c)
     c0, c1 = final.comps
     last = AffineFactor(R, R.mul(c0.coeff((1, 0)), ci), c0.coeff((0, 1)),
@@ -432,21 +437,52 @@ def _check_inverse_by_word(e: Endo, inv: Endo, word: AmalgamWord, c) -> None:
             raise NotInvertibleError("forward and inverse do not compose to the identity")
 
 
+# Above this degree plane_aut_from_endo differentiates before it descends:
+# the descent raises v to the power deg u / deg v, which a map of huge degree
+# that is no automorphism can make unbounded, where its Jacobian is a few
+# products of its terms.  Every map the perfbench workloads validate has
+# degree <= 8.
+_JACOBIAN_FIRST_DEGREE = 32
+
+
+def _check_jacobian(e: Endo) -> None:
+    jac = e.jacobian()
+    if not jac.is_constant or jac.is_zero:
+        raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
+
+
 def plane_aut_from_endo(e: Endo) -> PlaneAut:
     """Validate e as a plane automorphism: factor it once as recompose(w) o s_c,
     invert it as s_c^-1 o recompose(w^-1), certify both compositions with
     the identity along w (_check_inverse_by_word), which certifies w too,
     and keep w as the result's word.  Over K[t, 1/t] every division must be
-    by a unit; LaurentRing.invert raises NotInvertibleError if not."""
-    jac = e.jacobian()
-    if not jac.is_constant or jac.is_zero:
-        raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
-    R, c = e.ring, jac.constant_value()
-    word = _factor(e, c)
-    inv = word.inverse_word().recompose()
-    if not R.eq(c, R.one):
-        inv = Endo([inv.comps[0].scale(R.invert(c)), inv.comps[1]])
-    _check_inverse_by_word(e, inv, word, c)
+    by a unit; LaurentRing.invert raises NonUnitError if not.
+
+    c is the determinant of the linear part of the descent's final affine
+    map: every descent op has Jacobian 1, so once the word check has proved
+    e = recompose(w) o s_c, c is the Jacobian of e, and no polynomial is
+    differentiated.  The Jacobian is computed only to choose the error of a
+    rejected map: up front when deg e > _JACOBIAN_FIRST_DEGREE, and after
+    the descent, the factoring or the word check raises, which then gives
+    "Jacobian determinant is not a nonzero constant" if it is not one and
+    the original error, of its own type, if it is."""
+    if e.degree > _JACOBIAN_FIRST_DEGREE:
+        _check_jacobian(e)
+    try:
+        ops, final = _reduction_ops(e)
+        R = e.ring
+        (a, b), (cc, d) = ([q.coeff(m) for m in ((1, 0), (0, 1))] for q in final.comps)
+        c = R.sub(R.mul(a, d), R.mul(b, cc))
+        if R.is_zero(c):
+            raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
+        word = _word_of_descent(R, ops, final, c)
+        inv = word.inverse_word().recompose()
+        if not R.eq(c, R.one):
+            inv = Endo([inv.comps[0].scale(R.invert(c)), inv.comps[1]])
+        _check_inverse_by_word(e, inv, word, c)
+    except PlaneAutError:
+        _check_jacobian(e)
+        raise
     aut = PlaneAut(e, inv, verify=False)
     aut.word = word
     return aut

@@ -33,13 +33,15 @@ from .errors import (
     RingMismatchError,
     UnsupportedFieldError,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, _compose_lowered, _lower, _reduced
 from .rings import MINUS_INF, LaurentRing, _iroot, up_deg
 
 
 class TFamily:
     """An endomorphism over K[t, 1/t], with an optional verified inverse and,
-    once x_alpha has sampled it, its X_alpha at the default sample count."""
+    once x_alpha has sampled it, its X_alpha at the default sample count.
+    The inverse may be given as a function of no arguments that builds it;
+    it is called the first time the inverse is read."""
 
     __slots__ = ("endo", "_inv", "_xalpha")
 
@@ -53,6 +55,12 @@ class TFamily:
         self.endo = endo
         self._inv = inverse
         self._xalpha = None
+
+    def _known_inverse(self):
+        """The inverse given, built now if it was given as a function, or None."""
+        if callable(self._inv):
+            self._inv = self._inv()
+        return self._inv
 
     @property
     def ring(self) -> LaurentRing:
@@ -97,12 +105,13 @@ class TFamily:
         """t -> t^m on every coefficient."""
         L = self.ring
         fn = lambda a: {m * e: c for e, c in a.items()}
-        inv = self._inv.map_coeffs(fn, L) if self._inv is not None else None
+        inv = self._known_inverse()
+        inv = inv.map_coeffs(fn, L) if inv is not None else None
         return TFamily(self.endo.map_coeffs(fn, L), inv, check=False)
 
     def compose(self, other: "TFamily") -> "TFamily":
         inv = None
-        if self._inv is not None and other._inv is not None:
+        if self._known_inverse() is not None and other._known_inverse() is not None:
             inv = other._inv.compose(self._inv)
         return TFamily(self.endo.compose(other.endo), inv, check=False)
 
@@ -114,7 +123,7 @@ class TFamily:
         formal inverse over K[t, 1/t].  If that fails its composition check
         too, the descent's error stands.  Any other descent error is the
         same over K(t), so no inverse exists and it stands at once."""
-        if self._inv is None:
+        if self._known_inverse() is None:
             if self.nvars != 2:
                 raise NotInvertibleError("generic family inversion is implemented for the plane")
             try:
@@ -310,29 +319,50 @@ class PolePropagationReport:
         }
 
 
+def _conjugate_valuation(outer: Endo, f: Endo, inner: Endo):
+    """The valuation of (outer o f) o inner, for outer and inner over
+    K[t, 1/t] and f over K, read off int forms: f is lowered over K with a
+    zero t-slot, the first substitution's reduced int form is substituted
+    into straight away, and the least t-exponent of the nonzero terms is
+    taken; 0 for the zero map, as TFamily.valuation.  Nothing is raised back
+    to Laurent coefficients."""
+    L = outer.ring
+    f_args = []
+    for p in f.comps:
+        m, den, flat = _lower(L.base, p.terms)
+        f_args.append((den, {(*e, 0): v for e, v in flat.items()}))
+    first = [_reduced(m, den, acc) for den, acc in
+             _compose_lowered(L, m, [_lower(L, p.terms)[1:] for p in outer.comps],
+                              f_args, f.nvars)]
+    second = _compose_lowered(L, m, first, [_lower(L, p.terms)[1:] for p in inner.comps],
+                              f.nvars)
+    return min((e[-1] for _, acc in second for e, v in acc.items() if (v % m if m else v)),
+               default=0)
+
+
 def pole_propagation_check(f: PlaneAut, alpha: TFamily) -> PolePropagationReport:
-    """Check: a sampled X_alpha point away from I_f forces a pole on
-    alpha^-1 f alpha; and one of the two conjugates always keeps a pole."""
-    L = alpha.ring
-    f_t = lift_endo(f.fwd, L)
-    f_inv_t = lift_endo(f.inv, L)
+    """Check two statements on f and the family alpha: a sampled X_alpha
+    point away from I_f forces a pole on alpha^-1 f alpha (the implication),
+    and one of alpha^-1 f alpha and alpha f^-1 alpha^-1 keeps a pole (the
+    dichotomy).  The report says whether each holds; the dichotomy fails
+    when, say, alpha commutes with f, as (x1 + 1/t, x2) does with
+    (x1 + x2^2, x2).  The two valuations are read off int forms
+    (_conjugate_valuation), without building either conjugate family."""
     ainv = alpha.inverse()
-    conj = TFamily(ainv.endo.compose(f_t).compose(alpha.endo), check=False)
-    conj_inv = TFamily(alpha.endo.compose(f_inv_t).compose(ainv.endo), check=False)
+    vc = _conjugate_valuation(ainv.endo, f.fwd, alpha.endo)
+    vci = _conjugate_valuation(alpha.endo, f.inv, ainv.endo)
     v = alpha.valuation
     notes = []
     i_pt = indeterminacy_point(f.fwd)
     if v is not MINUS_INF and v >= 0:
         notes.append("alpha has no pole; the propagation hypothesis is vacuous")
-        return PolePropagationReport(v, False, i_pt, (), conj.valuation,
-                                     conj_inv.valuation, True, True, notes)
+        return PolePropagationReport(v, False, i_pt, (), vc, vci, True, True, notes)
     xs = x_alpha(alpha)
     hypothesis = any(pt != i_pt for pt in xs.points)
     if not xs.points:
         notes.append("no sample point survived; hypothesis undetermined")
-    vc, vci = conj.valuation, conj_inv.valuation
-    implication = (not hypothesis) or (vc is MINUS_INF or vc < 0)
-    dichotomy = (vc is MINUS_INF or vc < 0) or (vci is MINUS_INF or vci < 0)
+    implication = (not hypothesis) or vc < 0
+    dichotomy = vc < 0 or vci < 0
     return PolePropagationReport(v, hypothesis, i_pt, xs.points, vc, vci,
                                  implication, dichotomy, notes)
 
@@ -341,7 +371,11 @@ def pole_propagation_check(f: PlaneAut, alpha: TFamily) -> PolePropagationReport
 
 @dataclass
 class DegenerationWitness:
-    """F = conjugator^-1 o f o conjugator over K[t,1/t], with ord-0 value."""
+    """F = conjugator^-1 o f o conjugator over K[t,1/t], with ord-0 value.
+
+    The degenerate_family_* constructors build family by that conjugation
+    and check its limit; verify() conjugates f again, in full, and compares,
+    for a witness whose parts were built or changed elsewhere."""
     source: PlaneAut
     family_tag: str
     conjugator: TFamily
@@ -389,22 +423,27 @@ def _diag_t(lring: LaurentRing) -> TFamily:
 
 
 def _conjugated_family(f: PlaneAut, conjugator: TFamily) -> TFamily:
+    """conjugator^-1 o f o conjugator, whose inverse conjugator^-1 o f^-1 o
+    conjugator is built by the same formula only when it is first read."""
     cinv = conjugator.inverse()
     L = conjugator.ring
-    fwd = cinv.endo.compose(lift_endo(f.fwd, L)).compose(conjugator.endo)
-    bwd = cinv.endo.compose(lift_endo(f.inv, L)).compose(conjugator.endo)
-    return TFamily(fwd, bwd, check=False)
+
+    def conjugate(e):
+        return cinv.endo.compose(lift_endo(e, L)).compose(conjugator.endo)
+
+    return TFamily(conjugate(f.fwd), lambda: conjugate(f.inv), check=False)
 
 
-def _witness(f, tag, conjugator, expected_limit, params=None) -> DegenerationWitness:
-    fam = _conjugated_family(f, conjugator)
+def _witness(f, tag, conjugator, expected_limit, params=None, fam=None) -> DegenerationWitness:
+    """The witness of f along conjugator, fam its conjugated family if built
+    already.  The family is built by conjugation, so its limit at t = 0 is
+    the one check left; verify() would compose the same family again."""
+    if fam is None:
+        fam = _conjugated_family(f, conjugator)
     limit = fam.value_at_zero()
     if limit != expected_limit:
         raise PlaneAutError(f"degeneration limit mismatch for family {tag}")
-    w = DegenerationWitness(f, tag, conjugator, fam, limit, params or {})
-    if not w.verify():
-        raise PlaneAutError(f"degeneration witness failed verification for {tag}")
-    return w
+    return DegenerationWitness(f, tag, conjugator, fam, limit, params or {})
 
 
 def _degenerate_diagonal(ring, tag, zeta, m: int, P: dict, params) -> DegenerationWitness:
@@ -535,5 +574,5 @@ def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitn
         v = fam.valuation
         if v is not MINUS_INF and v >= 0 and fam.value_at_zero() == Endo.identity(ring, 2):
             params["m"] = m
-            return _witness(f, "iv-F2", conjugator, Endo.identity(ring, 2), params)
+            return _witness(f, "iv-F2", conjugator, Endo.identity(ring, 2), params, fam)
     raise PlaneAutError("family (iv) F2 search exhausted its bound")

@@ -142,10 +142,13 @@ class PlaneAut:
     reduction, its cyclic reduction (word, h) (amalgam._cyclic_reduction);
     nf, its verified normal form (conjugacy.normal_form).
     The Jacobian of an automorphism is a constant, so jac is its value at the
-    origin, read off the linear part of fwd; verify=False trusts the caller
-    that fwd is an automorphism.  verify() composes fwd o inv and inv o fwd
-    in full; amalgam.plane_aut_from_endo instead certifies both along the
-    factor word, one factor at a time, and passes verify=False."""
+    origin, read off the linear part of fwd; no PlaneAut differentiates.
+    amalgam.plane_aut_from_endo takes the same constant from its descent
+    and multiplies the Jacobian polynomial out only for a map it rejects or
+    one of degree above amalgam._JACOBIAN_FIRST_DEGREE.  verify=False trusts
+    the caller that fwd is an automorphism.  verify() composes fwd o inv and
+    inv o fwd in full; amalgam.plane_aut_from_endo instead certifies both
+    along the factor word, one factor at a time, and passes verify=False."""
 
     __slots__ = ("fwd", "inv", "jac", "word", "reduction", "nf")
 

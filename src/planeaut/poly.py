@@ -31,8 +31,14 @@ dense exponent box, whose every slot starts at the product's least exponent
 there (so negative t-exponents pack, and boxes shrink), each factor is
 packed into one integer with a fixed-width byte field per slot, wide enough
 that no carry crosses a field, CPython's Karatsuba bignum multiply does the
-convolution, and the product is read back through to_bytes.  Over Q a sign
-offset on every field makes the signed product fields read back unsigned.
+convolution, and the product is read back through to_bytes into an array
+(or, for fields over 8 bytes, a list) of its fields.  Over Q every field
+gets an offset of half its range, then has that top bit flipped, so it
+reads back as its value in two's complement.  An empty slot reads back as
+0 over both, and itertools.compress pairs the box's exponent tuples with
+the nonzero fields in C, so unpacking spends no Python step on an empty
+slot; packing computes each term's slot with the strides unrolled for the
+2- and 3-slot exponents of plane maps and their t-families.
 A box of more than _PACK_SLOTS_PER_PRODUCT slots per term product stays on
 the dict loop, so sparse factors with huge exponents never allocate a dense
 integer.  conftest.ring_mul, the dict loop on ring methods, is the oracle.
@@ -43,9 +49,12 @@ the argument raised to the gap, and all terms are summed into one dict.
 compose_many shares that table across the components of a map, and builds
 it on int forms: a term's t-exponent shifts the last slot of its image, and
 each term is scaled so that every output has one denominator.
-conftest.ring_compose_many is its oracle.  compose_chain applies a list of
-maps one at a time on the left and stays on int forms between them, so a
-factor word is recomposed or walked with one lowering and one raising.
+conftest.ring_compose_many is its oracle.  _compose_lowered, the body of
+compose_many, takes the substituted polynomials as int forms too, so one
+substitution's output feeds the next without a raise: compose_chain applies
+a list of maps one at a time on the left that way, so a factor word is
+recomposed or walked with one lowering and one raising, and
+degeneration.pole_propagation_check reads its valuations off int forms.
 """
 
 from __future__ import annotations
@@ -82,6 +91,7 @@ _PACK_SLOTS_PER_PRODUCT = 4
 # Field widths in bytes that an array typecode holds; others go through
 # int.to_bytes / int.from_bytes one field at a time.
 _ARRAY_CODES = {array(t).itemsize: t for t in "BHILQ"}
+_SIGNED_CODES = {array(t).itemsize: t for t in "bhilq"}
 
 
 def _gradlex_key(exps):
@@ -263,7 +273,7 @@ class MultiPoly:
 
 def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
     """[p.compose(args) for p in polys], building each argument power once:
-    the arguments lowered, one _compose_lowered, every output raised."""
+    polys and arguments lowered, one _compose_lowered, every output raised."""
     nvars = len(args)
     for p in polys:
         if p.nvars != nvars:
@@ -277,13 +287,13 @@ def compose_many(polys: Sequence[MultiPoly], args: Sequence[MultiPoly]) -> list:
     ms, dens, bases = zip(*(_lower(R, a.terms) for a in args))
     m = ms[0]
     return [MultiPoly(R, nv, _raise(R, m, den, acc), _clean=False)
-            for den, acc in _compose_lowered(R, m, [p.terms for p in polys],
+            for den, acc in _compose_lowered(R, m, [_lower(R, p.terms)[1:] for p in polys],
                                              list(zip(dens, bases)), nv)]
 
 
 def _compose_lowered(R, m, polys, args, nv):
-    """The int forms (den, flat) of p(args) for each term dict p over R, with
-    args int forms (den, flat) in nv variables, mod m; flat values are not
+    """The int forms (den, flat) of p(args) for each int form p = (den, flat)
+    over R, with args int forms in nv variables, mod m; flat values are not
     reduced.
 
     The table holds the argument powers, and the term c x^e of p adds
@@ -297,8 +307,8 @@ def _compose_lowered(R, m, polys, args, nv):
     laurent = type(R) is LaurentRing
     mul, one = functools.partial(_imul, m=m), {(0,) * (nv + laurent): 1}
     monos = {}
-    for p in polys:
-        monos.update(dict.fromkeys(p))
+    for _, P in polys:
+        monos.update(dict.fromkeys((e[:nvars] for e in P) if laurent else P))
     powers = []
     for a, ks in zip(bases, map(set, zip(*monos))):
         table, gaps = {}, {1: a}
@@ -313,10 +323,9 @@ def _compose_lowered(R, m, polys, args, nv):
             last = k
         powers.append(table)
     out = []
-    for p in polys:
-        _, den, P = _lower(R, p)
+    for den, P in polys:
         if dens:
-            top = [max(col) for col in zip(*p)]
+            top = [max(col) for col in itertools.islice(zip(*P), nvars)]
             den *= math.prod(map(pow, dens, top))
         acc = {}
         for e, c in P.items():
@@ -361,7 +370,8 @@ def compose_chain(start: Sequence[MultiPoly], steps, bound=None):
             degs = [max((sum(e[:nv]) for e in flat), default=0) for _, flat in cur]
             if any(sum(map(operator.mul, e, degs)) > bound for p in step for e in p):
                 return None
-        cur = [_reduced(m, den, acc) for den, acc in _compose_lowered(R, m, step, cur, nv)]
+        lowered = [_lower(R, p)[1:] for p in step]
+        cur = [_reduced(m, den, acc) for den, acc in _compose_lowered(R, m, lowered, cur, nv)]
     return [MultiPoly(R, nv, _raise(R, m, den, flat), _clean=False) for den, flat in cur]
 
 
@@ -436,7 +446,9 @@ def _kronecker(a, b, m):
     """The product of two int term dicts, reduced mod m, by Kronecker
     substitution, or None when the product's dense exponent box has too many
     slots.  Each slot of the box starts at the product's least exponent
-    there, so negative exponents pack too."""
+    there, so negative exponents pack too.  The read-back walks the box in
+    C (itertools.compress over the fields that are set), so a Python step is
+    spent only on an occupied slot."""
     cols_a, cols_b = list(zip(*a)), list(zip(*b))
     lo_a, lo_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
     widths = [max(x) - la + max(y) - lb + 1
@@ -445,8 +457,8 @@ def _kronecker(a, b, m):
     if nslots > _PACK_SLOTS_PER_PRODUCT * len(a) * len(b):
         return None
     strides = [math.prod(widths[i + 1:]) for i in range(len(widths))]
-    off_a = sum(map(operator.mul, lo_a, strides))
-    off_b = sum(map(operator.mul, lo_b, strides))
+    slots_a = _slots(a, strides, sum(map(operator.mul, lo_a, strides)))
+    slots_b = _slots(b, strides, sum(map(operator.mul, lo_b, strides)))
     grid = itertools.product(*(range(la + lb, la + lb + w)
                                for la, lb, w in zip(lo_a, lo_b, widths)))
     # one output field sums at most min(len(a), len(b)) term products
@@ -454,17 +466,22 @@ def _kronecker(a, b, m):
     if m:
         k = _field_bytes(n * (m - 1) ** 2)
         # reduced here: F_p terms may hold ints outside range(p)
-        prod = (_pack(((e, c % m) for e, c in a.items()), strides, off_a, k, nslots)
-                * _pack(((e, c % m) for e, c in b.items()), strides, off_b, k, nslots))
-        return {e: r for e, v in zip(grid, _unpack(prod, k, nslots)) if v and (r := v % m)}
+        prod = (_pack(zip(slots_a, map(m.__rmod__, a.values())), k, nslots)
+                * _pack(zip(slots_b, map(m.__rmod__, b.values())), k, nslots))
+        vals = _unpack(prod, k, nslots)
+        return {e: r for e, v in zip(itertools.compress(grid, vals), filter(None, vals))
+                if (r := v % m)}
     bound = n * max(map(abs, a.values())) * max(map(abs, b.values()))
-    # fields hold [-half, half) and read back as value + half in [0, 2 half)
+    # fields hold values in [-half, half)
     k = _field_bytes(2 * bound + 1)
     half = 1 << (8 * k - 1)
-    prod = (_pack_signed(a, strides, off_a, k, nslots)
-            * _pack_signed(b, strides, off_b, k, nslots))
-    prod += int.from_bytes(half.to_bytes(k, "little") * nslots, "little")
-    return {e: v - half for e, v in zip(grid, _unpack(prod, k, nslots)) if v != half}
+    prod = (_pack_signed(slots_a, a.values(), k, nslots)
+            * _pack_signed(slots_b, b.values(), k, nslots))
+    # value + half in every field, then its top bit flipped: each field
+    # holds the value in two's complement, and an empty field is zero
+    halves = int.from_bytes(half.to_bytes(k, "little") * nslots, "little")
+    vals = _unpack((prod + halves) ^ halves, k, nslots, signed=True)
+    return dict(zip(itertools.compress(grid, vals), filter(None, vals)))
 
 
 def _field_bytes(bound):
@@ -474,41 +491,54 @@ def _field_bytes(bound):
     return k if k > 8 else 1 << (k - 1).bit_length()
 
 
-def _pack(items, strides, off, k, nslots):
-    """sum(c * 256^(k * slot(e))) for (e, c) in items, every c in [0, 256^k),
-    slot(e) = e . strides - off."""
+def _slots(terms, strides, off):
+    """[e . strides - off for e in terms], unrolled for the 2- and 3-slot
+    exponents of plane maps and their t-families; the last stride is 1."""
+    if len(strides) == 2:
+        s0 = strides[0]
+        return [i * s0 + j - off for i, j in terms]
+    if len(strides) == 3:
+        s0, s1 = strides[0], strides[1]
+        return [i * s0 + j * s1 + k - off for i, j, k in terms]
+    return [sum(map(operator.mul, e, strides)) - off for e in terms]
+
+
+def _pack(pairs, k, nslots):
+    """sum(c * 256^(k * s)) over the pairs (s, c), every c in [0, 256^k)."""
     code = _ARRAY_CODES.get(k)
     if code is not None:
         buf = array(code, [0]) * nslots
-        for e, c in items:
-            buf[sum(map(operator.mul, e, strides)) - off] = c
+        for s, c in pairs:
+            buf[s] = c
         if sys.byteorder == "big":
             buf.byteswap()
     else:
         buf = bytearray(nslots * k)
-        for e, c in items:
-            o = (sum(map(operator.mul, e, strides)) - off) * k
-            buf[o:o + k] = c.to_bytes(k, "little")
+        for s, c in pairs:
+            buf[s * k:s * k + k] = c.to_bytes(k, "little")
     return int.from_bytes(buf, "little")
 
 
-def _pack_signed(terms, strides, off, k, nslots):
-    pos = ((e, c) for e, c in terms.items() if c > 0)
-    neg = ((e, -c) for e, c in terms.items() if c < 0)
-    return _pack(pos, strides, off, k, nslots) - _pack(neg, strides, off, k, nslots)
+def _pack_signed(slots, values, k, nslots):
+    """The packed ints of signed values: positive fields minus negative ones."""
+    pos = ((s, c) for s, c in zip(slots, values) if c > 0)
+    neg = ((s, -c) for s, c in zip(slots, values) if c < 0)
+    return _pack(pos, k, nslots) - _pack(neg, k, nslots)
 
 
-def _unpack(n, k, nslots):
-    """The nslots fields of k bytes of n >= 0, lowest first."""
+def _unpack(n, k, nslots, signed=False):
+    """The nslots fields of k bytes of n >= 0, lowest first, as a sequence;
+    signed reads each field in two's complement."""
     raw = n.to_bytes(nslots * k, "little")
-    code = _ARRAY_CODES.get(k)
+    code = (_SIGNED_CODES if signed else _ARRAY_CODES).get(k)
     if code is not None:
         vals = array(code, raw)
         if sys.byteorder == "big":
             vals.byteswap()
         return vals
     mv = memoryview(raw)
-    return (int.from_bytes(mv[o:o + k], "little") for o in range(0, nslots * k, k))
+    return [int.from_bytes(mv[o:o + k], "little", signed=signed)
+            for o in range(0, nslots * k, k)]
 
 
 def _monomial_str(exps) -> str:

@@ -6,9 +6,11 @@ where exact fifth iterates stay affordable, degree 2 over Q and degrees
 caps from the word samplers are maxima, not a promise of uniformity.
 """
 
+import collections
 import functools
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,10 +27,14 @@ from planeaut import (
     PlaneAut,
     PrimeField,
     RationalField,
+    TFamily,
     image_point_at_infinity,
+    indeterminacy_point,
     is_algebraic,
+    x_alpha,
 )
-from planeaut import poly
+from planeaut import amalgam, endo, poly
+from planeaut.degeneration import PolePropagationReport
 from planeaut.rings import power, up_add, up_mul
 
 SEED = 20260823
@@ -337,20 +343,84 @@ def two_sided_composition(fwd: Endo, inv: Endo) -> bool:
     return fwd.compose(inv) == ident and inv.compose(fwd) == ident
 
 
+def jacobian_first_plane_aut(e: Endo) -> PlaneAut:
+    """amalgam.plane_aut_from_endo before it took c from the descent, kept as
+    its oracle: the Jacobian determinant is multiplied out first, a map
+    whose Jacobian is not a nonzero constant is rejected at once, and c is
+    that constant."""
+    jac = e.jacobian()
+    if not jac.is_constant or jac.is_zero:
+        raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
+    R, c = e.ring, jac.constant_value()
+    word = amalgam._factor(e, c)
+    inv = word.inverse_word().recompose()
+    if not R.eq(c, R.one):
+        inv = Endo([inv.comps[0].scale(R.invert(c)), inv.comps[1]])
+    amalgam._check_inverse_by_word(e, inv, word, c)
+    aut = PlaneAut(e, inv, verify=False)
+    aut.word = word
+    return aut
+
+
+def compose_then_raise_pole_check(f: PlaneAut, alpha) -> dict:
+    """degeneration.pole_propagation_check's describe() before it read the
+    valuations off int forms, kept as its oracle: f and f^-1 are lifted to
+    K[t, 1/t], both conjugates are composed and raised as families, and
+    their valuations are read off the Laurent coefficients."""
+    L = alpha.ring
+    ainv = alpha.inverse()
+    lifted = [e.map_coeffs(L.from_base, L) for e in (f.fwd, f.inv)]
+    conj = TFamily(ainv.endo.compose(lifted[0]).compose(alpha.endo), check=False)
+    conj_inv = TFamily(alpha.endo.compose(lifted[1]).compose(ainv.endo), check=False)
+    v, vc, vci = alpha.valuation, conj.valuation, conj_inv.valuation
+    i_pt = indeterminacy_point(f.fwd)
+    if v is not MINUS_INF and v >= 0:
+        rep = PolePropagationReport(v, False, i_pt, (), vc, vci, True, True,
+                                    ["alpha has no pole; the propagation hypothesis is vacuous"])
+        return rep.describe()
+    xs = x_alpha(alpha)
+    hypothesis = any(pt != i_pt for pt in xs.points)
+    notes = [] if xs.points else ["no sample point survived; hypothesis undetermined"]
+    pole, pole_inv = vc is MINUS_INF or vc < 0, vci is MINUS_INF or vci < 0
+    return PolePropagationReport(v, hypothesis, i_pt, xs.points, vc, vci, not hypothesis or pole,
+                                 pole or pole_inv, notes).describe()
+
+
 @pytest.fixture
 def compose_spy(monkeypatch):
     """The largest degree each composition builds, one entry per call of
     poly._compose_lowered, which runs every poly.compose_many call and every
     step of poly.compose_chain: the largest sum of e_i * deg(arg_i) over the
     monomials x^e substituted, the degree of the largest monomial image, which
-    the output keeps unless its top terms cancel."""
-    degrees, inner = [], poly._compose_lowered
+    the output keeps unless its top terms cancel.  Its callers attribute
+    counts the calls per caller: the name of the first function outside
+    poly.py and endo.py on the call stack."""
+    degrees, inner = ComposeRecord(), poly._compose_lowered
 
     def spy(R, m, polys, args, nv):
         degs = [max((sum(e[:nv]) for e in flat), default=0) for _, flat in args]
-        degrees.append(max((sum(map(operator.mul, e, degs)) for p in polys for e in p),
+        degrees.append(max((sum(map(operator.mul, e, degs)) for _, flat in polys for e in flat),
                            default=0))
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename in _KERNEL_FILES:
+            frame = frame.f_back
+        degrees.callers[frame.f_code.co_name] += 1
         return inner(R, m, polys, args, nv)
 
     monkeypatch.setattr(poly, "_compose_lowered", spy)
     return degrees
+
+
+_KERNEL_FILES = {poly.__file__, endo.__file__}
+
+
+class ComposeRecord(list):
+    """compose_spy's degrees, one per composition, and its callers Counter."""
+
+    def __init__(self):
+        super().__init__()
+        self.callers = collections.Counter()
+
+    def clear(self):
+        super().clear()
+        self.callers.clear()

@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import (
+    SEED,
+    _algebraic_word_nontrivial,
+    compose_then_raise_pole_check,
+    rand_affine,
+    rand_scalar,
+    sample_regular_word,
+    word_to_plane_aut,
+)
 from planeaut import (
+    DegenerationWitness,
     Endo,
     LaurentRing,
     MultiPoly,
@@ -26,7 +36,7 @@ from planeaut import (
     x_alpha,
 )
 from planeaut import degeneration
-from planeaut.degeneration import _frobenius
+from planeaut.degeneration import _frobenius, lift_endo
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -268,3 +278,105 @@ def test_x_alpha_is_sampled_once_per_family(monkeypatch):
     assert fresh.describe() == xs.describe() and len(calls) == 2
     few = x_alpha(alpha, max_samples=3)
     assert len(calls) == 3 and few is not xs and x_alpha(alpha) is xs
+
+
+# -- pole valuations off int forms, each witness family composed once -------
+
+def _pole_families(rng, K):
+    """Families over K[t, 1/t] that the check inverts: A o (t^k x1, t^-k x2)
+    o (x1 + a(t) x2^j, x2) o (x1 + b(t), x2), A affine over K and a(t),
+    b(t) Laurent polynomials of one to three terms, so most have a pole
+    and non-monomial coefficients; a family lifted from K, without a pole;
+    and one inverted only by its formal inverse."""
+    L = LaurentRing(K)
+
+    def laurent():
+        return {rng.randint(-3, 3): rand_scalar(rng, K, nonzero=True)
+                for _ in range(rng.randint(1, 3))}
+
+    out = []
+    for k in (1, -1, 2, 0):
+        A = lift_plane_aut(plane_aut_from_endo(rand_affine(rng, K).to_endo()), L).endo
+        diag = Endo([MultiPoly(L, 2, {(1, 0): {k: K.one}}), MultiPoly(L, 2, {(0, 1): {-k: K.one}})])
+        shear = Endo([MultiPoly(L, 2, {(1, 0): L.one, (0, rng.randint(1, 2)): laurent()}),
+                      MultiPoly.variable(L, 2, 1)])
+        shift = Endo([MultiPoly(L, 2, {(1, 0): L.one, (0, 0): laurent()}),
+                      MultiPoly.variable(L, 2, 1)])
+        out.append(TFamily(A.compose(diag).compose(shear).compose(shift)))
+    out.append(fam("(x1 + x2^2 + 1, x2 - 1)", K))
+    out.append(fam("((1+t)*(x1 + x2^2) + x2, t*(x1 + x2^2) + x2)", K))
+    return out
+
+
+@pytest.mark.parametrize("K", [Q, F2, F5], ids=repr)
+def test_pole_check_matches_the_compose_then_raise_oracle(K):
+    """Seeded maps against seeded families: the report reads the same,
+    byte for byte, as the old path that composed both conjugates over
+    K[t, 1/t] and took the valuations of the raised families."""
+    rng = random.Random(f"{SEED}/pole-check/{K!r}")
+    maps = [word_to_plane_aut(sample_regular_word(rng, K, 2)) for _ in range(3)]
+    maps += [word_to_plane_aut(_algebraic_word_nontrivial(rng, K, 3)) for _ in range(3)]
+    vacuous = 0
+    for alpha in _pole_families(rng, K):
+        for f in maps:
+            rep = pole_propagation_check(f, alpha).describe()
+            assert rep == compose_then_raise_pole_check(f, TFamily(alpha.endo)), (str(f), str(alpha))
+            vacuous += rep["alpha_valuation"] == "0"
+    assert vacuous >= len(maps)
+
+
+def test_pole_check_reports_a_failed_dichotomy():
+    """alpha = (x1 + 1/t, x2) commutes with f = (x1 + x2^2, x2): both
+    conjugates are f, pole-free, so the report says the dichotomy fails."""
+    f = plane_aut_from_endo(parse_automorphism("(x1 + x2^2, x2)", Q))
+    alpha = fam("(x1 + 1/t, x2)")
+    rep = pole_propagation_check(f, alpha)
+    assert (rep.conjugate_valuation, rep.inverse_conjugate_valuation) == (0, 0)
+    assert rep.implication_holds and not rep.dichotomy_holds
+    assert rep.describe() == compose_then_raise_pole_check(f, alpha)
+
+
+def _witnesses():
+    return [("ii", lambda: degenerate_family_ii(Q, {2: Fraction(1), 0: Fraction(3)})),
+            ("iii", lambda: degenerate_family_iii(F5, 2, 4, {0: 1, 1: 3})),
+            ("iv-F1", lambda: degenerate_family_iv(F3, {2: 2, 0: 1}, variant="F1")),
+            ("iv-F2", lambda: degenerate_family_iv(F2, {1: 1}, variant="F2"))]
+
+
+@pytest.mark.parametrize("tag,build", _witnesses(), ids=[t for t, _ in _witnesses()])
+def test_each_witness_composes_its_family_once(tag, build, compose_spy):
+    """A witness conjugates its family once (two substitutions, or two per
+    candidate m of the F2 search) and does not verify it again; the family
+    inverse is built by the same conjugation when it is first read, and
+    equals conjugator^-1 o f^-1 o conjugator."""
+    compose_spy.clear()
+    w = build()
+    candidates = w.params["m"] if tag == "iv-F2" else 1
+    assert compose_spy.callers["conjugate"] == 2 * candidates
+    assert "verify" not in compose_spy.callers
+    inv = w.family.inverse().endo
+    assert compose_spy.callers["conjugate"] == 2 * candidates + 2
+    assert w.family.inverse().endo is inv
+    assert compose_spy.callers["conjugate"] == 2 * candidates + 2
+    L, c = w.family.ring, w.conjugator
+    assert inv == c.inverse().endo.compose(lift_endo(w.source.inv, L)).compose(c.endo)
+    ident = Endo.identity(L, 2)
+    assert w.family.endo.compose(inv) == ident and inv.compose(w.family.endo) == ident
+    assert w.verify()
+
+
+@pytest.mark.parametrize("tag,build", _witnesses(), ids=[t for t, _ in _witnesses()])
+def test_one_changed_family_coefficient_fails_verify(tag, build):
+    """verify() still conjugates in full: each coefficient of the family,
+    in turn, plus one at t^0 makes it false."""
+    w = build()
+    L = w.family.ring
+    for i, comp in enumerate(w.family.endo.comps):
+        for exps, c in comp.terms.items():
+            terms = dict(comp.terms)
+            terms[exps] = L.add(c, L.one)
+            comps = list(w.family.endo.comps)
+            comps[i] = MultiPoly(L, 2, terms)
+            bad = DegenerationWitness(w.source, w.family_tag, w.conjugator,
+                                      TFamily(Endo(comps), check=False), w.limit, w.params)
+            assert not bad.verify(), (i, exps)

@@ -6,13 +6,25 @@ PlaneAut.verify composes fwd o inv and inv o fwd in full.  That old check,
 conftest.two_sided_composition, is the oracle: every map the walk accepts
 passes it, and a wrong inverse, a wrong factor inverse or a reversed
 recomposition is rejected with the text the old check raised.
+
+plane_aut_from_endo takes the Jacobian c from the linear part of the
+descent's final affine map and differentiates only to choose the error of
+a rejected map; conftest.jacobian_first_plane_aut, which multiplies the
+Jacobian out first, is the oracle of its results and of its errors.
 """
 import random
 import time
 
 import pytest
 
-from conftest import SEED, rand_affine, rand_jonquieres, rand_scalar, two_sided_composition
+from conftest import (
+    SEED,
+    jacobian_first_plane_aut,
+    rand_affine,
+    rand_jonquieres,
+    rand_scalar,
+    two_sided_composition,
+)
 from planeaut import (
     AffineFactor,
     AmalgamWord,
@@ -27,8 +39,9 @@ from planeaut import (
     parse_automorphism,
     plane_aut_from_endo,
 )
-from planeaut.amalgam import _check_inverse_by_word
+from planeaut.amalgam import _JACOBIAN_FIRST_DEGREE, _check_inverse_by_word
 from planeaut.degeneration import lift_endo
+from planeaut.errors import NonUnitError
 from planeaut.poly import compose_chain
 
 Q = RationalField()
@@ -211,3 +224,128 @@ def test_a_degree_8_map_builds_nothing_above_degree_8(compose_spy):
     compose_spy.clear()
     assert two_sided_composition(aut.fwd, aut.inv)
     assert max(compose_spy) == 64
+
+
+# -- c from the descent, the Jacobian only for the error --------------------
+
+def _counted_jacobians(monkeypatch):
+    calls, differentiate = [], Endo.jacobian
+
+    def counted(self):
+        calls.append(self)
+        return differentiate(self)
+
+    monkeypatch.setattr(Endo, "jacobian", counted)
+    return calls
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=repr)
+def test_accepted_maps_match_the_jacobian_first_oracle(K, monkeypatch):
+    """Seeded maps over K, about a third of them of Jacobian != 1, and
+    families over K[t, 1/t]: plane_aut_from_endo differentiates nothing and
+    gives the oracle's fwd, inv, jac and word."""
+    corpus = _corpus(K)
+    expected = [jacobian_first_plane_aut(e) for e in corpus]
+    # F2* = {1}
+    assert K is F2 or sum(not e.ring.eq(a.jac, e.ring.one)
+                          for e, a in zip(corpus, expected)) >= len(corpus) // 4
+    calls = _counted_jacobians(monkeypatch)
+    for e, old in zip(corpus, expected):
+        aut = plane_aut_from_endo(e)
+        assert (aut.fwd, aut.inv, aut.word) == (old.fwd, old.inv, old.word), str(e)
+        assert e.ring.eq(aut.jac, old.jac)
+    assert calls == []
+
+
+def _perturbed(rng, e):
+    """e plus a term of degree 2 or 3 in one component, with a coefficient
+    c t^k over K[t, 1/t]."""
+    R, i, comps = e.ring, rng.randrange(2), list(e.comps)
+    exps = rng.choice(((2, 0), (1, 1), (0, 2), (2, 1), (1, 2)))
+    if isinstance(R, LaurentRing):
+        c = {rng.randint(-2, 2): rand_scalar(rng, R.base, nonzero=True)}
+    else:
+        c = rand_scalar(rng, R, nonzero=True)
+    comps[i] = comps[i] + MultiPoly.monomial(R, 2, exps, c)
+    return Endo(comps)
+
+
+REJECTED = {
+    Q: ["(x1 + x2^2, x2 + x1^2)", "(x1^2, x2)", "(x1 + x2, x1 + x2)",
+        "((x1 + x2)^2, (x1 + x2)^3)", "(0, x2)", "(1, 2)", "(0, 0)",
+        "(x1)", "(x1^2)", "(x1, x2, x3)", "(x2^2, x1^3 + x2)", "(x1 + x2^3, x2 + x1^2)"],
+    F2: ["(x1 + x1^2, x2)", "(x1^2 + x1, x2^2 + x2)", "(x1 + x2^2, x1 + x2^2)"],
+    F5: ["(x1 + x1^5, x2)", "(x1 + x1^5 + x2^5, x2 + x1^10)", "(x1 + x2^2, x2 + x1^2)"],
+    F1000003: ["(x1 + x2^2, 2*x2 + x1^2)", "(0, x1 + x2)"],
+}
+REJECTED_FAMILIES = {
+    Q: ["((1+t)*x1, x2)", "((1+t)*x1 + x2^2, x2)", "((1+t)*(x1 + x2^2) + x2, t*(x1 + x2^2) + x2)",
+        "(t*x1 + x2^2, x2 + x1^2)", "(0*x1 + t, x2)"],
+    F2: ["((1+t)*(x1 + x2^2) + x2, t*(x1 + x2^2) + x2)", "(x1 + t*x1^2, x2)"],
+    F5: ["((2+t)*x1 + x2^3, x2)", "(x1 + t*x1^5, x2)"],
+    F1000003: ["((1 + t^2)*x1, t*x2)"],
+}
+
+
+def _outcome(build, e):
+    """(fwd, inv, word) of the map build(e) accepts, or the type and text
+    of what it raised."""
+    try:
+        aut = build(e)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return aut.fwd, aut.inv, aut.word
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=repr)
+def test_rejected_maps_keep_the_oracles_error(K):
+    """Non-constant and zero Jacobians, maps of the wrong arity, constant
+    non-unit Jacobians over K[t, 1/t] and constant-Jacobian
+    non-automorphisms over F_p, and seeded automorphisms with one more term
+    (a few of which are automorphisms still): plane_aut_from_endo raises the
+    oracle's exception type and text, or accepts what it accepts.  A
+    non-unit division stays a NonUnitError, which TFamily.inverse catches."""
+    rng = random.Random(f"{SEED}/rejected/{K!r}")
+    inputs = [parse_automorphism(src, K) for src in REJECTED[K]]
+    inputs += [parse_automorphism(src, K).endo for src in REJECTED_FAMILIES[K]]
+    inputs += [_perturbed(rng, e) for e in _corpus(K)]
+    outcomes = []
+    for e in inputs:
+        old = _outcome(jacobian_first_plane_aut, e)
+        assert _outcome(plane_aut_from_endo, e) == old, str(e)
+        outcomes.append(old[0])
+    assert all(isinstance(kind, type) for kind in outcomes[:len(inputs) - len(_corpus(K))])
+    assert NonUnitError in outcomes
+    assert sum(isinstance(kind, type) for kind in outcomes) >= len(inputs) * 3 // 4
+
+
+@pytest.mark.parametrize("src", [
+    "(x1^100000000 + x1^50000000*x2^50000000 + x2, x1^2 + x1*x2)",
+    "(x1 + x2^1000, x2 + x1^2)",
+], ids=["degree-1e8", "degree-1000"])
+def test_hostile_maps_fail_on_their_jacobian_within_a_second(src, monkeypatch):
+    """Above _JACOBIAN_FIRST_DEGREE the Jacobian is checked first: these
+    maps fail on it at once, where the descent would expand v^k first."""
+    e = parse_automorphism(src, Q)
+    assert e.degree > _JACOBIAN_FIRST_DEGREE
+    calls = _counted_jacobians(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(NotInvertibleError) as exc:
+        plane_aut_from_endo(e)
+    assert time.perf_counter() - start < 1
+    assert len(calls) == 1
+    assert (type(exc.value), str(exc.value)) == _outcome(jacobian_first_plane_aut, e) == (
+        NotInvertibleError, "Jacobian determinant is not a nonzero constant")
+
+
+def test_high_degree_automorphisms_differentiate_once(monkeypatch):
+    """Above _JACOBIAN_FIRST_DEGREE an automorphism is differentiated once
+    and still factored and certified; at the bound, not at all."""
+    calls = _counted_jacobians(monkeypatch)
+    for d, count in ((_JACOBIAN_FIRST_DEGREE, 0), (_JACOBIAN_FIRST_DEGREE + 1, 1)):
+        e = parse_automorphism(f"(3*x1 + x2^{d}, x2 + 1)", F5)
+        aut = plane_aut_from_endo(e)
+        assert len(calls) == count and F5.eq(aut.jac, 3)
+        calls.clear()
+        assert aut.word == jacobian_first_plane_aut(e).word
+        calls.clear()

@@ -5,6 +5,7 @@ MultiPoly.__mul__ packs large products over F_p and Q into one integer
 conftest.ring_mul is the oracle.  Every case compares the terms dicts exactly
 and checks that the packed result holds no zero coefficient.
 """
+import math
 import random
 import time
 from fractions import Fraction
@@ -12,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import ring_mul
-from planeaut import MultiPoly, PrimeField, RationalField, parse_automorphism
+from planeaut import LaurentRing, MultiPoly, PrimeField, RationalField, parse_automorphism
+from planeaut import poly
 from planeaut.poly import _PACK_MIN_PRODUCTS, _field_bytes, _kronecker, _lower, _raise
 
 Q = RationalField()
@@ -148,3 +150,97 @@ def test_sparse_huge_exponents_stay_on_dict_loop(K):
     prod = MultiPoly(K, 2, a) * MultiPoly(K, 2, b)
     assert time.perf_counter() - start < 1.0
     assert prod.terms == ring_mul(K, a, b)
+
+
+# -- the read-back walks only occupied slots ---------------------------------
+
+def _box_slots(a, b):
+    """The slots of the dense exponent box _kronecker packs a * b into."""
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    return math.prod(max(x) - min(x) + max(y) - min(y) + 1 for x, y in zip(cols_a, cols_b))
+
+
+def _sparse_boxes(K):
+    """Products whose box is less than a tenth full: a diagonal times a
+    diagonal in two variables, a geometric series times (x1 - 1), and over
+    F5 (1 + x1)^24 (1 + x1) = 1 + x1^25, whose inner fields reduce to 0."""
+    rng = random.Random(f"sparse-box/{K!r}")
+    diag = [{(i, i): rand_coeff(rng, K) for i in range(n)} for n in (8, 12)]
+    geo = {(i,): K.one for i in range(40)}
+    cases = [(diag[0], diag[0]), (diag[0], diag[1]), (geo, {(1,): K.one, (0,): K.neg(K.one)})]
+    if K is F5:
+        cases.append(((MultiPoly(K, 1, {(0,): 1, (1,): 1}) ** 24).terms, {(0,): 1, (1,): 1}))
+    return cases
+
+
+@pytest.mark.parametrize("K", RINGS, ids=repr)
+def test_boxes_under_a_tenth_full(K):
+    for a, b in _sparse_boxes(K):
+        packed = _mul_packed(K, a, b)
+        assert packed is not None and len(packed) < _box_slots(a, b) / 10
+        assert_kernels_agree(K, len(next(iter(a))), a, b)
+
+
+@pytest.fixture
+def field_widths(monkeypatch):
+    """The field width in bytes of every product _kronecker reads back; each
+    read-back must be a sequence, as it is walked twice."""
+    widths, unpack = set(), poly._unpack
+
+    def spy(n, k, nslots, **signed):
+        out = unpack(n, k, nslots, **signed)
+        assert len(out) == nslots and list(out) == list(out)
+        widths.add(k if k <= 8 else "wide")
+        return out
+
+    monkeypatch.setattr(poly, "_unpack", spy)
+    return widths
+
+
+def test_every_field_width_over_prime_fields(field_widths):
+    """Fields of 1, 2, 4 and 8 bytes and wider, over F2, F5, F1009,
+    F1000003 and F(2^61 - 1)."""
+    rng = random.Random("widths/F_p")
+    for K in (F2, F5, PrimeField(1009), F1000003, F_M61):
+        for nvars, size in ((1, 30), (2, 6)):
+            a = rand_terms(rng, K, nvars, 3 * size, size)
+            b = rand_terms(rng, K, nvars, 3 * size, size)
+            assert_kernels_agree(K, nvars, a, b)
+    assert field_widths == {1, 2, 4, 8, "wide"}
+
+
+def test_every_field_width_over_q_with_negative_values(field_widths):
+    """Signed fields over Q, from one byte to wider than eight: integer
+    coefficients of both signs up to 3, 30, 3000, 10^8 and 10^12."""
+    rng = random.Random("widths/Q")
+    for top in (3, 30, 3000, 10 ** 8, 10 ** 12):
+        for nvars, size in ((1, 20), (2, 5)):
+            a = {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, top)) or 1
+                 for e in rand_terms(rng, Q, nvars, 2 * size, size)}
+            b = {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, top))
+                 for e in rand_terms(rng, Q, nvars, 2 * size, size)}
+            assert min(a.values()) < 0 < max(a.values())
+            assert_kernels_agree(Q, nvars, a, b)
+    assert field_widths == {1, 2, 4, 8, "wide"}
+
+
+@pytest.mark.parametrize("K", [Q, F5, F1000003], ids=repr)
+def test_laurent_products_with_negative_t_slots(K, monkeypatch):
+    """Products over K[t, 1/t] with t-exponents down to -6 pack, with the
+    t-slot offset below zero, and agree with the ring-method loop."""
+    rng = random.Random(f"laurent-slots/{K!r}")
+    L = LaurentRing(K)
+    packed, kronecker = [], poly._kronecker
+
+    def spy(a, b, m):
+        out = kronecker(a, b, m)
+        packed.append(out is not None and min(e[-1] for e in a) < 0)
+        return out
+
+    monkeypatch.setattr(poly, "_kronecker", spy)
+    for _ in range(4):
+        a, b = ({(rng.randint(0, 2), rng.randint(0, 2)):
+                 {rng.randint(lo, lo + 3): rand_coeff(rng, K) for _ in range(rng.randint(1, 3))}
+                 for _ in range(10)} for lo in (-6, -2))
+        assert (MultiPoly(L, 2, a) * MultiPoly(L, 2, b)).terms == ring_mul(L, a, b)
+    assert packed and all(packed)
