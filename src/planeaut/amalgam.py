@@ -31,10 +31,19 @@ R = recompose(w) o s_c, so e = R o inv o e = R and e o inv = id too.  Every
 partial product of a correct walk is a subword's map or its inverse, of
 degree <= deg e, where the full compositions fwd o inv and inv o fwd
 (PlaneAut.verify) build intermediates of degree (deg e)^2.
+
+Conjugators are factor words too.  The cyclic reduction prepends F1^-1 to a
+factor tuple at each rotation, the triangularization prepends its affine g,
+and conjugacy.normal_form and the conjugacy decision prepend and join such
+tuples; AmalgamWord.to_plane_aut reduces the result once, expands its map
+once, and its inverse only when PlaneAut.inv is first read.  A conjugation
+g = h o f o h^-1 is checked as h o f = g o h (_check_conjugation), with
+h o f built by walking f through h's word, so h^-1 is not built at all.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .endo import Endo, PlaneAut
@@ -245,7 +254,8 @@ class JonquieresFactor:
 
 
 def factor_to_plane_aut(fac) -> PlaneAut:
-    return PlaneAut(fac.to_endo(), fac.inverse().to_endo(), verify=False)
+    """The map of one factor, built as a one-factor word."""
+    return AmalgamWord(fac.ring, (fac,)).to_plane_aut()
 
 
 class AmalgamWord:
@@ -269,7 +279,10 @@ class AmalgamWord:
         return iter(self.factors)
 
     def recompose(self) -> Endo:
-        """F1 o ... o Fn, one factor at a time on the left of the identity."""
+        """F1 o ... o Fn, one factor at a time on the left of the identity; a
+        single factor is its own polynomials."""
+        if len(self.factors) == 1:
+            return self.factors[0].to_endo()
         return Endo(compose_chain(Endo.identity(self.ring, 2).comps,
                                   [fac.term_dicts() for fac in reversed(self.factors)]))
 
@@ -279,7 +292,13 @@ class AmalgamWord:
         return self._inverse
 
     def to_plane_aut(self) -> PlaneAut:
-        return PlaneAut(self.recompose(), self.inverse_word().recompose(), verify=False)
+        """The map of the word, reduced once (reduce_word): fwd is recomposed
+        now, the inverse from the inverse word only when it is first read,
+        and the reduced word is kept as the map's word."""
+        word = reduce_word(self)
+        aut = PlaneAut(word.recompose(), lambda: word.inverse_word().recompose(), verify=False)
+        aut.word = word
+        return aut
 
     def __eq__(self, other):
         return (isinstance(other, AmalgamWord) and self.ring == other.ring
@@ -409,6 +428,16 @@ def _word_of_descent(R, ops, final, c) -> AmalgamWord:
     return reduce_word(AmalgamWord(R, [op.inverse() for op in ops] + [last]))
 
 
+def _steps(word: AmalgamWord, c) -> list:
+    """recompose(word) o s_c, s_c = (c x1, x2), as poly.compose_chain steps:
+    s_c first, left out when c = 1, then the factors from the last."""
+    R = word.ring
+    steps = [fac.term_dicts() for fac in reversed(word.factors)]
+    if not R.eq(c, R.one):
+        steps.insert(0, ({(1, 0): c}, {(0, 1): R.one}))
+    return steps
+
+
 def _check_inverse_by_word(e: Endo, inv: Endo, word: AmalgamWord, c) -> None:
     """Certify inv o e = id and e o inv = id on the stored polynomials, for
     inv = s_c^-1 o G_n o ... o G_1 recomposed from G_i = F_i^-1 and the word
@@ -425,16 +454,36 @@ def _check_inverse_by_word(e: Endo, inv: Endo, word: AmalgamWord, c) -> None:
     substitutes into a map of degree <= deg e, where fwd o inv and inv o fwd
     build intermediates of degree (deg e)^2 before they cancel to (x1, x2)."""
     R = e.ring
-    forward = [fac.term_dicts() for fac in reversed(word.factors)]
+    forward = _steps(word, c)
     backward = [fac.term_dicts() for fac in reversed(word.inverse_word().factors)]
     if not R.eq(c, R.one):
-        forward.insert(0, ({(1, 0): c}, {(0, 1): R.one}))
         backward.append(({(1, 0): R.invert(c)}, {(0, 1): R.one}))
     ident = Endo.identity(R, 2)
     for start, steps in ((e, backward), (inv, forward)):
         out = compose_chain(start.comps, steps, e.degree)
         if out is None or Endo(out) != ident:
             raise NotInvertibleError("forward and inverse do not compose to the identity")
+
+
+def _check_conjugation(h: PlaneAut, f: PlaneAut, g: PlaneAut) -> bool:
+    """g = h o f o h^-1, checked as h o f = g o h, the same identity since h
+    is an automorphism; RingMismatchError if the three rings differ.
+
+    h o f is built by walking f on the left through the word of h =
+    F_1 o ... o F_n o s_c: s_c (when c != 1), then F_n, ..., F_1, one factor
+    at a time (poly.compose_chain), bounded by max(deg f, deg g * deg h),
+    where h o f o h^-1 would build degree deg h * deg f * deg h before it
+    cancels to deg g.  A walk that refuses a step, an h with no word, and a
+    word of one step (one substitution either way) compose h o f in full."""
+    if not f.ring == g.ring == h.ring:
+        raise RingMismatchError(
+            f"conjugation of maps over {f.ring!r} and {g.ring!r} by one over {h.ring!r}")
+    steps = [] if h.word is None else _steps(h.word, h.jac)
+    out = None
+    if len(steps) > 1:
+        out = compose_chain(f.fwd.comps, steps, max(f.degree, g.degree * h.degree))
+    hf = h.fwd.compose(f.fwd) if out is None else Endo(out)
+    return hf == g.fwd.compose(h.fwd)
 
 
 # Above this degree plane_aut_from_endo differentiates before it descends:
@@ -505,19 +554,27 @@ def jvdk_factor(f) -> AmalgamWord:
     return _word(f) if isinstance(f, PlaneAut) else _factor(f, f.ring.one)
 
 
+class _WordConjugated:
+    """conjugator, the map of conjugator_word, expanded when first read."""
+
+    @functools.cached_property
+    def conjugator(self) -> PlaneAut:
+        return self.conjugator_word.to_plane_aut()
+
+
 @dataclass
-class SJRepresentative:
+class SJRepresentative(_WordConjugated):
     """An SJ element s and conjugator h with s = h o original o h^-1."""
     factor: JonquieresFactor
-    conjugator: PlaneAut
+    conjugator_word: AmalgamWord
 
 
 @dataclass
-class HenonForm:
+class HenonForm(_WordConjugated):
     """Reduced alternating word a_m j_m ... a_1 j_1 and conjugator h,
     with recompose(word) = h o original o h^-1."""
     word: AmalgamWord
-    conjugator: PlaneAut
+    conjugator_word: AmalgamWord
 
 
 def _triangularize_affine(fac: AffineFactor) -> tuple:
@@ -566,30 +623,32 @@ def _twist(fac, c):
 
 
 def _cyclic_reduction(f: PlaneAut):
-    """(word, h): the factor word of f rotated until it has at most one factor
-    or runs from an affine to a triangular factor, recompose(word) o s_c =
-    h o f o h^-1 for c the Jacobian of f.  As F1^-1 o (F1 ... Fn o s_c) o F1
-    = (F2 ... Fn o s_c F1 s_c^-1) o s_c, F1 moves to the end twisted by s_c.
+    """(word, conj): the factor word of f rotated until it has at most one
+    factor or runs from an affine to a triangular factor, and the factors of
+    its conjugator h, recompose(word) o s_c = h o f o h^-1 for c the Jacobian
+    of f.  As F1^-1 o (F1 ... Fn o s_c) o F1 = (F2 ... Fn o s_c F1 s_c^-1) o
+    s_c, F1 moves to the end twisted by s_c, and F1^-1 is prepended to conj.
     f is algebraic exactly when len(word) <= 1.  Built once, kept on f."""
     if f.reduction is not None:
         return f.reduction
     R, c = f.ring, f.jac
     word = _word(f)
-    h = PlaneAut.identity(R)
+    conj = ()
     while len(word) > 1 and (word.factors[0].tag, word.factors[-1].tag) != ("A", "J"):
         first = word.factors[0]
-        h = factor_to_plane_aut(first).inverse().compose(h)
+        conj = (first.inverse(),) + conj
         last = first if R.eq(c, R.one) else _twist(first, c)
         word = reduce_word(AmalgamWord(R, word.factors[1:] + (last,)))
-    f.reduction = (word, h)
+    f.reduction = (word, conj)
     return f.reduction
 
 
-def _finish_normalization(f: PlaneAut, word: AmalgamWord, h: PlaneAut):
+def _finish_normalization(f: PlaneAut, word: AmalgamWord, conj: tuple):
     """The SJRepresentative or HenonForm of f from its cyclic reduction
-    (word, h); f must have Jacobian 1."""
+    (word, conj); f must have Jacobian 1."""
     if not f.is_special:
         raise NotSpecialError("factorization needs Jacobian determinant 1")
+    h = AmalgamWord(word.ring, conj)
     if len(word) > 1:
         if len(word) % 2 or any(fac.in_intersection for fac in word.factors):
             raise NotInvertibleError("inconsistent reduced word")
@@ -602,7 +661,7 @@ def _finish_normalization(f: PlaneAut, word: AmalgamWord, h: PlaneAut):
     if fac.in_intersection:
         return SJRepresentative(fac.as_jonquieres(), h)
     new, g = _triangularize_affine(fac)
-    return SJRepresentative(new.as_jonquieres(), factor_to_plane_aut(g).compose(h))
+    return SJRepresentative(new.as_jonquieres(), AmalgamWord(word.ring, (g,) + conj))
 
 
 def henon_normalize(f: PlaneAut):

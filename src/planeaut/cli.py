@@ -13,7 +13,13 @@ import itertools
 import json
 import sys
 
-from .amalgam import henon_invariants, henon_normalize, jvdk_factor, plane_aut_from_endo
+from .amalgam import (
+    _check_conjugation,
+    henon_invariants,
+    henon_normalize,
+    jvdk_factor,
+    plane_aut_from_endo,
+)
 from .conjugacy import (
     decide_conjugacy,
     decompose_v_delta,
@@ -129,8 +135,7 @@ def _cmd_classify(field, inputs, args):
                            if nf.family in ("II", "III", "IV") else None),
             "representative": str(nf.aut.fwd),
             "conjugator": str(nf.conjugator.fwd)}
-    checks = {"conjugation": nf.conjugator.fwd.compose(aut.fwd)
-              .compose(nf.conjugator.inv) == nf.aut.fwd}
+    checks = {"conjugation": _check_conjugation(nf.conjugator, aut, nf.aut)}
     return f"family {nf.family}", data, checks
 
 

@@ -15,6 +15,11 @@ powers up to a shift of the variable.  Base fields here are not closed, so
 decisions are three-valued: yes (with a certificate verified by
 composition), no (an invariant obstruction), or unknown when the deciding
 scalar equation has no root in the field but would have one in a closure.
+A normal form's conjugator h is kept as its factor word, one Jonquieres
+factor prepended per elimination step, and a yes joins the two normal forms'
+words around the family conjugator into one word; each is expanded once
+(AmalgamWord.to_plane_aut), its inverse only when read.  Every certificate,
+g = h o f o h^-1, is checked as h o f = g o h by amalgam._check_conjugation.
 Over F_p, family II when p divides the degree and family IV, whose
 representative has rep^p = (x1 + N(P)(x2), x2) for P the expanded family
 polynomial, come down to a shift equation Q(x) = a P(a x + b); its shifts in
@@ -34,7 +39,9 @@ from dataclasses import dataclass, field
 
 from .amalgam import (
     AffineFactor,
+    AmalgamWord,
     JonquieresFactor,
+    _check_conjugation,
     _cyclic_reduction,
     _finish_normalization,
     factor_to_plane_aut,
@@ -164,7 +171,8 @@ class NormalForm:
 
     P holds the family polynomial: full for II, compressed by x2^m for III
     and by x2^p (after the x2^{p-1} prefactor) for IV.  The invariant is
-    aut = conjugator o (original input) o conjugator^-1.
+    aut = conjugator o (original input) o conjugator^-1; conjugator is built
+    from its reduced factor word and keeps it as conjugator.word.
     """
     family: str
     ring: object
@@ -236,12 +244,12 @@ def normal_form(f: PlaneAut) -> NormalForm:
         raise NotSpecialError("normal forms are for Jacobian-1 automorphisms")
     sj = _finish_normalization(f, *reduction)
     fac = sj.factor
-    h = sj.conjugator
+    h = sj.conjugator_word.factors
 
     def conj(step: JonquieresFactor):
         nonlocal fac, h
         fac = step.compose(fac).compose(step.inverse())
-        h = factor_to_plane_aut(step).compose(h)
+        h = (step,) + h
 
     one = ring.one
     if not ring.eq(fac.a, one):
@@ -289,8 +297,8 @@ def normal_form(f: PlaneAut) -> NormalForm:
     if rep != fac:
         raise PlaneAutError("normalized factor does not match its family shape")
     nf.aut = factor_to_plane_aut(rep)
-    nf.conjugator = h
-    if h.fwd.compose(f.fwd).compose(h.inv) != nf.aut.fwd:
+    nf.conjugator = AmalgamWord(ring, h).to_plane_aut()
+    if not _check_conjugation(nf.conjugator, f, nf.aut):
         raise PlaneAutError("normal-form conjugation identity failed")
     f.nf = nf
     return nf
@@ -444,13 +452,13 @@ def _decide_family_iv(ring, nf_f: NormalForm, nf_g: NormalForm):
             "a shift exists only over a field extension")
 
 
-def _family_iv_conjugator(ring, nf_f: NormalForm, nf_g: NormalForm, c) -> PlaneAut:
+def _family_iv_conjugator(ring, nf_f: NormalForm, nf_g: NormalForm, c) -> JonquieresFactor:
     v2, r2 = _kill_delta(ring, up_shift(ring, nf_f.expanded(), ring.one, c))
     if v2 != nf_g.expanded():
         raise PlaneAutError("shifted V-part mismatch in the family-IV certificate")
     u = JonquieresFactor(ring, ring.one, {}, ring.neg(c))
     e = JonquieresFactor(ring, ring.one, {k: ring.neg(cc) for k, cc in r2.items()})
-    return factor_to_plane_aut(e.compose(u))
+    return e.compose(u)
 
 
 def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
@@ -460,23 +468,26 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
     ring = f.ring
     checks = [f"normal forms {nf_f.family} / {nf_g.family}"]
 
-    def finish(verdict, h_fam=None, reason=""):
+    def finish(verdict, h_fam=(), reason=""):
+        """h_fam, the factors of a conjugator from rep_f to rep_g, becomes
+        the conjugator w_g^-1 h_fam w_f from f to g, w the normal forms'
+        conjugator words, built as one word."""
         conj = None
         if verdict == "yes":
-            conj = nf_g.conjugator.inverse().compose(h_fam).compose(nf_f.conjugator)
-            if conj.fwd.compose(f.fwd).compose(conj.inv) != g.fwd:
+            conj = AmalgamWord(ring, nf_g.conjugator.word.inverse_word().factors + h_fam
+                               + nf_f.conjugator.word.factors).to_plane_aut()
+            if not _check_conjugation(conj, f, g):
                 raise PlaneAutError("assembled conjugator failed its composition check")
             checks.append("certificate verified by composition")
         return ConjugacyResult(verdict, conj, reason, nf_f.family, nf_g.family, checks)
 
-    ident = PlaneAut.identity(ring)
     ff, fg = nf_f.family, nf_g.family
     if ff == fg == "I":
         a, b = nf_f.multiplier, nf_g.multiplier
         if ring.eq(a, b):
-            return finish("yes", ident, "equal multipliers")
+            return finish("yes", (), "equal multipliers")
         if ring.eq(ring.mul(a, b), ring.one):
-            return finish("yes", factor_to_plane_aut(AffineFactor.rotation(ring)),
+            return finish("yes", (AffineFactor.rotation(ring),),
                           "inverse multipliers, swapped by (x2, -x1)")
         return finish("no", reason="multipliers are neither equal nor inverse")
     if ff == fg == "II":
@@ -484,9 +495,8 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
         checks.append(f"family-II solve: {reason}")
         if verdict == "yes":
             a, b = ab
-            h = factor_to_plane_aut(JonquieresFactor(
-                ring, a, {}, ring.neg(ring.mul(b, ring.invert(a)))))
-            return finish("yes", h, reason)
+            h = JonquieresFactor(ring, a, {}, ring.neg(ring.mul(b, ring.invert(a))))
+            return finish("yes", (h,), reason)
         return finish(verdict, reason=reason)
     if ff == fg == "III":
         if not ring.eq(nf_f.multiplier, nf_g.multiplier) or nf_f.order != nf_g.order:
@@ -503,14 +513,14 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
         if not roots:
             return finish("unknown",
                           reason="requires field extension for the diagonal scalar")
-        h = factor_to_plane_aut(JonquieresFactor(ring, roots[0], {}))
-        return finish("yes", h, "diagonal scalar found in the base field")
+        return finish("yes", (JonquieresFactor(ring, roots[0], {}),),
+                      "diagonal scalar found in the base field")
     if ff == fg == "IV":
         verdict, c, reason = _decide_family_iv(ring, nf_f, nf_g)
         checks.append(f"family-IV p-th-power test: {reason}")
         if verdict == "yes":
-            h = ident if ring.characteristic == 0 else _family_iv_conjugator(
-                ring, nf_f, nf_g, c)
+            h = () if ring.characteristic == 0 else (_family_iv_conjugator(
+                ring, nf_f, nf_g, c),)
             return finish("yes", h, reason)
         return finish(verdict, reason=reason)
     if {ff, fg} == {"II", "IV"}:
@@ -519,10 +529,10 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
         const_ii = set(nf_ii.P) == {0}
         if const_ii and not nf_iv.P:
             k = nf_ii.P[0]
-            bridge = factor_to_plane_aut(JonquieresFactor(ring, k, {})).compose(
-                factor_to_plane_aut(AffineFactor.rotation(ring)))
-            h_fam = bridge if ff == "IV" else bridge.inverse()
-            return finish("yes", h_fam,
+            bridge = AmalgamWord(ring, (JonquieresFactor(ring, k, {}),
+                                        AffineFactor.rotation(ring)))
+            h_fam = bridge if ff == "IV" else bridge.inverse_word()
+            return finish("yes", h_fam.factors,
                           "translation matches a constant shear across families")
         return finish("no", reason="families II and IV only meet at the translation")
     return finish("no", reason=f"distinct families {ff} and {fg}")
@@ -578,8 +588,9 @@ class CertificateReport:
 
 
 def verify_conjugacy_certificate(f: PlaneAut, g: PlaneAut, h: PlaneAut) -> CertificateReport:
-    """Exact check of g = h o f o h^-1 plus the two degree-bound reports."""
-    valid = h.fwd.compose(f.fwd).compose(h.inv) == g.fwd
+    """Exact check of g = h o f o h^-1 (amalgam._check_conjugation) plus the
+    two degree-bound reports; RingMismatchError if the rings differ."""
+    valid = _check_conjugation(h, f, g)
     dh, dg = h.degree, g.degree
     return CertificateReport(valid, f.degree, dg, dh,
                              square_bound=dh * dh <= dg,

@@ -347,7 +347,10 @@ def pole_propagation_check(f: PlaneAut, alpha: TFamily) -> PolePropagationReport
     dichotomy).  The report says whether each holds; the dichotomy fails
     when, say, alpha commutes with f, as (x1 + 1/t, x2) does with
     (x1 + x2^2, x2).  The two valuations are read off int forms
-    (_conjugate_valuation), without building either conjugate family."""
+    (_conjugate_valuation), without building either conjugate family.
+    RingMismatchError if f is not over the base field of alpha."""
+    if f.ring != alpha.base:
+        raise RingMismatchError(f"map over {f.ring!r} against a family over {alpha.ring!r}")
     ainv = alpha.inverse()
     vc = _conjugate_valuation(ainv.endo, f.fwd, alpha.endo)
     vci = _conjugate_valuation(alpha.endo, f.inv, ainv.endo)

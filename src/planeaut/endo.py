@@ -2,7 +2,8 @@
 
 An Endo is an n-tuple of polynomials in n variables; compose(f, g) is f o g,
 apply g first.  A PlaneAut is a validated automorphism of the affine plane:
-it carries its inverse, and its Jacobian determinant is a nonzero constant.
+it carries its inverse, or a function that builds it when first read, and
+its Jacobian determinant is a nonzero constant.
 
 Behaviour at infinity (n = 2): write d = deg f and let (a1, a2) be the
 degree-d homogeneous parts.  The extension of f to the projective plane is
@@ -136,29 +137,37 @@ def _det(mat):
 class PlaneAut:
     """An automorphism of the affine plane together with its inverse.
 
+    The inverse may be given as a function of no arguments that builds it;
+    it is called the first time inv is read, and what it returns gets the
+    ring and degree checks of an inverse given as an Endo.  A map built from
+    a factor word (amalgam.AmalgamWord.to_plane_aut: conjugators, family
+    representatives) is given its inverse that way.
     A map keeps what is derived from it the first time it is built: word,
     fwd = recompose(word) o (jac x1, x2), by its first factorization
-    (amalgam.plane_aut_from_endo, or amalgam._word for a composed map);
-    reduction, its cyclic reduction (word, h) (amalgam._cyclic_reduction);
-    nf, its verified normal form (conjugacy.normal_form).
+    (amalgam.plane_aut_from_endo, or amalgam._word for a composed map) or
+    the reduced word it was built from; reduction, its cyclic reduction
+    (word, conjugator factors) (amalgam._cyclic_reduction); nf, its verified
+    normal form (conjugacy.normal_form).
     The Jacobian of an automorphism is a constant, so jac is its value at the
     origin, read off the linear part of fwd; no PlaneAut differentiates.
     amalgam.plane_aut_from_endo takes the same constant from its descent
     and multiplies the Jacobian polynomial out only for a map it rejects or
     one of degree above amalgam._JACOBIAN_FIRST_DEGREE.  verify=False trusts
     the caller that fwd is an automorphism.  verify() composes fwd o inv and
-    inv o fwd in full; amalgam.plane_aut_from_endo instead certifies both
-    along the factor word, one factor at a time, and passes verify=False."""
+    inv o fwd in full, building the inverse if it is deferred;
+    amalgam.plane_aut_from_endo instead certifies both along the factor word,
+    one factor at a time, and passes verify=False, and conjugation identities
+    walk the conjugator's word (amalgam._check_conjugation)."""
 
-    __slots__ = ("fwd", "inv", "jac", "word", "reduction", "nf")
+    __slots__ = ("fwd", "_inv", "jac", "word", "reduction", "nf")
 
-    def __init__(self, fwd: Endo, inv: Endo, *, verify: bool = True):
+    def __init__(self, fwd: Endo, inv, *, verify: bool = True):
         if fwd.nvars != 2:
             raise ArityMismatchError("PlaneAut lives on the plane")
-        if fwd.ring != inv.ring:
-            raise RingMismatchError("forward and inverse over different rings")
         self.fwd = fwd
-        self.inv = inv
+        self._inv = inv
+        if not callable(inv):
+            self._check_inverse(inv)
         if verify and not self.verify():
             raise NotInvertibleError("forward and inverse do not compose to the identity")
         R = fwd.ring
@@ -166,11 +175,24 @@ class PlaneAut:
         jac = R.sub(R.mul(a, d), R.mul(b, c))
         if R.is_zero(jac):
             raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
-        if fwd.degree != inv.degree:
-            # equal in dimension 2 for every genuine automorphism
-            raise NotInvertibleError("degree of forward and inverse differ")
         self.jac = jac
         self.word = self.reduction = self.nf = None
+
+    def _check_inverse(self, inv: Endo) -> None:
+        if self.fwd.ring != inv.ring:
+            raise RingMismatchError("forward and inverse over different rings")
+        if self.fwd.degree != inv.degree:
+            # equal in dimension 2 for every genuine automorphism
+            raise NotInvertibleError("degree of forward and inverse differ")
+
+    @property
+    def inv(self) -> Endo:
+        """The inverse map, built now if it was given as a function."""
+        if callable(self._inv):
+            inv = self._inv()
+            self._check_inverse(inv)
+            self._inv = inv
+        return self._inv
 
     @classmethod
     def identity(cls, ring):
@@ -194,7 +216,12 @@ class PlaneAut:
         return self.fwd.is_identity
 
     def inverse(self) -> "PlaneAut":
-        return PlaneAut(self.inv, self.fwd, verify=False)
+        """The inverse, which reads inv; a Jacobian-1 map with a word keeps
+        the inverse word on it."""
+        out = PlaneAut(self.inv, self.fwd, verify=False)
+        if self.word is not None and self.is_special:
+            out.word = self.word.inverse_word()
+        return out
 
     def compose(self, other: "PlaneAut") -> "PlaneAut":
         """self o other; inverses compose in the opposite order."""

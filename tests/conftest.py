@@ -343,6 +343,16 @@ def two_sided_composition(fwd: Endo, inv: Endo) -> bool:
     return fwd.compose(inv) == ident and inv.compose(fwd) == ident
 
 
+def two_sided_conjugation(h: PlaneAut, f: PlaneAut, g: PlaneAut) -> bool:
+    """g = h o f o h^-1 by two full compositions, which build degree
+    deg h * deg f and then deg h * deg f * deg h before they cancel to deg g:
+    the check of conjugacy certificates and normal forms before they walked
+    f through the conjugator's word, kept as the oracle of
+    amalgam._check_conjugation.  It reads h.inv, so it builds a deferred
+    inverse."""
+    return h.fwd.compose(f.fwd).compose(h.inv) == g.fwd
+
+
 def jacobian_first_plane_aut(e: Endo) -> PlaneAut:
     """amalgam.plane_aut_from_endo before it took c from the descent, kept as
     its oracle: the Jacobian determinant is multiplied out first, a map
@@ -394,7 +404,10 @@ def compose_spy(monkeypatch):
     monomials x^e substituted, the degree of the largest monomial image, which
     the output keeps unless its top terms cancel.  Its callers attribute
     counts the calls per caller: the name of the first function outside
-    poly.py and endo.py on the call stack."""
+    poly.py and endo.py on the call stack.  Its within counts the calls
+    under each function: every name on the call stack, once per call, so
+    within["inv"] counts the compositions that build a deferred
+    PlaneAut inverse."""
     degrees, inner = ComposeRecord(), poly._compose_lowered
 
     def spy(R, m, polys, args, nv):
@@ -405,6 +418,11 @@ def compose_spy(monkeypatch):
         while frame.f_code.co_filename in _KERNEL_FILES:
             frame = frame.f_back
         degrees.callers[frame.f_code.co_name] += 1
+        names, frame = set(), sys._getframe(1)
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        degrees.within.update(names)
         return inner(R, m, polys, args, nv)
 
     monkeypatch.setattr(poly, "_compose_lowered", spy)
@@ -415,12 +433,15 @@ _KERNEL_FILES = {poly.__file__, endo.__file__}
 
 
 class ComposeRecord(list):
-    """compose_spy's degrees, one per composition, and its callers Counter."""
+    """compose_spy's degrees, one per composition, and its callers and within
+    Counters."""
 
     def __init__(self):
         super().__init__()
         self.callers = collections.Counter()
+        self.within = collections.Counter()
 
     def clear(self):
         super().clear()
         self.callers.clear()
+        self.within.clear()

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from planeaut import (
     solve_scalar_power_system,
     verify_conjugacy_certificate,
 )
-from planeaut.amalgam import AffineFactor, _cyclic_reduction, factor_to_plane_aut
+from planeaut.amalgam import AffineFactor, AmalgamWord, _cyclic_reduction, factor_to_plane_aut
 from planeaut.conjugacy import ConjugacyResult, _growth, are_conjugate_algebraic
 from planeaut.rings import up_add, up_eval
 from conftest import (
@@ -403,9 +404,10 @@ def test_growth_of_scaled_maps_matches_iterates(K):
         s_c = Endo([x1.scale(f.jac), x2])
         assert not f.is_special
         assert f.word.recompose().compose(s_c) == f.fwd
-        algebraic, (word, h) = _growth(f), _cyclic_reduction(f)
+        algebraic, (word, conj) = _growth(f), _cyclic_reduction(f)
         assert algebraic == is_algebraic(f), str(f)
         kinds.add(algebraic)
+        h = AmalgamWord(K, conj).to_plane_aut()
         assert word.recompose().compose(s_c) == h.compose(f).compose(h.inverse()).fwd
     assert kinds == {True, False}
 
@@ -459,17 +461,24 @@ def test_composed_map_is_factored_once(no_iterates_on_special_maps):
 
 @pytest.fixture
 def normalizations(monkeypatch):
-    """Calls of amalgam.reduce_word (each step of a cyclic reduction) and of
-    _finish_normalization (the start of every normal form and Henon form),
-    in every module that binds them."""
-    calls = {"reduce_word": 0, "_finish_normalization": 0}
-    for mod, name in ((planeaut.amalgam, "reduce_word"),
-                      (planeaut.amalgam, "_finish_normalization"),
-                      (planeaut.conjugacy, "_finish_normalization")):
-        def counted(*args, _fn=getattr(mod, name), _name=name):
-            calls[_name] += 1
+    """Cyclic reduction steps, the calls of amalgam.reduce_word made by
+    _cyclic_reduction (the words of conjugators, reduced as they are built,
+    are not counted), and calls of _finish_normalization (the start of every
+    normal form and Henon form), in every module that binds it."""
+    calls = {"cyclic_steps": 0, "_finish_normalization": 0}
+    reduce_word = planeaut.amalgam.reduce_word
+
+    def reduce_step(w):
+        if sys._getframe(1).f_code.co_name == "_cyclic_reduction":
+            calls["cyclic_steps"] += 1
+        return reduce_word(w)
+
+    monkeypatch.setattr(planeaut.amalgam, "reduce_word", reduce_step)
+    for mod in (planeaut.amalgam, planeaut.conjugacy):
+        def counted(*args, _fn=mod._finish_normalization):
+            calls["_finish_normalization"] += 1
             return _fn(*args)
-        monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(mod, "_finish_normalization", counted)
     return calls
 
 
@@ -484,12 +493,12 @@ def _conjugated_pair(rep, K, seed):
 
 
 def _reduction_steps(normalizations, K, *texts):
-    """reduce_word calls of one cyclic reduction of each map, fresh."""
+    """Steps of one cyclic reduction of each map, fresh."""
     maps = [aut(src, K) for src in texts]
-    normalizations["reduce_word"] = 0
+    normalizations["cyclic_steps"] = 0
     for m in maps:
         _cyclic_reduction(m)
-    return normalizations["reduce_word"]
+    return normalizations["cyclic_steps"]
 
 
 @pytest.mark.parametrize("rep,K,verdict", [
@@ -502,10 +511,10 @@ def test_normal_form_then_decide_normalizes_each_map_once(rep, K, verdict, norma
     once = _reduction_steps(normalizations, K, src_f, src_g)
     f, g = aut(src_f, K), aut(src_g, K)
     assert _reduction_steps(normalizations, K, src_f) > 0
-    normalizations.update(reduce_word=0, _finish_normalization=0)
+    normalizations.update(cyclic_steps=0, _finish_normalization=0)
     nf = normal_form(f)
     res = decide_conjugacy(f, g)
-    assert normalizations == {"reduce_word": once, "_finish_normalization": 2}
+    assert normalizations == {"cyclic_steps": once, "_finish_normalization": 2}
     assert normal_form(f) is nf and res.verdict == verdict
     assert nf.describe() == normal_form(aut(src_f, K)).describe()
     assert res.describe() == decide_conjugacy(aut(src_f, K), aut(src_g, K)).describe()
@@ -516,10 +525,10 @@ def test_henon_normalize_then_decide_reduces_each_map_once(normalizations):
     once = _reduction_steps(normalizations, Q, src_f, src_g)
     assert _reduction_steps(normalizations, Q, src_f) > 0
     f, g = aut(src_f), aut(src_g)
-    normalizations["reduce_word"] = 0
+    normalizations["cyclic_steps"] = 0
     degs = henon_invariants(henon_normalize(f))
     res = decide_conjugacy(f, g)
-    assert normalizations["reduce_word"] == once
+    assert normalizations["cyclic_steps"] == once
     assert degs == (2,) and res.verdict == "unknown"
     assert res.describe() == decide_conjugacy(aut(src_f), aut(src_g)).describe()
 
