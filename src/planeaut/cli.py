@@ -9,7 +9,6 @@ a single object {"verdict": ..., "data": ..., "checks": ...}.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
@@ -30,9 +29,11 @@ from .conjugacy import (
 from .degeneration import (
     DegenerationWitness,
     TFamily,
+    _nonzero_samples,
     degenerate_family_ii,
     degenerate_family_iii,
     degenerate_family_iv,
+    lift_endo,
     lift_plane_aut,
     pole_propagation_check,
     x_alpha,
@@ -77,10 +78,7 @@ def _count(text: str) -> int:
 # -- per-verb handlers: (field, inputs, args) -> (verdict, data, checks) -----
 
 def _as_family(v, field) -> TFamily:
-    if isinstance(v, TFamily):
-        return v
-    L = LaurentRing(field)
-    return TFamily(v.map_coeffs(L.from_base, L))
+    return v if isinstance(v, TFamily) else TFamily(lift_endo(v, LaurentRing(field)))
 
 
 def _require_endo(v, verb) -> Endo:
@@ -184,11 +182,6 @@ def _cmd_degenerate(field, inputs, args):
     data = w.describe()
     data["normal_form_family"] = nf.family
     return "ok", data, checks
-
-
-def _nonzero_samples(field, count):
-    nonzero = (c for c in field.sample_stream() if not field.is_zero(c))
-    return list(itertools.islice(nonzero, count))
 
 
 def _cmd_xalpha(field, inputs, args):

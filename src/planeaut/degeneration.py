@@ -13,7 +13,8 @@ X_alpha point away from the indeterminacy point of a fixed automorphism f
 forces the conjugate family alpha^-1 f alpha to keep a pole.  Second, the
 explicit degenerations: every non-diagonal normal-form family member f
 admits a family F(t) of conjugates of f, polynomial in t, whose value at
-t=0 drops out of the conjugacy class of f.
+t=0 drops out of the conjugacy class of f.  _conjugated_family builds them
+all; family IV's are conjugates of A = alpha^-1 f alpha, built once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .rings import MINUS_INF, LaurentRing, _iroot, up_deg
 
 class TFamily:
     """An endomorphism over K[t, 1/t], with an optional verified inverse and,
-    once x_alpha has sampled it, its X_alpha at the default sample count.
+    once x_alpha has sampled it, its X_alpha.
     The inverse may be given as a function of no arguments that builds it;
     it is called the first time the inverse is read."""
 
@@ -102,11 +103,13 @@ class TFamily:
         return self.endo.map_coeffs(lambda a: L.specialize(a, c), L.base)
 
     def substitute_t_power(self, m: int) -> "TFamily":
-        """t -> t^m on every coefficient."""
+        """t -> t^m on every coefficient, m != 0 (t^0 would merge the powers
+        of t); the inverse, if any, is built and mapped when first read."""
+        if m == 0:
+            raise PlaneAutError("t -> t^0 merges the powers of t; m must be nonzero")
         L = self.ring
         fn = lambda a: {m * e: c for e, c in a.items()}
-        inv = self._known_inverse()
-        inv = inv.map_coeffs(fn, L) if inv is not None else None
+        inv = None if self._inv is None else lambda: self._known_inverse().map_coeffs(fn, L)
         return TFamily(self.endo.map_coeffs(fn, L), inv, check=False)
 
     def compose(self, other: "TFamily") -> "TFamily":
@@ -146,7 +149,8 @@ def lift_endo(e: Endo, lring: LaurentRing) -> Endo:
 
 
 def lift_plane_aut(f: PlaneAut, lring: LaurentRing) -> TFamily:
-    return TFamily(lift_endo(f.fwd, lring), lift_endo(f.inv, lring), check=False)
+    """f over K[t, 1/t], with f's inverse lifted only when it is first read."""
+    return TFamily(lift_endo(f.fwd, lring), lambda: lift_endo(f.inv, lring), check=False)
 
 
 def _truncate(p: MultiPoly, k: int) -> MultiPoly:
@@ -157,6 +161,11 @@ def _truncate(p: MultiPoly, k: int) -> MultiPoly:
 
 # Points t = a of K* at which _formal_inverse descends before it iterates.
 _SPECIALIZATIONS = 3
+
+
+def _nonzero_samples(K, count: int) -> list:
+    """The first count nonzero values of K's sample stream, fewer if K has fewer."""
+    return list(itertools.islice((a for a in K.sample_stream() if not K.is_zero(a)), count))
 
 
 def _formal_inverse(e: Endo):
@@ -185,8 +194,7 @@ def _formal_inverse(e: Endo):
     # K[t, 1/t]^2; the descent over the field K checks that at once, and
     # spares most non-automorphisms the iteration, whose terms they let grow
     K, fam = R.base, TFamily(e)
-    for a in itertools.islice((a for a in K.sample_stream() if not K.is_zero(a)),
-                              _SPECIALIZATIONS):
+    for a in _nonzero_samples(K, _SPECIALIZATIONS):
         try:
             plane_aut_from_endo(fam.specialize(a))
         except NotInvertibleError:
@@ -260,14 +268,14 @@ def _affine_samples(K, n, cap):
     return itertools.islice(itertools.product(base, repeat=n), cap)
 
 
-# Sample points of x_alpha by default; the set they give is kept on the family.
+# Sample points of x_alpha; the set they give is kept on the family.
 _X_ALPHA_SAMPLES = 25
 
 
-def x_alpha(fam: TFamily, max_samples: int = _X_ALPHA_SAMPLES) -> XAlphaSet:
-    """The sampled X_alpha of fam; at the default sample count it is built
-    once and kept on fam, so pole_propagation_check reuses it."""
-    if max_samples == _X_ALPHA_SAMPLES and fam._xalpha is not None:
+def x_alpha(fam: TFamily) -> XAlphaSet:
+    """The sampled X_alpha of fam, built once and kept on fam, so
+    pole_propagation_check reuses it."""
+    if fam._xalpha is not None:
         return fam._xalpha
     v = fam.valuation
     if v is MINUS_INF or v >= 0:
@@ -278,17 +286,15 @@ def x_alpha(fam: TFamily, max_samples: int = _X_ALPHA_SAMPLES) -> XAlphaSet:
     shifted = fam.endo.map_coeffs(lambda c: L.shift(c, m), L)
     tilde = shifted.map_coeffs(L.value_at_zero, K)
     points = []
-    for y in _affine_samples(K, fam.nvars, max_samples):
+    for y in _affine_samples(K, fam.nvars, _X_ALPHA_SAMPLES):
         vals = tilde.evaluate(y)
         if all(K.is_zero(val) for val in vals):
             continue
         pt = InfinityPoint.normalize(K, vals)
         if pt not in points:
             points.append(pt)
-    xs = XAlphaSet(m, tilde, tuple(points))
-    if max_samples == _X_ALPHA_SAMPLES:
-        fam._xalpha = xs
-    return xs
+    fam._xalpha = XAlphaSet(m, tilde, tuple(points))
+    return fam._xalpha
 
 
 # -- pole propagation --------------------------------------------------------
@@ -376,9 +382,9 @@ def pole_propagation_check(f: PlaneAut, alpha: TFamily) -> PolePropagationReport
 class DegenerationWitness:
     """F = conjugator^-1 o f o conjugator over K[t,1/t], with ord-0 value.
 
-    The degenerate_family_* constructors build family by that conjugation
-    and check its limit; verify() conjugates f again, in full, and compares,
-    for a witness whose parts were built or changed elsewhere."""
+    The degenerate_family_* constructors build family by conjugation (family
+    IV from alpha^-1 o f o alpha) and check its limit; verify() conjugates f
+    again, in full, and compares, for a witness built or changed elsewhere."""
     source: PlaneAut
     family_tag: str
     conjugator: TFamily
@@ -387,10 +393,7 @@ class DegenerationWitness:
     params: dict = field(default_factory=dict)
 
     def verify(self) -> bool:
-        L = self.family.ring
-        f_t = lift_endo(self.source.fwd, L)
-        lhs = self.conjugator.inverse().endo.compose(f_t).compose(self.conjugator.endo)
-        if lhs != self.family.endo:
+        if _conjugated_family(self.source, self.conjugator).endo != self.family.endo:
             return False
         v = self.family.valuation
         if v is not MINUS_INF and v < 0:
@@ -425,24 +428,24 @@ def _diag_t(lring: LaurentRing) -> TFamily:
     return TFamily(Endo([x1, x2]), Endo([ix1, ix2]), check=False)
 
 
-def _conjugated_family(f: PlaneAut, conjugator: TFamily) -> TFamily:
-    """conjugator^-1 o f o conjugator, whose inverse conjugator^-1 o f^-1 o
-    conjugator is built by the same formula only when it is first read."""
+def _conjugated_family(g, conjugator: TFamily) -> TFamily:
+    """conjugator^-1 o g o conjugator, for g a TFamily or a PlaneAut over K,
+    which is lifted.  Its inverse conjugator^-1 o g^-1 o conjugator is built
+    by the same formula, from g's inverse, only when it is first read."""
+    if isinstance(g, PlaneAut):
+        g = lift_plane_aut(g, conjugator.ring)
     cinv = conjugator.inverse()
-    L = conjugator.ring
 
     def conjugate(e):
-        return cinv.endo.compose(lift_endo(e, L)).compose(conjugator.endo)
+        return cinv.endo.compose(e).compose(conjugator.endo)
 
-    return TFamily(conjugate(f.fwd), lambda: conjugate(f.inv), check=False)
+    return TFamily(conjugate(g.endo), lambda: conjugate(g.inverse().endo), check=False)
 
 
-def _witness(f, tag, conjugator, expected_limit, params=None, fam=None) -> DegenerationWitness:
-    """The witness of f along conjugator, fam its conjugated family if built
-    already.  The family is built by conjugation, so its limit at t = 0 is
+def _witness(f, tag, conjugator, fam, expected_limit, params=None) -> DegenerationWitness:
+    """The witness of f along conjugator, whose family fam = conjugator^-1 o
+    f o conjugator the caller built by conjugation, so its limit at t = 0 is
     the one check left; verify() would compose the same family again."""
-    if fam is None:
-        fam = _conjugated_family(f, conjugator)
     limit = fam.value_at_zero()
     if limit != expected_limit:
         raise PlaneAutError(f"degeneration limit mismatch for family {tag}")
@@ -457,7 +460,8 @@ def _degenerate_diagonal(ring, tag, zeta, m: int, P: dict, params) -> Degenerati
     zi = ring.invert(zeta)
     limit = Endo([MultiPoly(ring, 2, {(1, 0): zeta}),
                   MultiPoly(ring, 2, {(0, 1): zi})])
-    w = _witness(f, tag, _diag_t(L).inverse(), limit, params)
+    h = _diag_t(L).inverse()
+    w = _witness(f, tag, h, _conjugated_family(f, h), limit, params)
     expected = {(1, 0): {0: zeta}}
     for k, c in P.items():
         expected[(0, m - 1 + m * k)] = {m * (k + 1): c}
@@ -525,10 +529,10 @@ def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitn
     x2_K = MultiPoly(ring, 2, {(0, 1): ring.one})
     one_K = MultiPoly(ring, 2, {(0, 0): ring.one})
     if not Q:
-        if variant == "F1":
-            ident_c = TFamily(Endo.identity(L, 2), Endo.identity(L, 2), check=False)
-            return _witness(f, "iv-F1", ident_c, Endo([x1_K, x2_K + one_K]))
-        return _witness(f, "iv-F2", _diag_t(L), Endo.identity(ring, 2))
+        ident = TFamily(Endo.identity(L, 2), Endo.identity(L, 2), check=False)
+        c, limit = ((ident, Endo([x1_K, x2_K + one_K])) if variant == "F1"
+                    else (_diag_t(L), Endo.identity(ring, 2)))
+        return _witness(f, "iv-" + variant, c, _conjugated_family(f, c), limit)
 
     d = up_deg(ring, Q)
     mu = Q[d]
@@ -537,17 +541,17 @@ def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitn
         q *= p
     lam = ring.pow(mu, -q)
     alpha = _family_iv_alpha(L, d, q, lam)
-    A = alpha.inverse().endo.compose(lift_endo(f.fwd, L)).compose(alpha.endo)
+    A = _conjugated_family(f, alpha)
 
     # A must be (x1 + mu + t P, x2 - lam t^{q-d} P^q) with P free of poles
     x1_L = MultiPoly(L, 2, {(1, 0): L.one})
     x2_L = MultiPoly(L, 2, {(0, 1): L.one})
-    tP = A.comps[0] - x1_L - MultiPoly(L, 2, {(0, 0): L.from_base(mu)})
+    tP = A.endo.comps[0] - x1_L - MultiPoly(L, 2, {(0, 0): L.from_base(mu)})
     P = tP.map_coeffs(lambda c: L.shift(c, -1), L)
     if any(L.valuation(c) < 0 for c in P.terms.values()):
         raise PlaneAutError("family (iv) auxiliary polynomial has a pole")
     expected_second = x2_L - _frobenius(P, q).scale({q - d: lam})
-    if A.comps[1] != expected_second:
+    if A.endo.comps[1] != expected_second:
         raise PlaneAutError("family (iv) conjugate has an unexpected shape")
 
     # the defining identity: Q(t^d x2 + lam x1^q + 1/t) = mu/t^d + P/t^{d-1}
@@ -558,24 +562,26 @@ def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitn
     if lhs != rhs:
         raise PlaneAutError("family (iv) defining identity failed")
 
+    # each witness conjugates A by the rest of its conjugator: with
+    # c = alpha o r, c^-1 o f o c = r^-1 o A o r
     params = {"d": d, "mu": mu, "q": q, "lambda": lam}
     if variant == "F1":
         c_fwd = Endo([x2_K.scale(ring.neg(mu)), x1_K.scale(ring.invert(mu))])
         c_bwd = Endo([x2_K.scale(mu), x1_K.scale(ring.neg(ring.invert(mu)))])
-        c_aff = TFamily(lift_endo(c_fwd, L), lift_endo(c_bwd, L), check=True)
-        conjugator = alpha.compose(c_aff.inverse())
-        return _witness(f, "iv-F1", conjugator, Endo([x1_K, x2_K + one_K]), params)
+        r = TFamily(lift_endo(c_fwd, L), lift_endo(c_bwd, L), check=True).inverse()
+        return _witness(f, "iv-F1", alpha.compose(r), _conjugated_family(A, r),
+                        Endo([x1_K, x2_K + one_K]), params)
 
-    # F2: substitute t -> t^m until the diagonal conjugate loses its pole
+    # F2: substitute t -> t^m until the diagonal conjugate loses its pole;
+    # f is free of t, so alpha(t^m)^-1 o f o alpha(t^m) = A(t^m)
     deg_x1 = max((e[0] for e in P.terms), default=0)
     cap = max(deg_x1, 2 + (2 + q * deg_x1) // (q - d)) + 2
-    diag = _diag_t(L)
+    r = _diag_t(L).inverse()
     for m in range(1, cap + 1):
-        alpha_m = alpha.substitute_t_power(m)
-        conjugator = alpha_m.compose(diag.inverse())
-        fam = _conjugated_family(f, conjugator)
+        fam = _conjugated_family(A.substitute_t_power(m), r)
         v = fam.valuation
         if v is not MINUS_INF and v >= 0 and fam.value_at_zero() == Endo.identity(ring, 2):
             params["m"] = m
-            return _witness(f, "iv-F2", conjugator, Endo.identity(ring, 2), params, fam)
+            return _witness(f, "iv-F2", alpha.substitute_t_power(m).compose(r), fam,
+                            Endo.identity(ring, 2), params)
     raise PlaneAutError("family (iv) F2 search exhausted its bound")

@@ -22,20 +22,22 @@ from planeaut import (
     ArityMismatchError,
     Endo,
     JonquieresFactor,
+    LaurentRing,
     MultiPoly,
     NotInvertibleError,
     PlaneAut,
     PrimeField,
     RationalField,
     TFamily,
+    factor_to_plane_aut,
     image_point_at_infinity,
     indeterminacy_point,
     is_algebraic,
     x_alpha,
 )
-from planeaut import amalgam, endo, poly
-from planeaut.degeneration import PolePropagationReport
-from planeaut.rings import power, up_add, up_mul
+from planeaut import amalgam, degeneration, endo, poly
+from planeaut.degeneration import PolePropagationReport, lift_endo
+from planeaut.rings import power, up_add, up_deg, up_mul
 
 SEED = 20260823
 
@@ -394,6 +396,47 @@ def compose_then_raise_pole_check(f: PlaneAut, alpha) -> dict:
     pole, pole_inv = vc is MINUS_INF or vc < 0, vci is MINUS_INF or vci < 0
     return PolePropagationReport(v, hypothesis, i_pt, xs.points, vc, vci, not hypothesis or pole,
                                  pole or pole_inv, notes).describe()
+
+
+def conjugated_in_full(f: PlaneAut, c: TFamily) -> Endo:
+    """c^-1 o f o c over K[t, 1/t], f over K lifted and composed with the
+    whole conjugator c."""
+    return c.inverse().endo.compose(lift_endo(f.fwd, c.ring)).compose(c.endo)
+
+
+def family_iv_by_full_conjugation(K, Q: dict, variant: str):
+    """(f, conjugator, family, m) of degenerate_family_iv's witness as it was
+    built before the family was read off A = alpha^-1 o f o alpha, kept as
+    its oracle: F1 conjugates f in full by alpha o c_aff^-1, and F2 conjugates
+    f in full by each alpha(t^m) o (t x1, 1/t x2)^-1 in turn, m = 1, 2, ...,
+    until the family has no pole and the identity at t = 0 (m is None for
+    F1).  Only the construction is kept, none of the shape checks."""
+    Q = {k: c for k, c in Q.items() if not K.is_zero(c)}
+    f = factor_to_plane_aut(JonquieresFactor(K, K.one, Q, K.one))
+    L = LaurentRing(K)
+    if not Q:
+        c = (TFamily(Endo.identity(L, 2), Endo.identity(L, 2), check=False)
+             if variant == "F1" else degeneration._diag_t(L))
+        return f, c, conjugated_in_full(f, c), None
+    d = up_deg(K, Q)
+    mu, q = Q[d], K.characteristic
+    while q <= d:
+        q *= K.characteristic
+    alpha = degeneration._family_iv_alpha(L, d, q, K.pow(mu, -q))
+    if variant == "F1":
+        x1, x2 = MultiPoly.variable(K, 2, 0), MultiPoly.variable(K, 2, 1)
+        c_aff = TFamily(lift_endo(Endo([x2.scale(K.neg(mu)), x1.scale(K.invert(mu))]), L),
+                        lift_endo(Endo([x2.scale(mu), x1.scale(K.neg(K.invert(mu)))]), L))
+        c = alpha.compose(c_aff.inverse())
+        return f, c, conjugated_in_full(f, c), None
+    diag_inv = degeneration._diag_t(L).inverse()
+    for m in range(1, 200):
+        c = alpha.substitute_t_power(m).compose(diag_inv)
+        fam = TFamily(conjugated_in_full(f, c), check=False)
+        v = fam.valuation
+        if v is not MINUS_INF and v >= 0 and fam.value_at_zero() == Endo.identity(K, 2):
+            return f, c, fam.endo, m
+    raise AssertionError("no m up to 200 degenerates f")
 
 
 @pytest.fixture

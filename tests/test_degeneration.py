@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,12 @@ from conftest import (
     SEED,
     _algebraic_word_nontrivial,
     compose_then_raise_pole_check,
+    conjugated_in_full,
+    family_ii_rep,
+    family_iv_by_full_conjugation,
     rand_affine,
     rand_scalar,
+    rand_univariate,
     sample_regular_word,
     word_to_plane_aut,
 )
@@ -42,6 +47,7 @@ Q = RationalField()
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def fam(src, K=Q):
@@ -86,6 +92,37 @@ def test_family_substitute_t_power():
     g2 = g.substitute_t_power(3)
     assert str(g2.endo) == "(t^3*x1, t^-3*x2)"
     assert g2.valuation == -3
+
+
+def test_substitute_t_power_commutes_with_specialization():
+    """F(t^m) at t = c is F at c^m, for negative m too; m = 0 would merge
+    the coefficients of different powers of t and is refused: over F5,
+    t^1 and 4 t^2 on x2^2 would leave 4 x2^2 where t = 1 leaves none."""
+    g = fam("(x1 + t*x2^2 + 4*t^2*x2^2, x2)", F5)
+    with pytest.raises(PlaneAutError):
+        g.substitute_t_power(0)
+    h = fam("(t*x1 + t^-2*x2^3 + 2, 3*t^2*x2 + t)", F5)
+    for f in (g, h, fam("(2*t*x1 + 1/t*x2^2 - 3, x2 + t^3)")):
+        K = f.base
+        for m in (-2, -1, 2, 3):
+            fm = f.substitute_t_power(m)
+            for c in (K.one, K.one + K.one, K.neg(K.one)):
+                assert fm.specialize(c) == f.specialize(K.pow(c, m)), (str(f), m, c)
+
+
+def test_substitute_t_power_defers_a_deferred_inverse():
+    """A deferred inverse is not built by the substitution, and is mapped
+    t -> t^m when it is first read."""
+    built = []
+    g = fam("(x1 + t*x2^2, x2)")
+
+    def inverse():
+        built.append(1)
+        return fam("(x1 - t*x2^2, x2)").endo
+
+    g3 = TFamily(g.endo, inverse, check=False).substitute_t_power(3)
+    assert not built
+    assert str(g3.inverse().endo) == "(-t^3*x2^2 + x1, x2)" and built == [1]
 
 
 def test_family_compose_and_inverse_cache():
@@ -258,9 +295,8 @@ def test_frobenius_matches_the_power(K):
 
 
 def test_x_alpha_is_sampled_once_per_family(monkeypatch):
-    """x_alpha keeps the default-sample set on the family, and
-    pole_propagation_check reuses it; another sample count samples again
-    and keeps nothing."""
+    """x_alpha keeps its sample set on the family, and
+    pole_propagation_check reuses it; another family samples again."""
     calls, samples = [], degeneration._affine_samples
 
     def counted(*args):
@@ -276,8 +312,6 @@ def test_x_alpha_is_sampled_once_per_family(monkeypatch):
     assert rep.x_points == xs.points
     fresh = x_alpha(fam(str(alpha)))
     assert fresh.describe() == xs.describe() and len(calls) == 2
-    few = x_alpha(alpha, max_samples=3)
-    assert len(calls) == 3 and few is not xs and x_alpha(alpha) is xs
 
 
 # -- pole valuations off int forms, each witness family composed once -------
@@ -344,25 +378,97 @@ def _witnesses():
 
 
 @pytest.mark.parametrize("tag,build", _witnesses(), ids=[t for t, _ in _witnesses()])
-def test_each_witness_composes_its_family_once(tag, build, compose_spy):
-    """A witness conjugates its family once (two substitutions, or two per
-    candidate m of the F2 search) and does not verify it again; the family
-    inverse is built by the same conjugation when it is first read, and
-    equals conjugator^-1 o f^-1 o conjugator."""
+def test_each_witness_composes_its_family_once(tag, build, compose_spy, monkeypatch):
+    """Every conjugation of a witness runs through _conjugated_family, two
+    substitutions each, and f is conjugated once: by the whole conjugator
+    for ii and iii, by alpha for iv, whose F1 family and each F2 candidate
+    m conjugate A = alpha^-1 o f o alpha by an affine or diagonal map.  No
+    witness is verified as it is built, and A's inverse is not built.  The
+    family inverse is built when it is first read, by one more conjugation
+    by alpha for iv, kept, and equals conjugator^-1 o f^-1 o conjugator."""
+    calls, inner = [], degeneration._conjugated_family
+
+    def recorded(g, c):
+        calls.append((g, c, inner(g, c)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(degeneration, "_conjugated_family", recorded)
     compose_spy.clear()
     w = build()
+    iv = tag.startswith("iv")
     candidates = w.params["m"] if tag == "iv-F2" else 1
-    assert compose_spy.callers["conjugate"] == 2 * candidates
-    assert "verify" not in compose_spy.callers
+    assert len(calls) == iv + candidates
+    assert compose_spy.callers["conjugate"] == 2 * len(calls)
+    assert "verify" not in compose_spy.within
+    (g, c, A), = [call for call in calls if call[0] is w.source]
+    if iv:
+        assert c.degree == w.params["q"]          # alpha
+        assert [call[0].endo for call in calls[1:]] == (
+            [A.endo] if tag == "iv-F1"
+            else [A.substitute_t_power(k).endo for k in range(1, candidates + 1)])
+        assert all(call[1].degree == 1 for call in calls[1:])
+        assert callable(A._inv)
     inv = w.family.inverse().endo
-    assert compose_spy.callers["conjugate"] == 2 * candidates + 2
+    assert compose_spy.callers["conjugate"] == 2 * len(calls) + 2 + 2 * iv
+    assert not callable(A._inv)
     assert w.family.inverse().endo is inv
-    assert compose_spy.callers["conjugate"] == 2 * candidates + 2
+    assert compose_spy.callers["conjugate"] == 2 * len(calls) + 2 + 2 * iv
     L, c = w.family.ring, w.conjugator
     assert inv == c.inverse().endo.compose(lift_endo(w.source.inv, L)).compose(c.endo)
     ident = Endo.identity(L, 2)
     assert w.family.endo.compose(inv) == ident and inv.compose(w.family.endo) == ident
     assert w.verify()
+
+
+def _family_iv_inputs(rng, K):
+    """Q = {}, a nonzero constant and seeded Q of degree at most 1 to 6."""
+    return [{}, {0: rand_scalar(rng, K, nonzero=True)}] + [
+        rand_univariate(rng, K, deg, nonzero=True) for deg in range(1, 7)]
+
+
+@pytest.mark.parametrize("K", [F2, F3, F5, F7], ids=repr)
+def test_family_iv_witness_matches_the_full_conjugation_oracle(K):
+    """Both variants, read off A = alpha^-1 o f o alpha, equal the
+    construction that conjugated f in full by the whole conjugator: family,
+    conjugator and its inverse, limit and m."""
+    rng = random.Random(f"{SEED}/family-iv-oracle/{K!r}")
+    for Q in _family_iv_inputs(rng, K):
+        for variant in ("F1", "F2"):
+            w = degenerate_family_iv(K, Q, variant)
+            f, c, family, m = family_iv_by_full_conjugation(K, Q, variant)
+            assert w.source.fwd == f.fwd
+            assert w.family.endo == family, (Q, variant)
+            assert w.conjugator.endo == c.endo
+            assert w.conjugator.inverse().endo == c.inverse().endo
+            assert w.limit == TFamily(family).value_at_zero()
+            assert w.params.get("m") == m and w.verify()
+
+
+@pytest.mark.parametrize("K", [Q, F5], ids=repr)
+def test_diagonal_witnesses_match_the_full_conjugation_oracle(K):
+    """Families ii and iii equal f conjugated in full by (x1 / t, t x2)."""
+    rng = random.Random(f"{SEED}/diagonal-oracle/{K!r}")
+    c = degeneration._diag_t(LaurentRing(K)).inverse()
+    zeta, m = (K.neg(K.one), 2) if K is Q else (2, 4)
+    for deg in (0, 2, 4):
+        P = rand_univariate(rng, K, deg, nonzero=True)
+        for w in (degenerate_family_ii(K, P), degenerate_family_iii(K, zeta, m, P)):
+            assert w.conjugator.endo == c.endo
+            assert w.family.endo == conjugated_in_full(w.source, c), (w.family_tag, P)
+            assert w.limit == w.family.value_at_zero()
+        assert degenerate_family_ii(K, P).source.fwd == family_ii_rep(K, P).fwd
+
+
+def test_family_iv_f2_search_is_fast():
+    """The F2 search conjugates A(t^m) by a diagonal map for each m instead
+    of f by alpha(t^m), so m = 40 candidates over F5 with the witness's
+    verify() and three specializations stay well under 2 s; conjugating f
+    by each candidate took several seconds."""
+    start = time.perf_counter()
+    w = degenerate_family_iv(F5, {4: 1, 9: 2}, "F2")
+    assert w.params["m"] == 40 and w.verify()
+    assert all(w.specialization_check(c) for c in (1, 2, 3))
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("tag,build", _witnesses(), ids=[t for t, _ in _witnesses()])
