@@ -286,6 +286,42 @@ class AmalgamWord:
         return Endo(compose_chain(Endo.identity(self.ring, 2).comps,
                                   [fac.term_dicts() for fac in reversed(self.factors)]))
 
+    def chain_steps(self, c, inverse: bool = False) -> list:
+        """F = recompose(self) o s_c, s_c = (c x1, x2), or with inverse
+        F^-1 = s_c^-1 o recompose(self^-1), as poly.compose_chain steps, the
+        first applied first: one per factor, and s_c first (s_c^-1 last), a
+        step of its own, left out when c = 1."""
+        R = self.ring
+        steps = [fac.term_dicts() for fac in self._applied(inverse)]
+        if R.eq(c, R.one):
+            return steps
+        scale = ({(1, 0): R.invert(c) if inverse else c}, {(0, 1): R.one})
+        return steps + [scale] if inverse else [scale] + steps
+
+    def step_groups(self, c, inverse: bool = False) -> list:
+        """chain_steps in groups, to be composed group by group into the
+        steps endo._iterates iterates F along: an affine factor standing
+        just left of a triangular one is one group A o J with it, every
+        other factor a group of its own, and s_c (s_c^-1) joins its
+        neighbour.  The components of A o J are linear in x1 plus a
+        polynomial in x2, so substituting into it raises only the second
+        argument to powers."""
+        steps = self.chain_steps(c, inverse)
+        tags = [fac.tag for fac in self._applied(inverse)]
+        if len(steps) > len(tags):
+            tags = tags + ["s"] if inverse else ["s"] + tags
+        groups = []
+        for step, prev, tag in zip(steps, [None] + tags, tags):
+            if groups and ("s" in (prev, tag) or (prev, tag) == ("J", "A")):
+                groups[-1].append(step)
+            else:
+                groups.append([step])
+        return groups
+
+    def _applied(self, inverse):
+        """The factors of the word, or of its inverse word, first applied first."""
+        return reversed((self.inverse_word() if inverse else self).factors)
+
     def inverse_word(self) -> "AmalgamWord":
         if self._inverse is None:
             self._inverse = AmalgamWord(self.ring, [f.inverse() for f in reversed(self.factors)])
@@ -428,16 +464,6 @@ def _word_of_descent(R, ops, final, c) -> AmalgamWord:
     return reduce_word(AmalgamWord(R, [op.inverse() for op in ops] + [last]))
 
 
-def _steps(word: AmalgamWord, c) -> list:
-    """recompose(word) o s_c, s_c = (c x1, x2), as poly.compose_chain steps:
-    s_c first, left out when c = 1, then the factors from the last."""
-    R = word.ring
-    steps = [fac.term_dicts() for fac in reversed(word.factors)]
-    if not R.eq(c, R.one):
-        steps.insert(0, ({(1, 0): c}, {(0, 1): R.one}))
-    return steps
-
-
 def _check_inverse_by_word(e: Endo, inv: Endo, word: AmalgamWord, c) -> None:
     """Certify inv o e = id and e o inv = id on the stored polynomials, for
     inv = s_c^-1 o G_n o ... o G_1 recomposed from G_i = F_i^-1 and the word
@@ -453,13 +479,8 @@ def _check_inverse_by_word(e: Endo, inv: Endo, word: AmalgamWord, c) -> None:
     fails before it is built, which bounds the work on any input.  Each step
     substitutes into a map of degree <= deg e, where fwd o inv and inv o fwd
     build intermediates of degree (deg e)^2 before they cancel to (x1, x2)."""
-    R = e.ring
-    forward = _steps(word, c)
-    backward = [fac.term_dicts() for fac in reversed(word.inverse_word().factors)]
-    if not R.eq(c, R.one):
-        backward.append(({(1, 0): R.invert(c)}, {(0, 1): R.one}))
-    ident = Endo.identity(R, 2)
-    for start, steps in ((e, backward), (inv, forward)):
+    ident = Endo.identity(e.ring, 2)
+    for start, steps in ((e, word.chain_steps(c, inverse=True)), (inv, word.chain_steps(c))):
         out = compose_chain(start.comps, steps, e.degree)
         if out is None or Endo(out) != ident:
             raise NotInvertibleError("forward and inverse do not compose to the identity")
@@ -478,7 +499,7 @@ def _check_conjugation(h: PlaneAut, f: PlaneAut, g: PlaneAut) -> bool:
     if not f.ring == g.ring == h.ring:
         raise RingMismatchError(
             f"conjugation of maps over {f.ring!r} and {g.ring!r} by one over {h.ring!r}")
-    steps = [] if h.word is None else _steps(h.word, h.jac)
+    steps = [] if h.word is None else h.word.chain_steps(h.jac)
     out = None
     if len(steps) > 1:
         out = compose_chain(f.fwd.comps, steps, max(f.degree, g.degree * h.degree))

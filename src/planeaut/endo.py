@@ -21,6 +21,16 @@ word, for every Jacobian, algebraic when at most one factor is left.  The
 word that amalgam.plane_aut_from_endo stores on every PlaneAut it builds,
 its cyclic reduction and the map's normal form are each built once and kept
 on the map.  is_algebraic, the f o f test, is the oracle of that reading.
+
+degree_sequence, is_dynamically_regular and PlaneAut.power build each
+iterate as f^(k+1) = f o f^k along the factor word of f: an affine factor
+standing just left of a triangular one is one step A o J with it
+(AmalgamWord.step_groups), whose components are linear in x1 plus a
+polynomial in x2, so a step raises only the second argument to powers, and
+poly.iterate_chain applies the steps on int forms, with f lowered once and
+only a returned iterate raised.
+A plain Endo, or a PlaneAut with no word, is one step, its own polynomials.
+Every iterate is still multiplied out in full; its degree is read off it.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from .errors import (
     NotInvertibleError,
     RingMismatchError,
 )
-from .poly import MultiPoly, compose_many
+from .poly import MultiPoly, compose_chain, compose_many, iterate_chain
 from .rings import (
     MINUS_INF,
     power,
@@ -228,14 +238,16 @@ class PlaneAut:
         return PlaneAut(self.fwd.compose(other.fwd), other.inv.compose(self.inv), verify=False)
 
     def power(self, m: int) -> "PlaneAut":
-        """self^m as f o f^k (and f^-1 o f^-k): substituting f^k into f raises
-        its arguments only to deg f, where squaring, f^k o f^k, would raise
-        them to deg f^k."""
+        """self^m as f o f^k (and f^-1 o f^-k), each iterate built from the
+        last along the word of f (its inverse word for f^-1) by _iterates:
+        substituting f^k into f raises its arguments only to deg f, where
+        squaring, f^k o f^k, would raise them to deg f^k.  m < 0 goes
+        through inverse()."""
         if m < 0:
             return self.inverse().power(-m)
-        fwd = inv = Endo.identity(self.ring, 2)
-        for _ in range(m):
-            fwd, inv = self.fwd.compose(fwd), self.inv.compose(inv)
+        if not m:
+            return PlaneAut.identity(self.ring)
+        fwd, inv = (Endo(_iterates(self, m, inverse, keep=True)[1]) for inverse in (False, True))
         return PlaneAut(fwd, inv, verify=False)
 
     def verify(self) -> bool:
@@ -406,16 +418,32 @@ def image_point_at_infinity(f) -> InfinityPoint:
 # ---------------------------------------------------------------------------
 # Degree dynamics.
 
+def _iterates(f, count: int, inverse: bool = False, keep: bool = False):
+    """poly.iterate_chain of f, an Endo or a PlaneAut (of f^-1 with inverse):
+    (degrees of the first count iterates, the last one with keep).  A
+    PlaneAut with a word is iterated along it, one composed group of
+    AmalgamWord.step_groups per step; a map with no word, or one group, is
+    one step, its own term dicts."""
+    if isinstance(f, PlaneAut):
+        e, word = f.inv if inverse else f.fwd, f.word
+    else:
+        e, word = f, None
+    groups = [] if word is None else word.step_groups(f.jac, inverse)
+    steps = [[p.terms for p in e.comps]]
+    if len(groups) > 1:
+        ident = Endo.identity(e.ring, 2).comps
+        steps = [group[0] if len(group) == 1 else [p.terms for p in compose_chain(ident, group)]
+                 for group in groups]
+    return iterate_chain(e.comps, steps, count, keep)
+
+
 def degree_sequence(f, m: int):
-    """[deg f, deg f^2, ..., deg f^m]."""
-    e = f.fwd if isinstance(f, PlaneAut) else f
-    out = []
-    g = e
-    for k in range(m):
-        if k:
-            g = e.compose(g)
-        out.append(g.degree)
-    return out
+    """[deg f, deg f^2, ..., deg f^m], f an Endo or a PlaneAut.  f^(k+1) is
+    built as f o f^k on int forms, along the factor word of f one grouped
+    step at a time when it has one (_iterates), and no iterate is raised."""
+    if m < 0:
+        raise ValueError("negative iterate count")
+    return _iterates(f, m)[0]
 
 
 @dataclass
@@ -466,10 +494,12 @@ def is_algebraic(f: PlaneAut) -> bool:
 
 
 def is_dynamically_regular(f: PlaneAut) -> bool:
-    """deg(f o f) = deg(f)^2 with deg f >= 2; equivalently X_f avoids I_f."""
+    """deg(f o f) = deg(f)^2 with deg f >= 2; equivalently X_f avoids I_f.
+    deg(f o f) is the second entry of degree_sequence, and the points at
+    infinity cross-check it when they are rational."""
     if f.degree < 2:
         return False
-    regular = f.fwd.compose(f.fwd).degree == f.degree ** 2
+    regular = degree_sequence(f, 2)[1] == f.degree ** 2
     try:
         points_differ = indeterminacy_point(f.fwd) != indeterminacy_point(f.inv)
     except FieldExtensionRequiredError:

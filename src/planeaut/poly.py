@@ -55,6 +55,9 @@ substitution's output feeds the next without a raise: compose_chain applies
 a list of maps one at a time on the left that way, so a factor word is
 recomposed or walked with one lowering and one raising, and
 degeneration.pole_propagation_check reads its valuations off int forms.
+iterate_chain applies the same steps again and again to build the iterates
+of a map, reading each degree off the int form, and raises at most the
+last iterate.
 """
 
 from __future__ import annotations
@@ -373,6 +376,35 @@ def compose_chain(start: Sequence[MultiPoly], steps, bound=None):
         lowered = [_lower(R, p)[1:] for p in step]
         cur = [_reduced(m, den, acc) for den, acc in _compose_lowered(R, m, lowered, cur, nv)]
     return [MultiPoly(R, nv, _raise(R, m, den, flat), _clean=False) for den, flat in cur]
+
+
+def iterate_chain(start: Sequence[MultiPoly], steps, count: int, keep: bool = False):
+    """(degrees, last) of the iterates X_1 = start, X_(k+1) = S o X_k, k < count,
+    for S = steps[-1] o ... o steps[0], steps as in compose_chain: degrees
+    is [deg X_1, ..., deg X_count], counting the variables and not a Laurent
+    t-exponent, and last is X_count as polynomials with keep, else None.
+
+    start and the steps are lowered once, and each X_(k+1) is built from
+    X_k one step at a time on int forms, as compose_chain walks, so no
+    iterate is raised but the kept one.  X_count is the same map whichever
+    steps S is cut into; the products are not: a step linear in x1 raises
+    only the second argument to powers, where the whole map expanded raises
+    both and multiplies them together."""
+    R, nv = start[0].ring, start[0].nvars
+    ms, dens, flats = zip(*(_lower(R, p.terms) for p in start))
+    m, cur = ms[0], list(zip(dens, flats))
+    lowered = [[_lower(R, p)[1:] for p in step] for step in steps]
+    xdeg = (lambda e: sum(e[:nv])) if type(R) is LaurentRing else sum
+    degrees = []
+    for k in range(count):
+        if k:
+            for step in lowered:
+                cur = [_reduced(m, den, acc)
+                       for den, acc in _compose_lowered(R, m, step, cur, nv)]
+        degrees.append(max(max(map(xdeg, flat), default=MINUS_INF) for _, flat in cur))
+    if not (keep and count):
+        return degrees, None
+    return degrees, [MultiPoly(R, nv, _raise(R, m, den, flat), _clean=False) for den, flat in cur]
 
 
 def _reduced(m, den, flat):

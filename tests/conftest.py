@@ -355,6 +355,38 @@ def two_sided_conjugation(h: PlaneAut, f: PlaneAut, g: PlaneAut) -> bool:
     return h.fwd.compose(f.fwd).compose(h.inv) == g.fwd
 
 
+def compose_degree_sequence(f, m: int) -> list:
+    """[deg f, ..., deg f^m] with f^(k+1) = f o f^k substituted into the
+    expanded f by Endo.compose and raised every time: endo.degree_sequence
+    before it iterated along the factor word on int forms, kept as its
+    oracle."""
+    e = f.fwd if isinstance(f, PlaneAut) else f
+    out, g = [], e
+    for k in range(m):
+        if k:
+            g = e.compose(g)
+        out.append(g.degree)
+    return out
+
+
+def compose_is_dynamically_regular(f: PlaneAut) -> bool:
+    """deg(f o f) = deg(f)^2 >= 4 with f o f composed in full, the test
+    endo.is_dynamically_regular made before it built f o f along the word."""
+    return f.degree >= 2 and f.fwd.compose(f.fwd).degree == f.degree ** 2
+
+
+def compose_power(f: PlaneAut, m: int) -> PlaneAut:
+    """f^m as f o f^k and f^-1 o f^-k, each substituted into the expanded
+    f or f^-1 by Endo.compose, m < 0 through f.inverse(): PlaneAut.power
+    before it iterated along the factor word, kept as its oracle."""
+    if m < 0:
+        return compose_power(f.inverse(), -m)
+    fwd = inv = Endo.identity(f.ring, 2)
+    for _ in range(m):
+        fwd, inv = f.fwd.compose(fwd), f.inv.compose(inv)
+    return PlaneAut(fwd, inv, verify=False)
+
+
 def jacobian_first_plane_aut(e: Endo) -> PlaneAut:
     """amalgam.plane_aut_from_endo before it took c from the descent, kept as
     its oracle: the Jacobian determinant is multiplied out first, a map
@@ -470,6 +502,23 @@ def compose_spy(monkeypatch):
 
     monkeypatch.setattr(poly, "_compose_lowered", spy)
     return degrees
+
+
+@pytest.fixture
+def imul_spy(monkeypatch):
+    """The work of poly._imul, the one int product, as a Counter: calls, and
+    term_products, len(a) * len(b) summed over the calls.  Every product of
+    MultiPoly.__mul__, __pow__ and the compositions passes through it, so
+    the counts record the work done without timing it."""
+    counts, inner = collections.Counter(), poly._imul
+
+    def spy(a, b, m):
+        counts["calls"] += 1
+        counts["term_products"] += len(a) * len(b)
+        return inner(a, b, m)
+
+    monkeypatch.setattr(poly, "_imul", spy)
+    return counts
 
 
 _KERNEL_FILES = {poly.__file__, endo.__file__}
