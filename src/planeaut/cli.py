@@ -150,9 +150,15 @@ def _cmd_conj_test(field, inputs, args):
 
 
 def _cmd_degseq(field, inputs, args):
-    e = _require_endo(inputs[0], "degseq")
-    degs = degree_sequence(e, args.n)
-    return "ok", {"degrees": degs}, {}
+    f = _require_endo(inputs[0], "degseq")
+    if f.nvars == 2:
+        # an automorphism iterates along its factor word; any other map as
+        # its own polynomials
+        try:
+            f = plane_aut_from_endo(f)
+        except PlaneAutError:
+            pass
+    return "ok", {"degrees": degree_sequence(f, args.n)}, {}
 
 
 def _cmd_regular(field, inputs, args):

@@ -30,7 +30,9 @@ polynomial in x2, so a step raises only the second argument to powers, and
 poly.iterate_chain applies the steps on int forms, with f lowered once and
 only a returned iterate raised.
 A plain Endo, or a PlaneAut with no word, is one step, its own polynomials.
-Every iterate is still multiplied out in full; its degree is read off it.
+Every iterate is still multiplied out in full; its degree is carried from
+step to step (poly.iterate_chain), and read off its terms only where a
+step's top terms tie.
 """
 
 from __future__ import annotations

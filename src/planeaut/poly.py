@@ -38,7 +38,9 @@ reads back as its value in two's complement.  An empty slot reads back as
 0 over both, and itertools.compress pairs the box's exponent tuples with
 the nonzero fields in C, so unpacking spends no Python step on an empty
 slot; packing computes each term's slot with the strides unrolled for the
-2- and 3-slot exponents of plane maps and their t-families.
+2- and 3-slot exponents of plane maps and their t-families.  A square
+(_imul(a, a, m), as rings.power and the argument tables call it) is packed
+once and its integer multiplied by itself, which CPython runs as a squaring.
 A box of more than _PACK_SLOTS_PER_PRODUCT slots per term product stays on
 the dict loop, so sparse factors with huge exponents never allocate a dense
 integer.  conftest.ring_mul, the dict loop on ring methods, is the oracle.
@@ -56,8 +58,11 @@ a list of maps one at a time on the left that way, so a factor word is
 recomposed or walked with one lowering and one raising, and
 degeneration.pole_propagation_check reads its valuations off int forms.
 iterate_chain applies the same steps again and again to build the iterates
-of a map, reading each degree off the int form, and raises at most the
-last iterate.
+of a map and raises at most the last iterate.  It carries each component's
+degree from step to step: over the integral domains K[x] and K[t, 1/t][x]
+the image of x^e has degree e . deg(args), so a component whose step
+polynomial has one top monomial keeps that degree, and only a tie, which
+may cancel, or a zero component reads the degree off the terms.
 """
 
 from __future__ import annotations
@@ -95,6 +100,9 @@ _PACK_SLOTS_PER_PRODUCT = 4
 # int.to_bytes / int.from_bytes one field at a time.
 _ARRAY_CODES = {array(t).itemsize: t for t in "BHILQ"}
 _SIGNED_CODES = {array(t).itemsize: t for t in "bhilq"}
+# From this many terms on, a monomial image larger than _compose_lowered's
+# sum so far becomes the sum, and the smaller sum is added into it.
+_SUM_SWAP_MIN = 32
 
 
 def _gradlex_key(exps):
@@ -302,7 +310,10 @@ def _compose_lowered(R, m, polys, args, nv):
     The table holds the argument powers, and the term c x^e of p adds
     c D^(top - e) times the image of x^e, D the argument denominators and
     top the largest exponents of p, so every output shares the denominator
-    d_p D^top; a Laurent term c t^k shifts the image's last slot by k."""
+    d_p D^top; a Laurent term c t^k shifts the image's last slot by k.  An
+    image of at least _SUM_SWAP_MIN terms, more than the sum so far, is
+    scaled into a new dict in one comprehension, and the old sum is added
+    into it; a smaller image is added into the sum term by term."""
     nvars = len(args)
     dens, bases = zip(*args)
     # dens is empty when every argument has denominator 1
@@ -344,8 +355,18 @@ def _compose_lowered(R, m, polys, args, nv):
                     if j:
                         term = table[j] if term is one else mul(term, table[j])
                 monos[e] = term
+            shift = laurent and k
+            if len(term) >= _SUM_SWAP_MIN and len(term) > len(acc):
+                old = acc
+                if shift:
+                    acc = {(*te[:-1], te[-1] + k): c * tc for te, tc in term.items()}
+                else:
+                    acc = dict(term) if c == 1 else {te: c * tc for te, tc in term.items()}
+                for te, v in old.items():
+                    acc[te] = acc.get(te, 0) + v
+                continue
             for te, tc in term.items():
-                if laurent and k:
+                if shift:
                     te = (*te[:-1], te[-1] + k)
                 acc[te] = acc.get(te, 0) + c * tc
         out.append((den, acc))
@@ -389,22 +410,57 @@ def iterate_chain(start: Sequence[MultiPoly], steps, count: int, keep: bool = Fa
     iterate is raised but the kept one.  X_count is the same map whichever
     steps S is cut into; the products are not: a step linear in x1 raises
     only the second argument to powers, where the whole map expanded raises
-    both and multiplies them together."""
+    both and multiplies them together.
+
+    The degree of each component is carried from step to step
+    (_top_degree) and read off its terms (_degree) only for start and where
+    a step's top terms tie."""
     R, nv = start[0].ring, start[0].nvars
     ms, dens, flats = zip(*(_lower(R, p.terms) for p in start))
     m, cur = ms[0], list(zip(dens, flats))
     lowered = [[_lower(R, p)[1:] for p in step] for step in steps]
-    xdeg = (lambda e: sum(e[:nv])) if type(R) is LaurentRing else sum
+    degs = [_degree(flat, nv) for flat in flats]
     degrees = []
     for k in range(count):
         if k:
             for step in lowered:
+                tops = [_top_degree(m, P, degs) for _, P in step]
                 cur = [_reduced(m, den, acc)
                        for den, acc in _compose_lowered(R, m, step, cur, nv)]
-        degrees.append(max(max(map(xdeg, flat), default=MINUS_INF) for _, flat in cur))
+                degs = [_degree(flat, nv) if d is None else d
+                        for d, (_, flat) in zip(tops, cur)]
+        degrees.append(max(degs))
     if not (keep and count):
         return degrees, None
     return degrees, [MultiPoly(R, nv, _raise(R, m, den, flat), _clean=False) for den, flat in cur]
+
+
+def _degree(flat, nv):
+    """The degree in the first nv exponent slots of an int form's terms, so
+    not counting a Laurent t-exponent; MINUS_INF when it has none."""
+    return max((sum(e[:nv]) for e in flat), default=MINUS_INF)
+
+
+def _top_degree(m, P, degs):
+    """deg p(args) for the int form P of p and arguments of degrees degs,
+    or None when it cannot be told without the terms.  K[x] and
+    K[t, 1/t][x] are integral domains, so the image of x^e has degree
+    e . degs exactly; when one x^e of p has the largest e . degs and a
+    coefficient nonzero mod m (over K[t, 1/t], several t-exponents of one
+    x^e), every other image has a smaller degree and nothing cancels.  A
+    tie may cancel, and a zero argument has no degree: None."""
+    if any(d is MINUS_INF for d in degs):
+        return None
+    n, best, top = len(degs), -1, None
+    for e, c in P.items():
+        if not (c % m if m else c):
+            continue
+        d = sum(map(operator.mul, e, degs))
+        if d > best:
+            best, top = d, e[:n]
+        elif d == best and e[:n] != top:
+            top = None
+    return None if top is None else best
 
 
 def _reduced(m, den, flat):
@@ -478,28 +534,31 @@ def _kronecker(a, b, m):
     """The product of two int term dicts, reduced mod m, by Kronecker
     substitution, or None when the product's dense exponent box has too many
     slots.  Each slot of the box starts at the product's least exponent
-    there, so negative exponents pack too.  The read-back walks the box in
-    C (itertools.compress over the fields that are set), so a Python step is
-    spent only on an occupied slot."""
-    cols_a, cols_b = list(zip(*a)), list(zip(*b))
-    lo_a, lo_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
-    widths = [max(x) - la + max(y) - lb + 1
-              for x, y, la, lb in zip(cols_a, cols_b, lo_a, lo_b)]
+    there, so negative exponents pack too.  A square (a is b) is transposed,
+    slotted and packed once, and its packed integer multiplied by itself,
+    which CPython's bignum multiply runs as a squaring.  The read-back walks
+    the box in C (itertools.compress over the fields that are set), so a
+    Python step is spent only on an occupied slot."""
+    sq = a is b
+    span_a = [(min(c), max(c)) for c in zip(*a)]
+    span_b = span_a if sq else [(min(c), max(c)) for c in zip(*b)]
+    widths = [ha - la + hb - lb + 1 for (la, ha), (lb, hb) in zip(span_a, span_b)]
     nslots = math.prod(widths)
     if nslots > _PACK_SLOTS_PER_PRODUCT * len(a) * len(b):
         return None
     strides = [math.prod(widths[i + 1:]) for i in range(len(widths))]
-    slots_a = _slots(a, strides, sum(map(operator.mul, lo_a, strides)))
-    slots_b = _slots(b, strides, sum(map(operator.mul, lo_b, strides)))
+    slots_a = _slots(a, strides, sum(la * s for (la, _), s in zip(span_a, strides)))
+    slots_b = slots_a if sq else _slots(b, strides,
+                                        sum(lb * s for (lb, _), s in zip(span_b, strides)))
     grid = itertools.product(*(range(la + lb, la + lb + w)
-                               for la, lb, w in zip(lo_a, lo_b, widths)))
+                               for (la, _), (lb, _), w in zip(span_a, span_b, widths)))
     # one output field sums at most min(len(a), len(b)) term products
     n = min(len(a), len(b))
     if m:
         k = _field_bytes(n * (m - 1) ** 2)
         # reduced here: F_p terms may hold ints outside range(p)
-        prod = (_pack(zip(slots_a, map(m.__rmod__, a.values())), k, nslots)
-                * _pack(zip(slots_b, map(m.__rmod__, b.values())), k, nslots))
+        pa = _pack(zip(slots_a, map(m.__rmod__, a.values())), k, nslots)
+        prod = pa * (pa if sq else _pack(zip(slots_b, map(m.__rmod__, b.values())), k, nslots))
         vals = _unpack(prod, k, nslots)
         return {e: r for e, v in zip(itertools.compress(grid, vals), filter(None, vals))
                 if (r := v % m)}
@@ -507,8 +566,8 @@ def _kronecker(a, b, m):
     # fields hold values in [-half, half)
     k = _field_bytes(2 * bound + 1)
     half = 1 << (8 * k - 1)
-    prod = (_pack_signed(slots_a, a.values(), k, nslots)
-            * _pack_signed(slots_b, b.values(), k, nslots))
+    pa = _pack_signed(slots_a, a.values(), k, nslots)
+    prod = pa * (pa if sq else _pack_signed(slots_b, b.values(), k, nslots))
     # value + half in every field, then its top bit flipped: each field
     # holds the value in two's complement, and an empty field is zero
     halves = int.from_bytes(half.to_bytes(k, "little") * nslots, "little")

@@ -508,14 +508,19 @@ class LaurentRing:
 # too); mul and the rest are univariate, {degree: coeff}.  No zero entries.
 
 def power(x, n: int, mul, one):
-    """x^n for n >= 0 by repeated squaring; never squares past the top bit."""
-    out = one
-    while n:
+    """x^n for n >= 0 by repeated squaring: the product starts at the lowest
+    set bit, so it never multiplies by one (x^1 is x itself, not a copy), and
+    never squares past the top bit."""
+    if not n:
+        return one
+    while not n & 1:
+        x = mul(x, x)
+        n >>= 1
+    out = x
+    while n := n >> 1:
+        x = mul(x, x)
         if n & 1:
             out = mul(out, x)
-        n >>= 1
-        if n:
-            x = mul(x, x)
     return out
 
 def up_deg(F, d):

@@ -6,6 +6,7 @@ result once (poly._raise).  conftest.ring_mul and conftest.ring_compose_many,
 the dict loop and composition on the ring's own add and mul, are the
 oracles; every case compares the terms dicts exactly.
 """
+import collections
 import math
 import random
 import time
@@ -101,6 +102,59 @@ def test_powers_match_the_ring_loop(R):
     for n in range(6):
         assert (a ** n).terms == want, n
         want = ring_mul(R, want, a.terms)
+
+
+@pytest.mark.parametrize("R", RINGS, ids=repr)
+def test_squares_match_the_ring_loop(R, monkeypatch):
+    """_imul(a, a, m), the square rings.power and the argument tables ask
+    for, on the dict loop and packed: over Q with fields wider than 8 bytes,
+    over F_p up to p = 2^61 - 1, and over K[t, 1/t] with negative
+    t-exponents."""
+    rng = random.Random(f"isquare/{R!r}")
+    unpack, widths = poly._unpack, set()
+
+    def spy(n, k, nslots, **signed):
+        widths.add(k)
+        return unpack(n, k, nslots, **signed)
+
+    monkeypatch.setattr(poly, "_unpack", spy)
+    for nvars, n, maxexp in ((1, 3, 6), (1, 12, 20), (2, 10, 4), (2, 30, 6), (3, 12, 2)):
+        terms = rand_terms(rng, R, nvars, n, maxexp)
+        m, den, a = _lower(R, terms)
+        assert _raise(R, m, den * den, poly._imul(a, a, m)) == ring_mul(R, terms, terms)
+        if isinstance(R, LaurentRing):
+            assert min(e[-1] for e in a) < 0
+    assert widths
+    if R == Q:
+        assert max(widths) > 8
+
+
+def _counted(monkeypatch, names):
+    """A Counter of the calls of each named function of poly.py."""
+    calls = collections.Counter()
+    for name in names:
+        def spy(*args, _name=name, _inner=getattr(poly, name), **kw):
+            calls[_name] += 1
+            return _inner(*args, **kw)
+
+        monkeypatch.setattr(poly, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("R", [Q, F5], ids=repr)
+def test_a_square_packs_once(R, monkeypatch):
+    """A square's terms are slotted and packed once; the same terms in a
+    second dict are packed again, as any other product."""
+    rng = random.Random(f"packonce/{R!r}")
+    m, _, a = _lower(R, rand_terms(rng, R, 2, 12, 4))
+    calls = _counted(monkeypatch, ["_slots", "_pack", "_pack_signed"])
+    square = _kronecker(a, a, m)
+    once = dict(calls)
+    calls.clear()
+    assert _kronecker(a, dict(a), m) == square
+    assert {name: 2 * n for name, n in once.items()} == calls
+    assert once == ({"_slots": 1, "_pack_signed": 1, "_pack": 2} if R == Q
+                    else {"_slots": 1, "_pack": 1})
 
 
 @pytest.mark.parametrize("R", RINGS, ids=repr)

@@ -13,6 +13,7 @@ zero map, a map over K[t, 1/t]), which are one step each.
 The products an iterate costs are counted with conftest.imul_spy, without
 timing: substituting into A o J raises only the second argument to powers.
 """
+import json
 import random
 
 import pytest
@@ -39,7 +40,10 @@ from planeaut import (
     is_dynamically_regular,
     parse_automorphism,
     plane_aut_from_endo,
+    poly,
 )
+from planeaut.cli import main as cli_main
+from planeaut.poly import iterate_chain
 
 Q = RationalField()
 FIELDS = [Q, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(1000003)]
@@ -180,3 +184,89 @@ def test_an_aj_word_costs_no_more_than_the_compose_loop(imul_spy, compose_spy):
     assert compose_degree_sequence(f, 5) == new == [2, 4, 8, 16, 32]
     assert got["calls"] <= imul_spy["calls"]
     assert got["term_products"] <= imul_spy["term_products"]
+
+
+@pytest.fixture
+def degree_reads(monkeypatch):
+    """The number of times poly.iterate_chain reads a component's degree
+    off its terms."""
+    reads, inner = [], poly._degree
+
+    def spy(flat, nv):
+        reads.append(len(flat))
+        return inner(flat, nv)
+
+    monkeypatch.setattr(poly, "_degree", spy)
+    return reads
+
+
+@pytest.mark.parametrize("K", [Q, PrimeField(2), PrimeField(5)], ids=repr)
+def test_carried_degrees_read_the_terms_where_top_images_cancel(K, degree_reads):
+    """(x1 - x2^2, x2) o (x1 + x2^2, x2) = (x1, x2): the step's images of
+    x1 and x2^2 tie at degree 2 and cancel, so the degree is read off the
+    terms; so does x1 + k x2^2 at k = 0 in K."""
+    start = parse_automorphism("(x1 + x2^2, x2)", K)
+    step = parse_automorphism("(x1 - x2^2, x2)", K)
+    want, g = [], start
+    for k in range(5):
+        if k:
+            g = step.compose(g)
+        want.append(g.degree)
+    degree_reads.clear()
+    assert iterate_chain(start.comps, [[p.terms for p in step.comps]], 5)[0] == want
+    assert want[1] == 1 and len(degree_reads) > 2
+    if isinstance(K, PrimeField):
+        # a step coefficient p is zero in F_p: its x2^3 is no top term
+        zero_top = [{(1, 0): 1, (0, 3): K.p}, {(0, 1): 1}]
+        assert iterate_chain(start.comps, [zero_top], 2)[0] == [2, 2]
+    assert degree_sequence(start, 6) == compose_degree_sequence(start, 6)
+
+
+@pytest.mark.parametrize("K", [Q, PrimeField(5)], ids=repr)
+def test_carried_degrees_with_a_zero_component(K):
+    """A zero argument has no degree to carry: (x1^2 + x2, 0) keeps its
+    zero component, and (x2, 0) o (x2, 0) is the zero map."""
+    for src in ("(x1^2 + x2, 0)", "(x2, 0)", "(x1^2 + x2, x1)"):
+        f = parse_automorphism(src, K)
+        assert degree_sequence(f, 5) == compose_degree_sequence(f, 5), src
+    assert degree_sequence(parse_automorphism("(x2, 0)", K), 3) == [1, MINUS_INF, MINUS_INF]
+
+
+@pytest.mark.parametrize("K", [Q, PrimeField(5)], ids=repr)
+def test_carried_degrees_over_laurent_rings(K, degree_reads):
+    """Over K[t, 1/t] one x-monomial with several t-exponents is one top
+    term: the Henon-type family carries every degree after the start's.
+    (x1 + t x2^2, x2) ties at every step, and over F5 its fifth iterate
+    cancels to degree 1."""
+    henon = parse_automorphism("(x2, -t*x1 + (t + t^-2)*x2^2)", K).endo
+    degree_reads.clear()
+    assert degree_sequence(henon, 5) == compose_degree_sequence(henon, 5) == [2, 4, 8, 16, 32]
+    assert len(degree_reads) == 2
+    tied = parse_automorphism("(x1 + t*x2^2, x2)", K).endo
+    want = compose_degree_sequence(tied, 6)
+    assert degree_sequence(tied, 6) == want
+    assert want == ([2, 2, 2, 2, 1, 2] if K != Q else [2] * 6)
+
+
+def test_a_quadratic_henon_map_reads_no_degree_after_the_first_iterate(degree_reads):
+    f = plane_aut_from_endo(parse_automorphism("(x2, -x1 + 2*x2^2 + 1)", PrimeField(5)))
+    degree_reads.clear()
+    assert degree_sequence(f, 7) == [2 ** k for k in range(1, 8)]
+    assert len(degree_reads) == 2 and max(degree_reads) <= 3
+
+
+def test_degseq_iterates_an_automorphism_along_its_word(compose_spy, capsys):
+    """planeaut degseq validates a 2-variable map first, so the JA map
+    steps along its word, A then J; a map that is no automorphism iterates
+    as its own polynomials."""
+    src = "(x1^2 + 6*x1*x2 + 9*x2^2 + x1 + x2 + 2, 1/2*x1 + 3/2*x2 + 1/2)"
+    f = plane_aut_from_endo(parse_automorphism(src, Q))
+    assert [fac.tag for fac in f.word] == ["J", "A"]
+    compose_spy.clear()
+    assert cli_main(["degseq", src, "--n", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["degrees"] == [2, 4, 8, 16, 32]
+    assert compose_spy.within["iterate_chain"] == 2 * 4
+    compose_spy.clear()
+    assert cli_main(["degseq", "(x1^2, x2)", "--n", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["degrees"] == [2, 4, 8]
+    assert compose_spy.within["iterate_chain"] == 2

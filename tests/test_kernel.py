@@ -78,7 +78,8 @@ def test_power_skips_the_last_squaring():
     for n in range(1, 40):
         calls.clear()
         assert power(3, n, mul, 1) == 3 ** n
-        assert len(calls) == (n.bit_length() - 1) + bin(n).count("1")
+        assert len(calls) == (n.bit_length() - 1) + bin(n).count("1") - 1
+        assert 1 not in (x for pair in calls for x in pair)
 
 
 def _linear_power(f, m):
