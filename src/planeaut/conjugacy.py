@@ -471,13 +471,18 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
     def finish(verdict, h_fam=(), reason=""):
         """h_fam, the factors of a conjugator from rep_f to rep_g, becomes
         the conjugator w_g^-1 h_fam w_f from f to g, w the normal forms'
-        conjugator words, built as one word."""
+        conjugator words, built as one word.  Its check is h_fam o rep_f =
+        rep_g o h_fam on the representatives: rep = w o (map) o w^-1 is
+        already verified for both normal forms, so g = conj o f o conj^-1
+        follows, without a composition of g's degree."""
         conj = None
         if verdict == "yes":
+            rep_f, rep_g = nf_f.aut, nf_g.aut
+            if not (_check_conjugation(AmalgamWord(ring, h_fam).to_plane_aut(), rep_f, rep_g)
+                    if h_fam else rep_f.fwd == rep_g.fwd):
+                raise PlaneAutError("assembled conjugator failed its composition check")
             conj = AmalgamWord(ring, nf_g.conjugator.word.inverse_word().factors + h_fam
                                + nf_f.conjugator.word.factors).to_plane_aut()
-            if not _check_conjugation(conj, f, g):
-                raise PlaneAutError("assembled conjugator failed its composition check")
             checks.append("certificate verified by composition")
         return ConjugacyResult(verdict, conj, reason, nf_f.family, nf_g.family, checks)
 

@@ -45,9 +45,20 @@ A box of more than _PACK_SLOTS_PER_PRODUCT slots per term product stays on
 the dict loop, so sparse factors with huge exponents never allocate a dense
 integer.  conftest.ring_mul, the dict loop on ring methods, is the oracle.
 
+Powers of an int form are built in one place, _powers, for both
+MultiPoly.__pow__ and the argument tables of compositions.  Below p, and
+over Q always, it runs the gap chain: the exponents ascending, each power
+the previous one times the argument raised to the gap by squaring.  Over
+F_p and F_p[t, 1/t] a power k >= p is Phi(a^(k div p)) a^(k mod p), each
+quotient built once.  The p-th power map is additive in characteristic p
+(von zur Gathen and Gerhard, "Modern Computer Algebra", Section 14), and
+c^p = c mod p for every int c, so Phi multiplies every exponent slot, the
+t-slot too, by p and keeps the int values: a^(p^j) costs no product, and
+the rest are products of a sparse relabelled power with a power below p.
+
 compose substitutes into every term from one table of argument powers: only
-the powers whose exponents occur are built, each from the previous one times
-the argument raised to the gap, and all terms are summed into one dict.
+the powers whose exponents occur are built, by _powers, and all terms are
+summed into one dict.
 compose_many shares that table across the components of a map, and builds
 it on int forms: a term's t-exponent shifts the last slot of its image, and
 each term is scaled so that every output has one denominator.
@@ -217,13 +228,17 @@ class MultiPoly:
         return MultiPoly(R, self.nvars, {e: R.mul(x, c) for e, x in self.terms.items()})
 
     def __pow__(self, n: int):
+        """self^n on the int form, built by _powers: by squaring below p and
+        over Q; over F_p and F_p[t, 1/t] from n >= p on as the Frobenius
+        relabelling of self^(n div p) times self^(n mod p), so self^(p^j)
+        multiplies nothing."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
         R = self.ring
         m, den, a = _lower(R, self.terms)
         one = {(0,) * (self.nvars + (type(R) is LaurentRing)): 1}
         return MultiPoly(R, self.nvars,
-                         _raise(R, m, den ** n, power(a, n, functools.partial(_imul, m=m), one)),
+                         _raise(R, m, den ** n, _powers(a, (n,), m, one)[n] if n else one),
                          _clean=False)
 
     def compose(self, args: Sequence["MultiPoly"]):
@@ -307,7 +322,10 @@ def _compose_lowered(R, m, polys, args, nv):
     over R, with args int forms in nv variables, mod m; flat values are not
     reduced.
 
-    The table holds the argument powers, and the term c x^e of p adds
+    The table holds the argument powers whose exponents occur in the polys,
+    built by _powers: the gap chain below p, and from p on over F_p and
+    F_p[t, 1/t] the Frobenius relabelling, so the image of x1^(p^j) is
+    read off the argument without a product.  The term c x^e of p adds
     c D^(top - e) times the image of x^e, D the argument denominators and
     top the largest exponents of p, so every output shares the denominator
     d_p D^top; a Laurent term c t^k shifts the image's last slot by k.  An
@@ -325,17 +343,8 @@ def _compose_lowered(R, m, polys, args, nv):
         monos.update(dict.fromkeys((e[:nvars] for e in P) if laurent else P))
     powers = []
     for a, ks in zip(bases, map(set, zip(*monos))):
-        table, gaps = {}, {1: a}
-        prev, last = None, 0
         ks.discard(0)
-        for k in sorted(ks):
-            g = k - last
-            if g not in gaps:
-                gaps[g] = power(a, g, mul, one)
-            prev = gaps[g] if prev is None else mul(prev, gaps[g])
-            table[k] = prev
-            last = k
-        powers.append(table)
+        powers.append(_powers(a, ks, m, one))
     out = []
     for den, P in polys:
         if dens:
@@ -370,6 +379,43 @@ def _compose_lowered(R, m, polys, args, nv):
                     te = (*te[:-1], te[-1] + k)
                 acc[te] = acc.get(te, 0) + c * tc
         out.append((den, acc))
+    return out
+
+
+def _powers(a, ks, m, one):
+    """A dict holding a^k for each k in ks, ks > 0, for the int form a mod m,
+    and the powers built on the way; one is the int form of 1.  Exponents
+    below p, and every exponent over Q (m = 0), go through the gap chain,
+    each gap raised once by squaring.  From p on, over F_p and F_p[t, 1/t],
+    a^k = Phi(a^(k div p)) a^(k mod p), Phi multiplying every exponent slot
+    by p and keeping the values (see the module docstring), so a^(p^j)
+    makes no product."""
+    low, high = sorted(ks), []
+    if m and low and low[-1] >= m:
+        # the quotients and remainders down to the exponents below p
+        todo, low = set(low), set()
+        while todo:
+            k = todo.pop()
+            if k < m:
+                low.add(k)
+            elif k not in high:
+                high.append(k)
+                todo.update(j for j in divmod(k, m) if j)
+        low = sorted(low)
+        high.sort()
+    out, gaps = {}, {1: a}
+    prev, last = None, 0
+    for k in low:
+        g = k - last
+        if g not in gaps:
+            gaps[g] = power(a, g, functools.partial(_imul, m=m), one)
+        prev = gaps[g] if prev is None else _imul(prev, gaps[g], m)
+        out[k] = prev
+        last = k
+    for k in high:
+        q, r = divmod(k, m)
+        frob = {tuple(m * j for j in e): c for e, c in out[q].items()}
+        out[k] = _imul(frob, out[r], m) if r else frob
     return out
 
 

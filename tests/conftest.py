@@ -249,6 +249,18 @@ def ring_mul(R, a, b):
     return out
 
 
+def ring_power(R, nvars, a, n):
+    """a^n for a term dict a in nvars variables, n >= 0, by ring_mul
+    products, squaring left to right over the bits of n: the oracle of the
+    int kernel's powers (poly._powers)."""
+    out = {(0,) * nvars: R.one}
+    for bit in bin(n)[2:]:
+        out = ring_mul(R, out, out)
+        if bit == "1":
+            out = ring_mul(R, out, a)
+    return out
+
+
 def ring_compose_many(polys, args):
     """[p.compose(args) for p in polys] by ring methods: poly.compose_many
     before the int kernel, with its gap-power table built by ring_mul, kept

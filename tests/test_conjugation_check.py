@@ -26,12 +26,13 @@ from planeaut import (
     pole_propagation_check,
     verify_conjugacy_certificate,
 )
-from planeaut import amalgam
-from planeaut.amalgam import _check_conjugation
+from planeaut import amalgam, conjugacy
+from planeaut.amalgam import JonquieresFactor, _check_conjugation
 from conftest import (
     SEED,
     _algebraic_word_nontrivial,
     family_ii_rep,
+    family_iv_element,
     rand_affine,
     rand_jonquieres,
     two_sided_composition,
@@ -40,7 +41,7 @@ from conftest import (
 )
 
 Q = RationalField()
-F2, F5, F1000003 = PrimeField(2), PrimeField(5), PrimeField(1000003)
+F2, F3, F5, F1000003 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(1000003)
 FIELDS = [Q, F2, F5, F1000003]
 
 
@@ -162,6 +163,106 @@ def test_a_scaled_conjugator_walks_through_its_jacobian():
     assert _check_conjugation(h, f, g) and two_sided_conjugation(h, f, g)
     assert not _check_conjugation(h, g, f) and not two_sided_conjugation(h, g, f)
     assert verify_conjugacy_certificate(f, g, h).valid
+
+
+# -- the certificate of are_conjugate_algebraic -------------------------------
+
+def _family_pairs():
+    """(tag, f, g) conjugate pairs of every branch of are_conjugate_algebraic:
+    family I with equal multipliers (no family conjugator) and with inverse
+    ones (the rotation), II, III, IV over F3 and Q (no family conjugator in
+    characteristic 0) and the II/IV bridge.  g is also moved by an affine
+    map, so the normal forms' conjugators are not trivial, except in the
+    rotation's pair, whose multipliers the move could make equal."""
+    rng = random.Random(f"{SEED}/family-pairs")
+    aut = lambda src, K=Q: plane_aut_from_endo(parse_automorphism(src, K))
+    rep3 = aut("(-x1 + x2^3, -x2)")
+    iv3 = family_iv_element(F3, {2: 2, 5: 1})
+    pairs = [
+        ("I", aut("(2*x1, 1/2*x2)"), aut("(2*x1 + x2^3, 1/2*x2)")),
+        ("I-swap", aut("(2*x1, 1/2*x2)"), aut("(1/2*x1, 2*x2)")),
+        ("II", aut("(x1 + x2^2, x2)"), aut("(x1 + 8*x2^2 + 8*x2 + 2, x2)")),
+        ("III", rep3, _conjugate(rng, Q, rep3, [JonquieresFactor(Q, 2, {})])),
+        ("IV", iv3, _conjugate(rng, F3, iv3, [JonquieresFactor(F3, 1, {}, 1)])),
+        ("IV-Q", aut("(x1 + x2^2, x2 + 1)"), aut("(x1 - 5*x2^3, x2 + 1)")),
+        ("II-IV", aut("(x1 + 3, x2)"), aut("(x1, x2 + 1)")),
+    ]
+    return [(tag, f, g if tag == "I-swap" else _conjugate(rng, f.ring, g, [rand_affine(rng, f.ring)]))
+            for tag, f, g in pairs]
+
+
+def test_family_pairs_reach_every_branch():
+    reasons = {tag: decide_conjugacy(f, g).reason for tag, f, g in _family_pairs()}
+    assert reasons == {
+        "I": "equal multipliers",
+        "I-swap": "inverse multipliers, swapped by (x2, -x1)",
+        "II": "scalar system solved in the base field",
+        "III": "diagonal scalar found in the base field",
+        "IV": "shift c = 0 matches the p-th powers",
+        "IV-Q": "both are the translation",
+        "II-IV": "translation matches a constant shear across families"}
+
+
+@pytest.mark.parametrize("K", FIELDS + [F3], ids=repr)
+def test_every_yes_passes_the_full_checks(K, monkeypatch):
+    """A yes certificate is checked on the two representatives, and still
+    passes verify_conjugacy_certificate and the two-sided oracle on f and
+    g."""
+    checked, inner = [], conjugacy._check_conjugation
+
+    def spy(h, f, g):
+        checked.append((f, g))
+        return inner(h, f, g)
+
+    monkeypatch.setattr(conjugacy, "_check_conjugation", spy)
+    pairs = [(f, g) for _, f, g in _family_pairs() if f.ring == K]
+    if K != F3:
+        pairs += _yes_pairs(K)
+    for f, g in pairs:
+        nf_f, nf_g = normal_form(f), normal_form(g)
+        checked.clear()
+        res = decide_conjugacy(f, g)
+        h = res.conjugator
+        assert res.verdict == "yes", res.reason
+        assert all(pair == (nf_f.aut, nf_g.aut) for pair in checked)
+        assert verify_conjugacy_certificate(f, g, h).valid and two_sided_conjugation(h, f, g)
+
+
+def _perturbing(monkeypatch, name, perturb):
+    """Patch conjugacy.<name> so that its result goes through perturb."""
+    inner = getattr(conjugacy, name)
+    monkeypatch.setattr(conjugacy, name, lambda *args: perturb(args[0], inner(*args)))
+
+
+@pytest.mark.parametrize("tag", ["I", "I-swap", "II", "III", "IV"])
+def test_a_wrong_family_conjugator_is_refused(tag, monkeypatch):
+    """Each family conjugator moved off the right one makes
+    are_conjugate_algebraic raise; with no family conjugator, a wrong yes
+    compares two different representatives."""
+    (f, g), = [(f, g) for t, f, g in _family_pairs() if t == tag]
+    K = f.ring
+    if tag == "I":
+        # multipliers 2 and 3, taken as equal
+        rng = random.Random(SEED)
+        g = _conjugate(rng, K, plane_aut_from_endo(parse_automorphism("(3*x1, 1/3*x2)", K)),
+                       [rand_affine(rng, K)])
+        normal_form(f), normal_form(g)
+        monkeypatch.setattr(K, "eq", lambda a, b: True)
+    elif tag == "I-swap":
+        # (x2 + 1, -x1) for the rotation (x2, -x1)
+        monkeypatch.setattr(AffineFactor, "rotation", classmethod(
+            lambda cls, R: cls(R, R.zero, R.one, R.neg(R.one), R.zero, R.one)))
+    elif tag == "II":
+        _perturbing(monkeypatch, "_decide_family_ii", lambda R, res: (
+            res[0], (res[1][0], R.add(res[1][1], R.one)), res[2]))
+    elif tag == "III":
+        _perturbing(monkeypatch, "solve_scalar_power_system", lambda R, res: (
+            res[0], [R.add(r, R.one) for r in res[1]]))
+    else:
+        _perturbing(monkeypatch, "_family_iv_conjugator", lambda R, h: h.compose(
+            JonquieresFactor(R, R.one, {}, R.one)))
+    with pytest.raises(PlaneAutError, match="assembled conjugator failed"):
+        decide_conjugacy(f, g)
 
 
 # -- deferred inverses --------------------------------------------------------
