@@ -14,6 +14,7 @@ from .amalgam import (
     factor_to_plane_aut,
     henon_invariants,
     henon_normalize,
+    is_algebraic,
     jvdk_factor,
     plane_aut_from_endo,
     reduce_word,
@@ -49,11 +50,9 @@ from .endo import (
     Endo,
     InfinityPoint,
     PlaneAut,
-    degree_multiplicativity_test,
     degree_sequence,
     image_point_at_infinity,
     indeterminacy_point,
-    is_algebraic,
     is_dynamically_regular,
 )
 from .errors import (

@@ -75,10 +75,6 @@ class AffineFactor:
             raise NotSpecialError("affine factor must have determinant 1")
 
     @classmethod
-    def identity(cls, ring):
-        return cls(ring, ring.one, ring.zero, ring.zero, ring.one)
-
-    @classmethod
     def rotation(cls, ring):
         """(x2, -x1), moving [0:0:1] to [0:1:0]; conjugates (a x1, a^-1 x2) to
         (a^-1 x1, a x2) and (x1, x2 + 1) to (x1 + 1, x2)."""
@@ -140,9 +136,6 @@ class AffineFactor:
     @property
     def degree(self) -> int:
         return 1
-
-    def apply_to_infinity(self, pt):
-        return pt.apply_matrix(self.ring, ((self.a, self.b), (self.c, self.d)))
 
     def __eq__(self, other):
         if not isinstance(other, AffineFactor) or self.ring != other.ring:
@@ -662,6 +655,15 @@ def _cyclic_reduction(f: PlaneAut):
         word = reduce_word(AmalgamWord(R, word.factors[1:] + (last,)))
     f.reduction = (word, conj)
     return f.reduction
+
+
+def is_algebraic(f: PlaneAut) -> bool:
+    """Bounded degree growth under iteration, for every Jacobian: the cyclic
+    reduction of the factor word of f has at most one factor, so f is
+    conjugate into the affine or the triangular maps; otherwise f is a Henon
+    map, whose iterates grow in degree as the powers of its cyclically
+    reduced word (Friedland-Milnor)."""
+    return len(_cyclic_reduction(f)[0]) <= 1
 
 
 def _finish_normalization(f: PlaneAut, word: AmalgamWord, conj: tuple):

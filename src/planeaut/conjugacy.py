@@ -15,6 +15,9 @@ powers up to a shift of the variable.  Base fields here are not closed, so
 decisions are three-valued: yes (with a certificate verified by
 composition), no (an invariant obstruction), or unknown when the deciding
 scalar equation has no root in the field but would have one in a closure.
+Growth is read once per map, by amalgam.is_algebraic on its cyclically
+reduced factor word: decide_conjugacy splits algebraic from Henon maps by
+it, for every Jacobian, and normal_form raises NotAlgebraicError on it.
 A normal form's conjugator h is kept as its factor word, one Jonquieres
 factor prepended per elimination step, and a yes joins the two normal forms'
 words around the family conjugator into one word; each is expanded once
@@ -47,6 +50,7 @@ from .amalgam import (
     factor_to_plane_aut,
     henon_invariants,
     henon_normalize,
+    is_algebraic,
 )
 from .endo import PlaneAut
 from .errors import (
@@ -237,12 +241,11 @@ def normal_form(f: PlaneAut) -> NormalForm:
     if f.nf is not None:
         return f.nf
     ring = f.ring
-    reduction = _cyclic_reduction(f)
-    if len(reduction[0]) > 1:
+    if not is_algebraic(f):
         raise NotAlgebraicError("unbounded degree growth; no triangular normal form")
     if not f.is_special:
         raise NotSpecialError("normal forms are for Jacobian-1 automorphisms")
-    sj = _finish_normalization(f, *reduction)
+    sj = _finish_normalization(f, *_cyclic_reduction(f))
     fac = sj.factor
     h = sj.conjugator_word.factors
 
@@ -543,17 +546,11 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
     return finish("no", reason=f"distinct families {ff} and {fg}")
 
 
-def _growth(f: PlaneAut) -> bool:
-    """Bounded degree growth of f, for every Jacobian, read off its cyclic
-    reduction (word, h) as len(word) <= 1."""
-    return len(_cyclic_reduction(f)[0]) <= 1
-
-
 def decide_conjugacy(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
     """Top-level dispatcher, covering non-algebraic inputs by invariants."""
     if f.ring != g.ring:
         raise RingMismatchError(f"conjugacy of maps over {f.ring!r} and {g.ring!r}")
-    af, ag = _growth(f), _growth(g)
+    af, ag = is_algebraic(f), is_algebraic(g)
     if af != ag:
         return ConjugacyResult(
             "no", reason="one map has bounded degree growth, the other does not",

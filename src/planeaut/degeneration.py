@@ -145,11 +145,15 @@ class TFamily:
 
 
 def lift_endo(e: Endo, lring: LaurentRing) -> Endo:
+    """e over K[t, 1/t]; RingMismatchError unless e is over K."""
+    if lring.base != e.ring:
+        raise RingMismatchError(f"map over {e.ring!r} lifted to {lring!r}")
     return e.map_coeffs(lring.from_base, lring)
 
 
 def lift_plane_aut(f: PlaneAut, lring: LaurentRing) -> TFamily:
-    """f over K[t, 1/t], with f's inverse lifted only when it is first read."""
+    """f over K[t, 1/t], with f's inverse lifted only when it is first read;
+    RingMismatchError unless f is over K."""
     return TFamily(lift_endo(f.fwd, lring), lambda: lift_endo(f.inv, lring), check=False)
 
 

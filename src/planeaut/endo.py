@@ -15,12 +15,12 @@ is likewise a single point, and X_f = I_{f inverse}.
 Degrees compose multiplicatively, deg(g o f) = deg(g) deg(f), exactly when
 X_f avoids I_g.  Iterating this with g = f separates two regimes:
 algebraic elements, deg(f o f) <= deg(f), and dynamically regular ones,
-deg(f o f) = deg(f)^2.  The conjugacy layer and the CLI do not iterate to
-tell them apart: they read bounded growth off the cyclically reduced factor
-word, for every Jacobian, algebraic when at most one factor is left.  The
+deg(f o f) = deg(f)^2.  Bounded growth is not decided by iterating:
+amalgam.is_algebraic reads it off the cyclically reduced factor word, for
+every Jacobian, algebraic when at most one factor is left.  The
 word that amalgam.plane_aut_from_endo stores on every PlaneAut it builds,
 its cyclic reduction and the map's normal form are each built once and kept
-on the map.  is_algebraic, the f o f test, is the oracle of that reading.
+on the map.
 
 degree_sequence, is_dynamically_regular and PlaneAut.power build each
 iterate as f^(k+1) = f o f^k along the factor word of f: an affine factor
@@ -47,13 +47,7 @@ from .errors import (
     RingMismatchError,
 )
 from .poly import MultiPoly, compose_chain, compose_many, iterate_chain
-from .rings import (
-    MINUS_INF,
-    power,
-    up_deg,
-    up_gcd_monic,
-    up_shift,
-)
+from .rings import MINUS_INF, up_deg, up_gcd_monic, up_shift
 
 
 class Endo:
@@ -95,11 +89,6 @@ class Endo:
         if self.nvars != other.nvars:
             raise ArityMismatchError("compose with different variable counts")
         return Endo(compose_many(self.comps, other.comps))
-
-    def power(self, m: int) -> "Endo":
-        if m < 0:
-            raise ValueError("negative iterate of a plain endomorphism")
-        return power(self, m, Endo.compose, Endo.identity(self.ring, self.nvars))
 
     def highest_part(self) -> "Endo":
         """Component-wise degree-d homogeneous part, d = deg of the whole map."""
@@ -164,12 +153,14 @@ class PlaneAut:
     origin, read off the linear part of fwd; no PlaneAut differentiates.
     amalgam.plane_aut_from_endo takes the same constant from its descent
     and multiplies the Jacobian polynomial out only for a map it rejects or
-    one of degree above amalgam._JACOBIAN_FIRST_DEGREE.  verify=False trusts
-    the caller that fwd is an automorphism.  verify() composes fwd o inv and
-    inv o fwd in full, building the inverse if it is deferred;
-    amalgam.plane_aut_from_endo instead certifies both along the factor word,
-    one factor at a time, and passes verify=False, and conjugation identities
-    walk the conjugator's word (amalgam._check_conjugation)."""
+    one of degree above amalgam._JACOBIAN_FIRST_DEGREE.  verify=True, the
+    default, checks a map a library caller builds by hand, input from
+    outside: verify() composes fwd o inv and inv o fwd in full, building the
+    inverse if it is deferred.  Every PlaneAut the package builds passes
+    verify=False, as its inverse is certified along the factor word, one
+    factor at a time (amalgam.plane_aut_from_endo), or built from such maps,
+    and conjugation identities walk the conjugator's word
+    (amalgam._check_conjugation)."""
 
     __slots__ = ("fwd", "_inv", "jac", "word", "reduction", "nf")
 
@@ -289,16 +280,6 @@ class InfinityPoint:
             raise ValueError("all coordinates zero")
         inv = ring.invert(pivot)
         return cls(tuple(ring.mul(c, inv) for c in coords))
-
-    def apply_matrix(self, ring, mat):
-        """Image under a linear map; mat is rows of ring values."""
-        out = []
-        for row in mat:
-            acc = ring.zero
-            for a, c in zip(row, self.coords):
-                acc = ring.add(acc, ring.mul(a, c))
-            out.append(acc)
-        return InfinityPoint.normalize(ring, out)
 
     def __str__(self):
         return "[0:" + ":".join(str(c) for c in self.coords) + "]"
@@ -446,53 +427,6 @@ def degree_sequence(f, m: int):
     if m < 0:
         raise ValueError("negative iterate count")
     return _iterates(f, m)[0]
-
-
-@dataclass
-class MultiplicativityReport:
-    f_degree: int
-    g_degree: int
-    composite_degree: int
-    multiplicative: bool
-    x_of_f: InfinityPoint | None
-    i_of_g: InfinityPoint | None
-    point_test: bool | None
-    note: str = ""
-
-    def consistent(self) -> bool:
-        return self.point_test is None or self.point_test == self.multiplicative
-
-
-def degree_multiplicativity_test(f: PlaneAut, g: PlaneAut) -> MultiplicativityReport:
-    """Does deg(g o f) = deg(g) deg(f)?  Decided directly and by the point test
-    X_f != I_g; both routes must agree."""
-    comp = g.fwd.compose(f.fwd)
-    direct = comp.degree == g.degree * f.degree
-    x = i = None
-    pt = None
-    note = ""
-    if f.degree >= 2 and g.degree >= 2:
-        try:
-            x = image_point_at_infinity(f)
-            i = indeterminacy_point(g)
-            pt = x != i
-        except FieldExtensionRequiredError:
-            note = "points at infinity not rational; point test skipped"
-    else:
-        note = "a degree-1 factor composes multiplicatively"
-    rep = MultiplicativityReport(f.degree, g.degree, comp.degree, direct, x, i, pt, note)
-    if not rep.consistent():
-        raise NotInvertibleError("degree drop does not match the point test; invalid input")
-    return rep
-
-
-def is_algebraic(f: PlaneAut) -> bool:
-    """Bounded degree growth under iteration: deg(f o f) <= deg(f).
-
-    decide_conjugacy and the CLI read growth off the factor word instead,
-    for every Jacobian; this is the oracle of that reading."""
-    d2 = f.fwd.compose(f.fwd).degree
-    return d2 <= f.degree
 
 
 def is_dynamically_regular(f: PlaneAut) -> bool:

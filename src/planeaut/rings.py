@@ -27,11 +27,11 @@ poly.MultiPoly uses them on exponent tuples; mul adds keys with +, so it
 needs int exponents (+ concatenates tuples).  MultiPoly products, powers
 and compositions over Q, F_p and K[t, 1/t] run on poly.py's int kernel,
 never through up_mul.  power(x, n, mul, one) is the one repeated-squaring
-routine, behind LaurentRing.pow, MultiPoly.__pow__ and the gap powers of
-poly.compose_many (both on the int kernel's term dicts), Endo.power and the
-Cantor-Zassenhaus split of PrimeField.nth_roots and roots; Q and F_p use
-Python's own ** and pow.  PlaneAut.power composes
-f o f^k instead, which keeps the substituted arguments at deg f.
+routine, behind LaurentRing.pow, the gap powers poly._powers builds on the
+int kernel's term dicts (for MultiPoly.__pow__ and every composition) and
+the Cantor-Zassenhaus split of PrimeField.nth_roots and roots; Q and F_p use
+Python's own ** and pow.  PlaneAut.power composes f o f^k instead, which
+keeps the substituted arguments at deg f.
 
 up_shift(F, P, a, b) = P(a x + b), a != 0, is the one univariate
 substitution, over any ring here (the F_p shift equations run it over

@@ -11,6 +11,7 @@ import functools
 import operator
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from planeaut import (
     AmalgamWord,
     ArityMismatchError,
     Endo,
+    FieldExtensionRequiredError,
+    InfinityPoint,
     JonquieresFactor,
     LaurentRing,
     MultiPoly,
@@ -32,7 +35,6 @@ from planeaut import (
     factor_to_plane_aut,
     image_point_at_infinity,
     indeterminacy_point,
-    is_algebraic,
     x_alpha,
 )
 from planeaut import amalgam, degeneration, endo, poly
@@ -146,7 +148,7 @@ def sample_regular_word(rng, K, deg, two_blocks=False):
                 facs = [rand_affine(rng, K), rand_jonquieres(rng, K, deg),
                         rand_affine(rng, K)]
         aut = word_to_plane_aut(AmalgamWord(K, facs))
-        if not is_algebraic(aut):
+        if not compose_is_algebraic(aut):
             return AmalgamWord(K, facs)
     raise AssertionError("could not sample a regular word")
 
@@ -397,6 +399,62 @@ def compose_power(f: PlaneAut, m: int) -> PlaneAut:
     for _ in range(m):
         fwd, inv = f.fwd.compose(fwd), f.inv.compose(inv)
     return PlaneAut(fwd, inv, verify=False)
+
+
+def compose_is_algebraic(f: PlaneAut) -> bool:
+    """Bounded degree growth as deg(f o f) <= deg(f), with f o f composed in
+    full: the growth test before it was read off the cyclically reduced
+    factor word, kept as the oracle of amalgam.is_algebraic."""
+    return f.fwd.compose(f.fwd).degree <= f.degree
+
+
+def affine_image_at_infinity(fac: AffineFactor, pt: InfinityPoint) -> InfinityPoint:
+    """The image of pt = [0 : y1 : y2] under the affine factor fac, whose
+    linear part maps it to [0 : a y1 + b y2 : c y1 + d y2]."""
+    R = fac.ring
+    y1, y2 = pt.coords
+    return InfinityPoint.normalize(R, (R.add(R.mul(fac.a, y1), R.mul(fac.b, y2)),
+                                       R.add(R.mul(fac.c, y1), R.mul(fac.d, y2))))
+
+
+@dataclass
+class MultiplicativityReport:
+    f_degree: int
+    g_degree: int
+    composite_degree: int
+    multiplicative: bool
+    x_of_f: InfinityPoint | None
+    i_of_g: InfinityPoint | None
+    point_test: bool | None
+    note: str = ""
+
+    def consistent(self) -> bool:
+        return self.point_test is None or self.point_test == self.multiplicative
+
+
+def degree_multiplicativity_test(f: PlaneAut, g: PlaneAut) -> MultiplicativityReport:
+    """Does deg(g o f) = deg(g) deg(f)?  Decided by composing g o f in full
+    and by the point test X_f != I_g; both routes must agree, so the report
+    checks image_point_at_infinity and indeterminacy_point against the
+    composed degree."""
+    comp = g.fwd.compose(f.fwd)
+    direct = comp.degree == g.degree * f.degree
+    x = i = None
+    pt = None
+    note = ""
+    if f.degree >= 2 and g.degree >= 2:
+        try:
+            x = image_point_at_infinity(f)
+            i = indeterminacy_point(g)
+            pt = x != i
+        except FieldExtensionRequiredError:
+            note = "points at infinity not rational; point test skipped"
+    else:
+        note = "a degree-1 factor composes multiplicatively"
+    rep = MultiplicativityReport(f.degree, g.degree, comp.degree, direct, x, i, pt, note)
+    if not rep.consistent():
+        raise NotInvertibleError("degree drop does not match the point test; invalid input")
+    return rep
 
 
 def jacobian_first_plane_aut(e: Endo) -> PlaneAut:

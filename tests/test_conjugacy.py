@@ -33,11 +33,12 @@ from planeaut import (
     verify_conjugacy_certificate,
 )
 from planeaut.amalgam import AffineFactor, AmalgamWord, _cyclic_reduction, factor_to_plane_aut
-from planeaut.conjugacy import ConjugacyResult, _growth, are_conjugate_algebraic
+from planeaut.conjugacy import ConjugacyResult, are_conjugate_algebraic
 from planeaut.rings import up_add, up_eval
 from conftest import (
     SEED,
     _algebraic_word_nontrivial,
+    compose_is_algebraic,
     family_ii_rep,
     family_iv_element,
     rand_affine,
@@ -51,6 +52,7 @@ Q = RationalField()
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def aut(src, K=Q):
@@ -313,7 +315,7 @@ def _decide_by_iterate(f, g):
     """The dispatcher that decided growth by deg(f o f) <= deg f before
     building normal forms or Henon data from scratch: the oracle of the
     dispatch that reads growth off the factor word."""
-    af, ag = is_algebraic(f), is_algebraic(g)
+    af, ag = compose_is_algebraic(f), compose_is_algebraic(g)
     if af != ag:
         return ConjugacyResult(
             "no", reason="one map has bounded degree growth, the other does not",
@@ -404,30 +406,62 @@ def test_growth_of_scaled_maps_matches_iterates(K):
         s_c = Endo([x1.scale(f.jac), x2])
         assert not f.is_special
         assert f.word.recompose().compose(s_c) == f.fwd
-        algebraic, (word, conj) = _growth(f), _cyclic_reduction(f)
-        assert algebraic == is_algebraic(f), str(f)
+        algebraic, (word, conj) = is_algebraic(f), _cyclic_reduction(f)
+        assert algebraic == compose_is_algebraic(f), str(f)
         kinds.add(algebraic)
         h = AmalgamWord(K, conj).to_plane_aut()
         assert word.recompose().compose(s_c) == h.compose(f).compose(h.inverse()).fwd
     assert kinds == {True, False}
 
 
+def _growth_corpus(K):
+    """Seeded maps over K: algebraic and Henon words, as maps with no word,
+    with the word plane_aut_from_endo stores, as squares, inverses and
+    affine conjugates built by PlaneAut.power and compose (which store no
+    word), plus maps of Jacobian != 1 (none over F2)."""
+    rng = random.Random(f"{SEED}/growth/{K!r}")
+    out = [PlaneAut.identity(K), aut("(x2, -x1 + 1)", K)]
+    for _ in range(3):
+        for word in (_algebraic_word_nontrivial(rng, K, max_deg=2),
+                     sample_regular_word(rng, K, 2)):
+            f = word_to_plane_aut(word)
+            h = factor_to_plane_aut(rand_affine(rng, K))
+            out += [f, plane_aut_from_endo(f.fwd), f.power(2), f.power(-1),
+                    h.compose(f).compose(h.inverse())]
+    return out + _scaled_maps(rng, K)
+
+
+@pytest.mark.parametrize("K", [Q, F2, F3, F5, F7], ids=repr)
+def test_is_algebraic_matches_the_composed_square(K):
+    seen = set()
+    for f in _growth_corpus(K):
+        wordless = f.word is None
+        algebraic = is_algebraic(f)
+        assert algebraic == compose_is_algebraic(f), str(f)
+        seen.add((algebraic, f.is_special, wordless))
+    assert {(a, True, w) for a in (True, False) for w in (True, False)} <= seen
+    if K != F2:
+        assert {(True, False, True), (False, False, True)} <= seen
+
+
 @pytest.fixture
 def no_iterates_on_special_maps(monkeypatch):
-    """is_algebraic raises on every map; amalgam._reduction_ops calls are
-    counted, plane_aut_from_endo's included."""
+    """Endo.compose raises on a self-composition f o f, the square the
+    growth test does not build; amalgam._reduction_ops calls are counted,
+    plane_aut_from_endo's included."""
     calls = []
-    reduction_ops = planeaut.amalgam._reduction_ops
+    reduction_ops, compose = planeaut.amalgam._reduction_ops, Endo.compose
 
-    def guarded(f):
-        raise AssertionError(f"deg(f o f) computed for {f}")
+    def guarded(self, other):
+        if self is other:
+            raise AssertionError(f"deg(f o f) computed for {self}")
+        return compose(self, other)
 
     def counted(e):
         calls.append(e)
         return reduction_ops(e)
 
-    for mod in (planeaut.endo, planeaut.conjugacy, planeaut.cli):
-        monkeypatch.setattr(mod, "is_algebraic", guarded, raising=False)
+    monkeypatch.setattr(Endo, "compose", guarded)
     monkeypatch.setattr(planeaut.amalgam, "_reduction_ops", counted)
     return calls
 

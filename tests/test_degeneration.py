@@ -67,6 +67,18 @@ def test_family_requires_laurent_coefficients():
         TFamily(e)
 
 
+def test_lifting_refuses_a_map_over_another_field():
+    f = plane_aut_from_endo(parse_automorphism("(x1 + 1/2*x2^2, x2)", Q))
+    L5 = LaurentRing(F5)
+    alpha = fam("(t*x1, 1/t*x2 + 3)", F5)
+    for lift in (lambda: lift_endo(f.fwd, L5), lambda: lift_plane_aut(f, L5),
+                 lambda: degeneration._conjugated_family(f, alpha)):
+        with pytest.raises(RingMismatchError) as exc:
+            lift()
+        assert str(exc.value) == "map over Q lifted to F5[t,1/t]"
+    assert lift_plane_aut(f, LaurentRing(Q)).ring == LaurentRing(Q)
+
+
 def test_family_valuation_and_value_at_zero():
     f = fam("(x1 + t*x2^2, x2)")
     assert f.valuation == 0
