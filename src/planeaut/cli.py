@@ -100,9 +100,7 @@ def _cmd_inverse(field, inputs, args):
     v = inputs[0]
     if isinstance(v, TFamily):
         inv = v.inverse().endo
-        ident = Endo.identity(v.ring, v.nvars)
-        return "ok", {"inverse": str(inv)}, {
-            "composition": v.endo.compose(inv) == ident and inv.compose(v.endo) == ident}
+        return "ok", {"inverse": str(inv)}, {"composition": v.endo.is_inverse(inv)}
     aut = plane_aut_from_endo(v)
     return "ok", {"inverse": str(aut.inv)}, {"composition": aut.verify()}
 

@@ -106,6 +106,8 @@ def n_map(ring, P: dict) -> dict:
 
 def in_v_subspace(ring, P: dict) -> bool:
     p = ring.characteristic
+    if p == 0:
+        raise UnsupportedFieldError("the V-subspace needs positive characteristic")
     return all(e % p == p - 1 for e in P)
 
 

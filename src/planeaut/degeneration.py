@@ -49,10 +49,8 @@ class TFamily:
     def __init__(self, endo: Endo, inverse: Endo = None, check: bool = True):
         if not isinstance(endo.ring, LaurentRing):
             raise RingMismatchError("a family needs Laurent coefficients")
-        if inverse is not None and check:
-            ident = Endo.identity(endo.ring, endo.nvars)
-            if endo.compose(inverse) != ident or inverse.compose(endo) != ident:
-                raise NotInvertibleError("claimed family inverse fails composition")
+        if inverse is not None and check and not endo.is_inverse(inverse):
+            raise NotInvertibleError("claimed family inverse fails composition")
         self.endo = endo
         self._inv = inverse
         self._xalpha = None
@@ -233,9 +231,7 @@ def _formal_inverse(e: Endo):
         return None
     shift = [xi - MultiPoly.const(R, 2, p.constant_value()) for xi, p in zip(x, e.comps)]
     inv = Endo(G).compose(Endo(shift))
-    if e.compose(inv) != ident or inv.compose(e) != ident:
-        return None
-    return inv
+    return inv if e.is_inverse(inv) else None
 
 
 # -- the limit set at infinity ----------------------------------------------

@@ -10,7 +10,9 @@ degree-d homogeneous parts.  The extension of f to the projective plane is
 [x0^d : f1 : f2]; on the line at infinity x0 = 0 it is [0 : a1(y) : a2(y)].
 The indeterminacy locus I_f is the common zero of a1, a2 on that line, a
 single point for an automorphism of degree >= 2; the image X_f of the line
-is likewise a single point, and X_f = I_{f inverse}.
+is likewise a single point, and X_f = I_{f inverse}.  Both are read exactly
+off a1, a2, with no sampled point: I_f is the root of gcd(a1, a2) =
+c (u - r)^m (or [0:0:1]), X_f the [0:c1:c2] with c2 a1 = c1 a2.
 
 Degrees compose multiplicatively, deg(g o f) = deg(g) deg(f), exactly when
 X_f avoids I_g.  Iterating this with g = f separates two regimes:
@@ -41,10 +43,10 @@ from dataclasses import dataclass
 
 from .errors import (
     ArityMismatchError,
-    FieldExtensionRequiredError,
     NoIndeterminacyError,
     NotInvertibleError,
     RingMismatchError,
+    UnsupportedFieldError,
 )
 from .poly import MultiPoly, compose_chain, compose_many, iterate_chain
 from .rings import MINUS_INF, up_deg, up_gcd_monic, up_shift
@@ -78,10 +80,6 @@ class Endo:
     def degree(self):
         return max(c.degree for c in self.comps)
 
-    @property
-    def is_identity(self) -> bool:
-        return self == Endo.identity(self.ring, self.nvars)
-
     def compose(self, other: "Endo") -> "Endo":
         """self o other: apply other first."""
         if self.ring != other.ring:
@@ -89,6 +87,12 @@ class Endo:
         if self.nvars != other.nvars:
             raise ArityMismatchError("compose with different variable counts")
         return Endo(compose_many(self.comps, other.comps))
+
+    def is_inverse(self, other: "Endo") -> bool:
+        """self o other and other o self are both the identity, each composed
+        in full."""
+        ident = Endo.identity(self.ring, self.nvars)
+        return self.compose(other) == ident and other.compose(self) == ident
 
     def highest_part(self) -> "Endo":
         """Component-wise degree-d homogeneous part, d = deg of the whole map."""
@@ -214,10 +218,6 @@ class PlaneAut:
     def is_special(self) -> bool:
         return self.ring.eq(self.jac, self.ring.one)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.fwd.is_identity
-
     def inverse(self) -> "PlaneAut":
         """The inverse, which reads inv; a Jacobian-1 map with a word keeps
         the inverse word on it."""
@@ -244,7 +244,7 @@ class PlaneAut:
         return PlaneAut(fwd, inv, verify=False)
 
     def verify(self) -> bool:
-        return self.fwd.compose(self.inv).is_identity and self.inv.compose(self.fwd).is_identity
+        return self.fwd.is_inverse(self.inv)
 
     def __eq__(self, other):
         return isinstance(other, PlaneAut) and self.fwd == other.fwd
@@ -298,31 +298,26 @@ def _binary_form_dict(p: MultiPoly):
 
 
 def _single_root(F, h):
-    """The root of h assuming h = c (u - r)^m; verified, else a field-extension error.
+    """The root r of h = c (u - r)^m; NotInvertibleError if h has several.
 
-    In characteristic p the multiplicity m may be divisible by p; compressing
-    through u -> u^(p^s) reduces to an exponent prime to the characteristic,
-    and the p^s-th root of the compressed root is taken with F.pth_root.
+    With m = p^s m', p the characteristic prime to m' (s = 0 over Q),
+    c (u - r)^m = c (u^(p^s) - r^(p^s))^m' has u^(m - p^s) coefficient
+    -m' c r^(p^s), and r^(p^s) = r on F_p.  One up_shift checks r.  Over Q
+    and F_p a single root is in the field, so a failed check means several
+    points.  Over K[t, 1/t] the Frobenius is not the identity, and s > 0
+    raises UnsupportedFieldError.
     """
     m = up_deg(F, h)
-    p = F.characteristic
-    step, mm = 1, m
-    while p and mm % p == 0:
-        mm //= p
-        step *= p
-    if any(e % step for e in h):
-        raise FieldExtensionRequiredError("point at infinity is not rational over the base field")
+    p, q = F.characteristic, 1
+    while p and m // q % p == 0:
+        q *= p
+    if q > 1 and not F.is_finite:
+        raise UnsupportedFieldError(f"point at infinity of multiplicity {m} over {F!r}; "
+                                    "no Frobenius root there")
     lead = h[m]
-    sub = h.get(m - step, F.zero)
-    # compressed polynomial c (v - rho)^mm has v^(mm-1) coefficient -mm c rho
-    rho = F.neg(F.mul(sub, F.invert(F.mul(lead, F.from_int(mm)))))
-    r = rho
-    s = step
-    while s > 1:
-        r = F.pth_root(r)
-        s //= p
+    r = F.neg(F.mul(h.get(m - q, F.zero), F.invert(F.mul(lead, F.from_int(m // q)))))
     if up_shift(F, {m: lead}, F.one, F.neg(r)) != h:
-        raise FieldExtensionRequiredError("point at infinity is not rational over the base field")
+        raise NotInvertibleError("several points at infinity; not an automorphism")
     return r
 
 
@@ -357,45 +352,29 @@ def indeterminacy_point(f) -> InfinityPoint:
     return _common_infinity_zero(e.ring, top.comps[0], top.comps[1])
 
 
-def _infinity_ladder(ring):
-    """[0:1:u] for u in the ring's sample stream, then [0:0:1] once a finite
-    ring runs out."""
-    for u in ring.sample_stream():
-        yield (ring.one, u)
-    yield (ring.zero, ring.one)
-
-
 def image_point_at_infinity(f) -> InfinityPoint:
     """X_f: the single point onto which f contracts the line at infinity.
 
-    Evaluated at deterministic samples [0:1:u], u = 0, 1, 2, ... skipping I_f;
-    two samples must agree, and for a PlaneAut the result is cross-checked
+    f sends [0:y1:y2] off I_f to [0 : a1(y) : a2(y)], a1, a2 its top forms:
+    one point [0:c1:c2] exactly when c2 a1 = c1 a2, and c1, c2 are then the
+    coefficients of a1, a2 at any monomial of either form.  Errors from
+    indeterminacy_point come first, and for a PlaneAut X_f is cross-checked
     against the indeterminacy point of the inverse.
     """
     e = _as_plane_endo(f)
     if e.degree is MINUS_INF or e.degree < 2:
         raise NoIndeterminacyError("degree-1 maps do not contract the line at infinity")
-    ring = e.ring
-    i_pt = indeterminacy_point(e)
-    top = e.highest_part()
-    samples = []
-    for y in _infinity_ladder(ring):
-        pt = InfinityPoint.normalize(ring, y)
-        if pt == i_pt:
-            continue
-        vals = (top.comps[0].evaluate(y), top.comps[1].evaluate(y))
-        if ring.is_zero(vals[0]) and ring.is_zero(vals[1]):
-            continue
-        samples.append(InfinityPoint.normalize(ring, vals))
-        if len(samples) == 2:
-            break
-    if len(samples) < 2 or samples[0] != samples[1]:
+    indeterminacy_point(e)
+    a1, a2 = e.highest_part().comps
+    mono = next(iter(a1.terms or a2.terms))
+    c1, c2 = a1.coeff(mono), a2.coeff(mono)
+    if a1.scale(c2) != a2.scale(c1):
         raise NotInvertibleError("line at infinity is not contracted to a single point")
-    if isinstance(f, PlaneAut):
-        if indeterminacy_point(f.inverse()) != samples[0]:
-            raise NotInvertibleError("image at infinity disagrees with the inverse's "
-                                     "indeterminacy point")
-    return samples[0]
+    pt = InfinityPoint.normalize(e.ring, (c1, c2))
+    if isinstance(f, PlaneAut) and indeterminacy_point(f.inverse()) != pt:
+        raise NotInvertibleError("image at infinity disagrees with the inverse's "
+                                 "indeterminacy point")
+    return pt
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +411,10 @@ def degree_sequence(f, m: int):
 def is_dynamically_regular(f: PlaneAut) -> bool:
     """deg(f o f) = deg(f)^2 with deg f >= 2; equivalently X_f avoids I_f.
     deg(f o f) is the second entry of degree_sequence, and the points at
-    infinity cross-check it when they are rational."""
+    infinity, I_f and I_(f^-1) = X_f, cross-check it."""
     if f.degree < 2:
         return False
     regular = degree_sequence(f, 2)[1] == f.degree ** 2
-    try:
-        points_differ = indeterminacy_point(f.fwd) != indeterminacy_point(f.inv)
-    except FieldExtensionRequiredError:
-        return regular
-    if points_differ != regular:
+    if (indeterminacy_point(f.fwd) != indeterminacy_point(f.inv)) != regular:
         raise NotInvertibleError("degree growth disagrees with the indeterminacy points")
     return regular

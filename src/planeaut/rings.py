@@ -16,7 +16,8 @@ Jacobian (degeneration._formal_inverse).
 Ring contract, besides the arithmetic methods (add, neg, mul, invert, pow,
 is_zero, ...):
 
-    is_finite           True only for PrimeField
+    is_finite           True only for PrimeField, on which the Frobenius
+                        x -> x^p is the identity
     sample_stream()     an iterator of ring values; a finite ring yields each
                         element once, in ascending order, and stops; an
                         infinite ring yields distinct values and never stops
@@ -65,7 +66,6 @@ import math
 from fractions import Fraction
 
 from .errors import (
-    FieldExtensionRequiredError,
     NonUnitError,
     NotInvertibleError,
     PoleAtZeroError,
@@ -195,9 +195,6 @@ class RationalField:
             return self.invert(a) ** (-n)
         return a ** n
 
-    def pth_root(self, a):
-        raise UnsupportedFieldError("no Frobenius over Q")
-
     def sqrt(self, a):
         """Exact square root in Q, or None."""
         if a < 0:
@@ -289,10 +286,6 @@ class PrimeField:
         if n < 0:
             return pow(self.invert(a), -n, self.p)
         return pow(a, n, self.p)
-
-    def pth_root(self, a):
-        # x -> x^p is the identity on F_p
-        return a
 
     def sqrt(self, a):
         """The smaller square root of a in range(p), or None (Tonelli-Shanks)."""

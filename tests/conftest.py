@@ -22,11 +22,11 @@ from planeaut import (
     AmalgamWord,
     ArityMismatchError,
     Endo,
-    FieldExtensionRequiredError,
     InfinityPoint,
     JonquieresFactor,
     LaurentRing,
     MultiPoly,
+    NoIndeterminacyError,
     NotInvertibleError,
     PlaneAut,
     PrimeField,
@@ -417,6 +417,46 @@ def affine_image_at_infinity(fac: AffineFactor, pt: InfinityPoint) -> InfinityPo
                                        R.add(R.mul(fac.c, y1), R.mul(fac.d, y2))))
 
 
+def _infinity_ladder(ring):
+    """[0:1:u] for u in the ring's sample stream, then [0:0:1] once a finite
+    ring runs out."""
+    for u in ring.sample_stream():
+        yield (ring.one, u)
+    yield (ring.zero, ring.one)
+
+
+def sampled_image_at_infinity(f) -> InfinityPoint:
+    """X_f evaluated at samples [0:1:u], u = 0, 1, 2, ... (then [0:0:1])
+    skipping I_f; two samples must agree, and for a PlaneAut the result is
+    cross-checked against the indeterminacy point of the inverse:
+    endo.image_point_at_infinity before it read X_f off the top forms, kept
+    as its oracle."""
+    e = f.fwd if isinstance(f, PlaneAut) else f
+    if e.degree is MINUS_INF or e.degree < 2:
+        raise NoIndeterminacyError("degree-1 maps do not contract the line at infinity")
+    ring = e.ring
+    i_pt = indeterminacy_point(e)
+    top = e.highest_part()
+    samples = []
+    for y in _infinity_ladder(ring):
+        pt = InfinityPoint.normalize(ring, y)
+        if pt == i_pt:
+            continue
+        vals = (top.comps[0].evaluate(y), top.comps[1].evaluate(y))
+        if ring.is_zero(vals[0]) and ring.is_zero(vals[1]):
+            continue
+        samples.append(InfinityPoint.normalize(ring, vals))
+        if len(samples) == 2:
+            break
+    if len(samples) < 2 or samples[0] != samples[1]:
+        raise NotInvertibleError("line at infinity is not contracted to a single point")
+    if isinstance(f, PlaneAut):
+        if indeterminacy_point(f.inverse()) != samples[0]:
+            raise NotInvertibleError("image at infinity disagrees with the inverse's "
+                                     "indeterminacy point")
+    return samples[0]
+
+
 @dataclass
 class MultiplicativityReport:
     f_degree: int
@@ -443,12 +483,9 @@ def degree_multiplicativity_test(f: PlaneAut, g: PlaneAut) -> MultiplicativityRe
     pt = None
     note = ""
     if f.degree >= 2 and g.degree >= 2:
-        try:
-            x = image_point_at_infinity(f)
-            i = indeterminacy_point(g)
-            pt = x != i
-        except FieldExtensionRequiredError:
-            note = "points at infinity not rational; point test skipped"
+        x = image_point_at_infinity(f)
+        i = indeterminacy_point(g)
+        pt = x != i
     else:
         note = "a degree-1 factor composes multiplicatively"
     rep = MultiplicativityReport(f.degree, g.degree, comp.degree, direct, x, i, pt, note)

@@ -252,3 +252,50 @@ def test_conj_test_algebraic_against_henon_is_no(f, capsys):
 def test_non_special_inputs_are_exit_1(argv, message, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _json(argv, capsys):
+    assert main(argv + ["--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("f,g,field,verdict,reason,conjugator", [
+    ("(x1, x2)", "(x1, x2)", "Q", "yes", "both are the identity", "(x1, x2)"),
+    ("(x1 + 1, x2)", "(x1 + 2, x2)", "Q", "yes",
+     "constant translations rescale to each other", "(2*x1, 1/2*x2)"),
+    ("(x1, x2)", "(x1 + 1, x2)", "Q", "no", "only one side is the identity", None),
+    ("(2*x1 + x2^2, 4*x2)", "(2*x1 + 3*x2^2, 4*x2)", "Fp:7", "unknown",
+     "requires field extension for the diagonal scalar", None),
+    ("(2*x1 + x2^2 + x2^5, 4*x2)", "(2*x1 + x2^2 + 3*x2^5, 4*x2)", "Fp:7", "no",
+     "scalar power system is inconsistent", None),
+], ids=["identities", "translations", "one-identity", "f7-unknown", "f7-inconsistent"])
+def test_conj_test_verdict_branches(f, g, field, verdict, reason, conjugator, capsys):
+    doc = _json(["conj-test", f, g, "--field", field], capsys)
+    assert (doc["verdict"], doc["data"]["reason"], doc["data"]["conjugator"]) == (
+        verdict, reason, conjugator)
+    if verdict == "yes":
+        assert doc["checks"]["certificate"]["valid"]
+
+
+def test_classify_swap_over_f2_is_family_ii(capsys):
+    # trace 0 over F2: the eigenvalue 1 is read off the trace, not a square root
+    doc = _json(["classify", "(x2, x1)", "--field", "Fp:2"], capsys)
+    assert doc["verdict"] == "family II"
+    assert doc["data"]["representative"] == "(x1 + x2, x2)"
+    assert doc["checks"] == {"conjugation": True}
+
+
+def test_compose_family_with_map_over_f5(capsys):
+    doc = _json(["compose", "(t*x1, t^-1*x2)", "(x1 + x2^2, x2)", "--field", "Fp:5"], capsys)
+    assert doc["data"]["result"] == "(t*x2^2 + t*x1, t^-1*x2)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["(2*x1 + x2^2, 4*x2)", "--field", "Fp:7"],
+    ["(x1 + x2^4, x2 + 1)", "--field", "Fp:5", "--variant", "F1"],
+    ["(x1 + x2^4, x2 + 1)", "--field", "Fp:5", "--variant", "F2"],
+], ids=["f7-iii", "f5-iv-F1", "f5-iv-F2"])
+def test_degenerate_over_fp_checks_hold(argv, capsys):
+    checks = _json(["degenerate"] + argv, capsys)["checks"]
+    assert checks["conjugation_identity"]
+    assert checks["specializations"] and all(checks["specializations"].values())

@@ -85,6 +85,8 @@ def test_v_subspace_membership():
     assert in_v_subspace(F3, {2: 1, 8: 2})
     assert not in_v_subspace(F3, {3: 1})
     assert in_v_subspace(F2, {1: 1, 3: 1})
+    with pytest.raises(UnsupportedFieldError):
+        in_v_subspace(Q, {1: Fraction(1)})
 
 
 def test_decompose_squares_plus_x_over_f2():

@@ -20,7 +20,6 @@ from planeaut import (
 )
 from planeaut.cli import _nonzero_samples
 from planeaut.degeneration import _affine_samples, _round_root
-from planeaut.endo import _infinity_ladder
 from planeaut.poly import compose_many
 from planeaut.rings import power, up_mul
 
@@ -160,12 +159,6 @@ def test_only_prime_fields_are_finite():
 def test_finite_sample_stream_stops_after_each_element():
     assert list(PrimeField(7).sample_stream()) == list(range(7))
     assert list(itertools.islice(Q.sample_stream(), 4)) == [0, 1, 2, 3]
-
-
-def test_infinity_ladder_over_q_and_fp():
-    q = list(itertools.islice(_infinity_ladder(Q), 5))
-    assert q == [(1, Fraction(u)) for u in range(5)]
-    assert list(_infinity_ladder(F3)) == [(1, 0), (1, 1), (1, 2), (0, 1)]
 
 
 def test_nonzero_samples_over_q_and_fp():
