@@ -11,12 +11,14 @@ read off the component degrees, which leaves deg f1 > deg f2, then one
 triangular factor, as the top form of f1 is a constant times a power of the
 top form of f2 until their degrees meet.
 
-A reduced word alternates tags, with no interior factor lying in
-SAff ∩ SJ (the triangular affine maps).  Cyclic reduction of a reduced
-word either collapses to a single factor (the map is conjugate into SJ) or
-stabilizes as an even alternating word a_m j_m ... a_1 j_1 with every a_i
-outside SJ and every j_i outside SAff: a Henon automorphism, whose degree
-is the product of the j_i degrees.
+A reduced word alternates tags, with no identity and no factor in SAff ∩ SJ
+(the triangular affine maps) unless it has one factor.  reduce_word
+settles factors onto a stack, one rule for both its passes (_settle).
+Cyclic reduction of a reduced word either collapses to a single factor
+(the map is conjugate into SJ) or stabilizes as an even alternating word
+a_m j_m ... a_1 j_1 with every a_i outside SJ and every j_i outside SAff:
+a Henon automorphism, whose degree is the product of the j_i degrees.
+Each rotation settles only the factor it moves, at the seam.
 A map of Jacobian c is recompose(word) o s_c with s_c = (c x1, x2) in
 Aff ∩ J, so the word decides growth for every c (Jung-van der Kulk holds for
 Aut(A^2) = Aff *_(Aff ∩ J) J); plane_aut_from_endo factors once, keeps it,
@@ -56,7 +58,7 @@ from .errors import (
     RingMismatchError,
 )
 from .poly import MultiPoly, compose_chain
-from .rings import MINUS_INF, up_add, up_deg, up_scale, up_shift
+from .rings import MINUS_INF, up_add, up_deg, up_scale, up_shift, up_to_str
 
 
 class AffineFactor:
@@ -125,13 +127,7 @@ class AffineFactor:
     def as_jonquieres(self) -> "JonquieresFactor":
         if not self.in_intersection:
             raise NotInvertibleError("affine factor is not triangular")
-        R = self.ring
-        P = {}
-        if not R.is_zero(self.b):
-            P[1] = self.b
-        if not R.is_zero(self.e):
-            P[0] = self.e
-        return JonquieresFactor(R, self.a, P, self.f)
+        return JonquieresFactor(self.ring, self.a, {1: self.b, 0: self.e}, self.f)
 
     @property
     def degree(self) -> int:
@@ -240,7 +236,6 @@ class JonquieresFactor:
         return str(self.to_endo())
 
     def describe(self):
-        from .rings import up_to_str
         R = self.ring
         return {"tag": "jonquieres", "a": R.to_str(self.a),
                 "P": up_to_str(R, self.P, "x2"), "c": R.to_str(self.c)}
@@ -345,54 +340,51 @@ class AmalgamWord:
 def reduce_word(w: AmalgamWord) -> AmalgamWord:
     """Merge same-tag neighbours and absorb SAff-intersection factors.
 
-    Intersection factors are pushed into a triangular neighbour, right one
-    preferred; a word whose factors are all in the intersection collapses to
-    a single factor.  Recomposition is unchanged.
+    Identities are dropped first (the last is kept if all are); then one
+    pass merges and one absorbs, each settling factor by factor onto a
+    stack (_settle, _settle_end).  Absorbing only after every merge keeps
+    the word of rewriting leftmost first, identities before merges before
+    absorptions.  Recomposition is unchanged.
     """
-    facs = list(w.factors)
-    changed = True
-    while changed:
-        changed = False
-        # drop interior identities
-        for i, fac in enumerate(facs):
-            if fac.is_identity and len(facs) > 1:
-                del facs[i]
-                changed = True
-                break
-        if changed:
-            continue
-        # same-tag neighbours merge
-        for i in range(len(facs) - 1):
-            if facs[i].tag == facs[i + 1].tag:
-                facs[i] = facs[i].compose(facs[i + 1])
-                del facs[i + 1]
-                changed = True
-                break
-        if changed:
-            continue
-        # intersection factors convert into a triangular neighbour
-        for i, fac in enumerate(facs):
-            if not fac.in_intersection or len(facs) == 1:
-                continue
-            right = facs[i + 1] if i + 1 < len(facs) else None
-            left = facs[i - 1] if i > 0 else None
-            if right is not None and right.tag != fac.tag:
-                if fac.tag == "A":
-                    facs[i] = fac.as_jonquieres().compose(right)
-                else:
-                    facs[i] = fac.as_affine().compose(right)
-                del facs[i + 1]
-            elif left is not None and left.tag != fac.tag:
-                if fac.tag == "A":
-                    facs[i - 1] = left.compose(fac.as_jonquieres())
-                else:
-                    facs[i - 1] = left.compose(fac.as_affine())
-                del facs[i]
-            else:
-                continue
-            changed = True
-            break
-    return AmalgamWord(w.ring, facs)
+    merged, out = [], []
+    for fac in [f for f in w.factors if not f.is_identity] or w.factors[-1:]:
+        _settle(merged, fac)
+    for fac in merged:
+        _settle(out, fac, absorb=True)
+    _settle_end(out)
+    return AmalgamWord(w.ring, out)
+
+
+def _settle(stack: list, fac, absorb: bool = False) -> None:
+    """Push fac onto a settled stack: merge it with a same-tag top and, with
+    absorb, absorb an intersection top into it, until neither applies.  An
+    identity is dropped; a lone one stays until the next factor comes."""
+    while True:
+        if stack and stack[-1].is_identity:
+            stack.pop()
+        if fac.is_identity:
+            if not stack:
+                stack.append(fac)
+            return
+        if stack and stack[-1].tag == fac.tag:
+            fac = stack.pop().compose(fac)
+        elif absorb and stack and stack[-1].in_intersection:
+            fac = _retag(stack.pop()).compose(fac)
+        else:
+            stack.append(fac)
+            return
+
+
+def _settle_end(stack: list) -> None:
+    """Push trailing intersection factors into their left neighbours."""
+    while len(stack) > 1 and stack[-1].in_intersection:
+        fac = _retag(stack.pop())
+        _settle(stack, stack.pop().compose(fac), absorb=True)
+
+
+def _retag(fac):
+    """An SAff ∩ SJ factor as a factor of the other tag."""
+    return fac.as_jonquieres() if fac.tag == "A" else fac.as_affine()
 
 
 def _reduction_ops(e: Endo):
@@ -642,6 +634,7 @@ def _cyclic_reduction(f: PlaneAut):
     its conjugator h, recompose(word) o s_c = h o f o h^-1 for c the Jacobian
     of f.  As F1^-1 o (F1 ... Fn o s_c) o F1 = (F2 ... Fn o s_c F1 s_c^-1) o
     s_c, F1 moves to the end twisted by s_c, and F1^-1 is prepended to conj.
+    F2 ... Fn is reduced already, so only the moved factor is settled.
     f is algebraic exactly when len(word) <= 1.  Built once, kept on f."""
     if f.reduction is not None:
         return f.reduction
@@ -649,10 +642,11 @@ def _cyclic_reduction(f: PlaneAut):
     word = _word(f)
     conj = ()
     while len(word) > 1 and (word.factors[0].tag, word.factors[-1].tag) != ("A", "J"):
-        first = word.factors[0]
+        first, *rest = word.factors
         conj = (first.inverse(),) + conj
-        last = first if R.eq(c, R.one) else _twist(first, c)
-        word = reduce_word(AmalgamWord(R, word.factors[1:] + (last,)))
+        _settle(rest, first if R.eq(c, R.one) else _twist(first, c), absorb=True)
+        _settle_end(rest)
+        word = AmalgamWord(R, rest)
     f.reduction = (word, conj)
     return f.reduction
 
@@ -679,10 +673,8 @@ def _finish_normalization(f: PlaneAut, word: AmalgamWord, conj: tuple):
     if not word.factors:
         return SJRepresentative(JonquieresFactor.identity(word.ring), h)
     fac = word.factors[0]
-    if fac.tag == "J":
-        return SJRepresentative(fac, h)
-    if fac.in_intersection:
-        return SJRepresentative(fac.as_jonquieres(), h)
+    if fac.tag == "J" or fac.in_intersection:
+        return SJRepresentative(fac if fac.tag == "J" else _retag(fac), h)
     new, g = _triangularize_affine(fac)
     return SJRepresentative(new.as_jonquieres(), AmalgamWord(word.ring, (g,) + conj))
 

@@ -89,10 +89,14 @@ class Endo:
         return Endo(compose_many(self.comps, other.comps))
 
     def is_inverse(self, other: "Endo") -> bool:
-        """self o other and other o self are both the identity, each composed
-        in full."""
-        ident = Endo.identity(self.ring, self.nvars)
-        return self.compose(other) == ident and other.compose(self) == ident
+        """F o G = id and G o F = id for F = self, G = other, read off the
+        one composition F o G.  For A = Q, F_p or K[t, 1/t], A[x] is
+        Noetherian, and G* : p -> p o G on it is onto, as G* F* =
+        (F o G)* = id.  The kernels of its powers stop growing at some n,
+        and p = G*^n(q) in ker G* puts q in ker G*^(n+1) = ker G*^n, so
+        p = 0.  G* is then bijective with inverse F*, and
+        (G o F)* = F* G* = id."""
+        return self.compose(other) == Endo.identity(self.ring, self.nvars)
 
     def highest_part(self) -> "Endo":
         """Component-wise degree-d homogeneous part, d = deg of the whole map."""
@@ -302,20 +306,23 @@ def _single_root(F, h):
 
     With m = p^s m', p the characteristic prime to m' (s = 0 over Q),
     c (u - r)^m = c (u^(p^s) - r^(p^s))^m' has u^(m - p^s) coefficient
-    -m' c r^(p^s), and r^(p^s) = r on F_p.  One up_shift checks r.  Over Q
-    and F_p a single root is in the field, so a failed check means several
-    points.  Over K[t, 1/t] the Frobenius is not the identity, and s > 0
-    raises UnsupportedFieldError.
+    -m' c r^(p^s), and r^(p^s) = r on F_p.  Over F_p[t, 1/t],
+    (sum b_j t^j)^(p^s) = sum b_j t^(j p^s), so r is r^(p^s) with every
+    exponent divided by p^s, and UnsupportedFieldError is raised when p^s
+    does not divide one.  One up_shift checks r.  Over Q and F_p a single
+    root is in the field, so a failed check means several points.
     """
     m = up_deg(F, h)
     p, q = F.characteristic, 1
     while p and m // q % p == 0:
         q *= p
-    if q > 1 and not F.is_finite:
-        raise UnsupportedFieldError(f"point at infinity of multiplicity {m} over {F!r}; "
-                                    "no Frobenius root there")
     lead = h[m]
     r = F.neg(F.mul(h.get(m - q, F.zero), F.invert(F.mul(lead, F.from_int(m // q)))))
+    if q > 1 and not F.is_finite:
+        if any(e % q for e in r):
+            raise UnsupportedFieldError(f"point at infinity of multiplicity {m} over {F!r}; "
+                                        "no Frobenius root there")
+        r = {e // q: b for e, b in r.items()}
     if up_shift(F, {m: lead}, F.one, F.neg(r)) != h:
         raise NotInvertibleError("several points at infinity; not an automorphism")
     return r

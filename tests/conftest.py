@@ -350,6 +350,100 @@ def monomial_reduction_ops(e: Endo):
     return ops, work
 
 
+def restart_reduce_word(w: AmalgamWord) -> AmalgamWord:
+    """amalgam.reduce_word before it settled factors onto a stack, kept as
+    its oracle: each round deletes the leftmost identity, else merges the
+    leftmost same-tag pair, else absorbs the leftmost intersection factor
+    into a neighbour, and restarts from the first factor."""
+    facs = list(w.factors)
+    changed = True
+    while changed:
+        changed = False
+        # drop interior identities
+        for i, fac in enumerate(facs):
+            if fac.is_identity and len(facs) > 1:
+                del facs[i]
+                changed = True
+                break
+        if changed:
+            continue
+        # same-tag neighbours merge
+        for i in range(len(facs) - 1):
+            if facs[i].tag == facs[i + 1].tag:
+                facs[i] = facs[i].compose(facs[i + 1])
+                del facs[i + 1]
+                changed = True
+                break
+        if changed:
+            continue
+        # intersection factors convert into a triangular neighbour
+        for i, fac in enumerate(facs):
+            if not fac.in_intersection or len(facs) == 1:
+                continue
+            right = facs[i + 1] if i + 1 < len(facs) else None
+            left = facs[i - 1] if i > 0 else None
+            if right is not None and right.tag != fac.tag:
+                if fac.tag == "A":
+                    facs[i] = fac.as_jonquieres().compose(right)
+                else:
+                    facs[i] = fac.as_affine().compose(right)
+                del facs[i + 1]
+            elif left is not None and left.tag != fac.tag:
+                if fac.tag == "A":
+                    facs[i - 1] = left.compose(fac.as_jonquieres())
+                else:
+                    facs[i - 1] = left.compose(fac.as_affine())
+                del facs[i]
+            else:
+                continue
+            changed = True
+            break
+    return AmalgamWord(w.ring, facs)
+
+
+def restart_cyclic_reduction(word: AmalgamWord, c) -> tuple:
+    """(word, conj) of amalgam._cyclic_reduction before it settled each
+    rotation at its seam, kept as its oracle: the first factor moves to the
+    end, twisted by s_c = (c x1, x2), and the whole rotated word is reduced
+    again by restart_reduce_word."""
+    R, conj = word.ring, ()
+    while len(word) > 1 and (word.factors[0].tag, word.factors[-1].tag) != ("A", "J"):
+        first = word.factors[0]
+        conj = (first.inverse(),) + conj
+        last = first if R.eq(c, R.one) else amalgam._twist(first, c)
+        word = restart_reduce_word(AmalgamWord(R, word.factors[1:] + (last,)))
+    return word, conj
+
+
+def rand_word(rng, K, length=8) -> AmalgamWord:
+    """A seeded unreduced word of length factors or a few more: generic
+    affine and triangular factors, identities of both tags, SAff ∩ SJ
+    factors of both tags (triangular affine maps, and triangular maps of
+    degree <= 1), and cancelling pairs u, u^-1 of a subword u of one to
+    three such factors, whose merges cancel across the seam and leave
+    same-tag or intersection neighbours behind."""
+    def one():
+        kind = rng.randrange(8)
+        if kind < 3:
+            return rand_affine(rng, K)
+        if kind < 6:
+            return rand_jonquieres(rng, K, rng.choice((2, 3)))
+        if kind == 6:
+            return rng.choice((rand_affine(rng, K, triangular=True),
+                               rand_jonquieres(rng, K, rng.choice((0, 1)))))
+        return rng.choice((AffineFactor(K, K.one, K.zero, K.zero, K.one),
+                           JonquieresFactor.identity(K)))
+
+    facs = []
+    while len(facs) < length:
+        if rng.random() < 0.15:
+            u = [one() for _ in range(rng.randint(1, 3))]
+            facs += u + [fac.inverse() for fac in reversed(u)]
+        else:
+            facs.append(one())
+    return AmalgamWord(K, facs)
+
+
 def two_sided_composition(fwd: Endo, inv: Endo) -> bool:
     """fwd o inv = id and inv o fwd = id by two full compositions, each of
     which builds intermediates of degree deg fwd * deg inv: PlaneAut.verify,

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,10 +28,22 @@ from planeaut import (
     plane_aut_from_endo,
     reduce_word,
 )
-from conftest import affine_image_at_infinity, rand_affine, rand_jonquieres, word_to_plane_aut
+from planeaut.amalgam import _cyclic_reduction
+from conftest import (
+    SEED,
+    affine_image_at_infinity,
+    rand_affine,
+    rand_jonquieres,
+    rand_scalar,
+    rand_word,
+    restart_cyclic_reduction,
+    restart_reduce_word,
+    word_to_plane_aut,
+)
 
 Q = RationalField()
 F5 = PrimeField(5)
+FIELDS = [Q, PrimeField(2), PrimeField(3), F5]
 
 ONE = Fraction(1)
 
@@ -107,6 +120,47 @@ def test_reduce_word_merges_and_absorbs():
     # identities are dropped
     w3 = reduce_word(AmalgamWord(Q, [A, JonquieresFactor.identity(Q), A.inverse()]))
     assert all(not f.is_identity for f in w3.factors) or len(w3.factors) == 1
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=repr)
+def test_reduce_word_matches_the_restart_loop(K):
+    """The stack passes give the restart loop's word factor for factor on
+    4,000 seeded words with identities, cancelling pairs and SAff ∩ SJ
+    factors of both tags."""
+    rng = random.Random(f"{SEED}/reduce/{K!r}")
+    lengths = set()
+    for _ in range(4000):
+        w = rand_word(rng, K, rng.randint(0, 12))
+        out = reduce_word(w)
+        assert out == restart_reduce_word(w), str(w)
+        lengths.add(len(out))
+    assert {0, 1, 2, 3, 4, 5} <= lengths
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=repr)
+def test_cyclic_reduction_matches_the_restart_rotation(K):
+    """Settling each rotation at its seam gives the word and conjugator of
+    reducing the whole rotated word again, on seeded reduced words with
+    Jacobian 1 and (but over F2) another.  A word's map is never expanded,
+    so the map is a namespace of what _cyclic_reduction reads."""
+    rng = random.Random(f"{SEED}/cyclic/{K!r}")
+    rotated = 0
+    for i in range(1500):
+        word = reduce_word(rand_word(rng, K, rng.randint(2, 12)))
+        c = K.one if i % 2 else rand_scalar(rng, K, nonzero=True)
+        f = SimpleNamespace(ring=K, jac=c, word=word, reduction=None)
+        out, conj = _cyclic_reduction(f)
+        want, want_conj = restart_cyclic_reduction(word, c)
+        assert out == want and conj == want_conj, (str(word), c)
+        rotated += bool(conj)
+    assert rotated > 300
+
+
+def test_word_text():
+    """The text of a factor word, tag and map of each factor."""
+    word = plane_aut_from_endo(parse_automorphism("(x2, -x1 + x2^2)", Q)).word
+    assert str(word) == "A:(-x2, x1) . J:(x2^2 - x1, -x2)"
+    assert str(AmalgamWord(Q, [])) == "[identity]"
 
 
 def test_jvdk_henon():

@@ -118,6 +118,12 @@ def test_domain_errors_are_exit_1(argv, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_factor_of_a_family_is_exit_1(capsys):
+    assert main(["factor", "(x1 + t, x2)"]) == 1
+    assert capsys.readouterr().err == (
+        "error: factor expects a map over the base field, not a t-family\n")
+
+
 @pytest.mark.parametrize("argv,nvars", [
     (["inverse", "(x1)"], 1),
     (["classify", "(x1, x2, x3)"], 3),
@@ -135,6 +141,13 @@ def test_negative_iterate_count_is_usage_error(capsys):
     assert "--n: must be >= 0, got -1" in capsys.readouterr().err
     assert main(["degseq", "(x1, x2)", "--n", "0"]) == 0
     assert capsys.readouterr().out == "verdict: ok\ndegrees: []\n"
+
+
+def test_non_integer_iterate_count_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["degseq", "(x2, -x1 + x2^2)", "--n", "x"])
+    assert exc.value.code == 2
+    assert "--n: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_domain_error_json_shape(capsys):

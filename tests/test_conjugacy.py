@@ -497,19 +497,20 @@ def test_composed_map_is_factored_once(no_iterates_on_special_maps):
 
 @pytest.fixture
 def normalizations(monkeypatch):
-    """Cyclic reduction steps, the calls of amalgam.reduce_word made by
-    _cyclic_reduction (the words of conjugators, reduced as they are built,
-    are not counted), and calls of _finish_normalization (the start of every
-    normal form and Henon form), in every module that binds it."""
+    """Cyclic reduction steps, the calls of amalgam._settle made by
+    _cyclic_reduction, one per rotation (the words of conjugators, reduced
+    as they are built, are not counted), and calls of _finish_normalization
+    (the start of every normal form and Henon form), in every module that
+    binds it."""
     calls = {"cyclic_steps": 0, "_finish_normalization": 0}
-    reduce_word = planeaut.amalgam.reduce_word
+    settle = planeaut.amalgam._settle
 
-    def reduce_step(w):
+    def settle_step(*args, **kwargs):
         if sys._getframe(1).f_code.co_name == "_cyclic_reduction":
             calls["cyclic_steps"] += 1
-        return reduce_word(w)
+        return settle(*args, **kwargs)
 
-    monkeypatch.setattr(planeaut.amalgam, "reduce_word", reduce_step)
+    monkeypatch.setattr(planeaut.amalgam, "_settle", settle_step)
     for mod in (planeaut.amalgam, planeaut.conjugacy):
         def counted(*args, _fn=mod._finish_normalization):
             calls["_finish_normalization"] += 1

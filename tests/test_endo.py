@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from planeaut import (
+    AffineFactor,
+    AmalgamWord,
     Endo,
     FieldExtensionRequiredError,
     InfinityPoint,
+    JonquieresFactor,
+    LaurentRing,
     MultiPoly,
     NoIndeterminacyError,
     PlaneAut,
@@ -20,9 +25,17 @@ from planeaut import (
 )
 from planeaut.rings import power
 
-from conftest import degree_multiplicativity_test
+from conftest import (
+    SEED,
+    degree_multiplicativity_test,
+    rand_affine,
+    rand_jonquieres,
+    rand_scalar,
+    two_sided_composition,
+)
 
 Q = RationalField()
+F5 = PrimeField(5)
 
 
 def henon(ring=Q, d=2):
@@ -113,3 +126,79 @@ def test_closed_form_iterates():
             f"({n}*x2^2 + {n * (n - 1)}*x2*x3^2 + {sq}*x3^4 + x1,"
             f" {n}*x3^2 + x2, x3)", Q)
         assert power(f, n, Endo.compose, Endo.identity(Q, 3)) == expected
+
+
+def _laurent_factors(rng, L):
+    """An affine and a triangular factor over L = K[t, 1/t], with unit
+    scalars c t^k and two-term coefficients elsewhere."""
+    K = L.base
+
+    def unit():
+        return L.term(rng.randint(-2, 2), rand_scalar(rng, K, nonzero=True))
+
+    u = unit()
+    a = AffineFactor(L, u, L.add(unit(), unit()), L.zero, L.invert(u), unit(), L.add(unit(), unit()))
+    j = JonquieresFactor(L, unit(), {rng.choice((2, 3)): unit(), 1: L.add(unit(), unit())}, unit())
+    return a.compose(AffineFactor.rotation(L)), j
+
+
+def _inverse_pairs(rng, K, count):
+    """count (fwd, inv) automorphism pairs over K: seeded words A J, J of
+    degree 2 or 3, or A J A' J', J and J' of degree 2 (A J only over
+    K[t, 1/t], where coefficients grow fast), recomposed with their inverse
+    words, then over a field scaled by (c x1, x2), c a random Jacobian."""
+    out = []
+    for _ in range(count):
+        if isinstance(K, LaurentRing):
+            facs = list(_laurent_factors(rng, K))
+        else:
+            blocks = rng.choice((1, 2))
+            facs = []
+            for _ in range(blocks):
+                facs += [rand_affine(rng, K), rand_jonquieres(rng, K, rng.choice((2, 4 - blocks)))]
+        aut = AmalgamWord(K, facs).to_plane_aut()
+        fwd, inv = aut.fwd, aut.inv
+        if not isinstance(K, LaurentRing):
+            c = rand_scalar(rng, K, nonzero=True)
+            x1, x2 = (MultiPoly.variable(K, 2, i) for i in range(2))
+            fwd = fwd.compose(Endo([x1.scale(c), x2]))
+            inv = Endo([x1.scale(K.invert(c)), x2]).compose(inv)
+        out.append((fwd, inv))
+    return out
+
+
+def _perturbed(rng, e):
+    """e with one coefficient changed by one: of a term of e, or of a new
+    monomial of degree <= deg e."""
+    K = e.ring
+    i = rng.randrange(2)
+    terms = dict(e.comps[i].terms)
+    if terms and rng.random() < 0.5:
+        mono = rng.choice(sorted(terms))
+    else:
+        d = rng.randint(0, e.degree)
+        mono = (rng.randint(0, d), 0)
+        mono = (mono[0], d - mono[0])
+    terms[mono] = K.add(terms.get(mono, K.zero), K.one)
+    comps = list(e.comps)
+    comps[i] = MultiPoly(K, 2, terms)
+    return Endo(comps)
+
+
+@pytest.mark.parametrize("K", [Q, PrimeField(2), F5, LaurentRing(F5)], ids=repr)
+def test_is_inverse_matches_two_sided_composition(K):
+    """One composition decides what two did, on accepted inverses, on
+    inverses with one coefficient perturbed, and with the two maps in either
+    order."""
+    rng = random.Random(f"{SEED}/is_inverse/{K!r}")
+    count = 10 if isinstance(K, LaurentRing) else 30
+    verdicts = []
+    for fwd, inv in _inverse_pairs(rng, K, count):
+        for g in (inv, _perturbed(rng, inv)):
+            for a, b in ((fwd, g), (g, fwd)):
+                verdicts.append(a.is_inverse(b))
+                assert verdicts[-1] == two_sided_composition(a, b), (str(a), str(b))
+    assert verdicts.count(True) == verdicts.count(False) == 2 * count
+    f = parse_automorphism("(x1 + x2^2, x2 + x3^2, x3)", Q)
+    g = parse_automorphism("(x1 - (x2 - x3^2)^2, x2 - x3^2, x3)", Q)
+    assert f.is_inverse(g) and g.is_inverse(f) and not f.is_inverse(f)

@@ -88,8 +88,27 @@ def test_two_common_zeros_are_several_points(K):
 
 
 def test_multiplicity_divisible_by_p_over_laurent_is_refused():
-    e = parse_automorphism("(x2^5 + t^5*x1^5 + x1, x2)", F5).endo
+    """a1 = x2^5 + t x1^5 = (x2 - r x1)^5 with r^5 = -t: r is no Laurent
+    polynomial, as 5 does not divide the exponent of t."""
+    e = parse_automorphism("(x2^5 + t*x1^5 + x1, x2)", F5).endo
     assert isinstance(e.ring, LaurentRing)
     with pytest.raises(UnsupportedFieldError):
         indeterminacy_point(e)
+
+
+@pytest.mark.parametrize("K,src,root", [
+    (F5, "(x2^5 + t^5*x1^5 + x1, x2)", {1: 4}),
+    (F5, "(x2^25 + t^50*x1^25 + x1, x2)", {2: 4}),
+    (F5, "(x2^5 + (t^5 + t^-5)*x1^5 + x1, x2)", {1: 4, -1: 4}),
+    (PrimeField(3), "(x2^6 + t^3*x1^3*x2^3 + t^6*x1^6 + x1, x2)", {1: 1}),
+], ids=["F5-m5", "F5-m25", "F5-two-terms", "F3-m6"])
+def test_multiplicity_divisible_by_p_over_laurent_takes_the_root(K, src, root):
+    """a1 = (x2 - r x1)^m with p | m and r a Laurent polynomial: r is the
+    p^s-th root of r^(p^s), every exponent of t divided by p^s, and the
+    top form vanishes at I_f = [0:1:r]."""
+    e = parse_automorphism(src, K).endo
+    L = e.ring
+    pt = indeterminacy_point(e)
+    assert pt == InfinityPoint.normalize(L, (L.one, root))
+    assert e.highest_part().comps[0].evaluate(pt.coords) == L.zero
 

@@ -322,10 +322,14 @@ def test_rejected_maps_keep_the_oracles_error(K):
 @pytest.mark.parametrize("src", [
     "(x1^100000000 + x1^50000000*x2^50000000 + x2, x1^2 + x1*x2)",
     "(x1 + x2^1000, x2 + x1^2)",
-], ids=["degree-1e8", "degree-1000"])
+    "(x1^100000000 + x2, x2 + x1^2)",
+], ids=["degree-1e8", "degree-1000", "degree-1e8-powers-of-one-form"])
 def test_hostile_maps_fail_on_their_jacobian_within_a_second(src, monkeypatch):
     """Above _JACOBIAN_FIRST_DEGREE the Jacobian is checked first: these
-    maps fail on it at once, where the descent would expand v^k first."""
+    maps fail on it at once, where the descent would expand v^k first.  The
+    top forms of the third, x1^(10^8) and x1^2, are powers of one linear
+    form, so a screen on the top forms alone would let it through to the
+    descent, which builds (x2 + x1^2)^(5*10^7)."""
     e = parse_automorphism(src, Q)
     assert e.degree > _JACOBIAN_FIRST_DEGREE
     calls = _counted_jacobians(monkeypatch)
