@@ -58,7 +58,7 @@ from .errors import (
     RingMismatchError,
 )
 from .poly import MultiPoly, compose_chain
-from .rings import MINUS_INF, up_add, up_deg, up_scale, up_shift, up_to_str
+from .rings import MINUS_INF, LaurentRing, up_add, up_deg, up_scale, up_shift, up_to_str
 
 
 class AffineFactor:
@@ -394,7 +394,8 @@ def _reduction_ops(e: Endo):
     The move comes from the degrees: (v, -u) when deg u < deg v, v - r u
     with r the ratio of the top forms when they are equal, none when
     deg u > deg v.  Then u -= c v^k while deg u > deg v, with top(u) =
-    c top(v^k), and the stage's subtractions are one (x1 + P(x2), x2).
+    c top(v)^k, checked before v^k is built, and the stage's subtractions
+    are one (x1 + P(x2), x2).
     Returns (ops, final) with op_k o ... o op_1 o e = final and final affine.
     """
     if e.nvars != 2:
@@ -420,14 +421,16 @@ def _reduction_ops(e: Endo):
             if d1 % e2 != 0:
                 raise NotInvertibleError("top degrees incompatible; not an automorphism")
             k = d1 // e2
-            vk = v ** k
-            top1, topk = u.homogeneous_part(d1), vk.homogeneous_part(d1)
+            # top(v)^k through x2 = 1, one to one on the forms of a degree
+            top = MultiPoly(R, 1, {a[:1]: x for a, x in v.homogeneous_part(e2).terms.items()})
+            topk = MultiPoly(R, 2, {(a, d1 - a): x for (a,), x in (top ** k).terms.items()})
+            top1 = u.homogeneous_part(d1)
             exp, lead = topk.leading_term()
             c = R.mul(top1.coeff(exp), R.invert(lead))
             if top1 != topk.scale(c):
                 raise NotInvertibleError("top forms not proportional; not an automorphism")
             P[k] = R.neg(c)
-            u = u + vk.scale(P[k])
+            u = u + (v ** k).scale(P[k])
         ops.append(JonquieresFactor.elementary(R, P))
     return ops, Endo([u, v])
 
@@ -492,18 +495,12 @@ def _check_conjugation(h: PlaneAut, f: PlaneAut, g: PlaneAut) -> bool:
     return hf == g.fwd.compose(h.fwd)
 
 
-# Above this degree plane_aut_from_endo differentiates before it descends:
-# the descent raises v to the power deg u / deg v, which a map of huge degree
-# that is no automorphism can make unbounded, where its Jacobian is a few
-# products of its terms.  Every map the perfbench workloads validate has
-# degree <= 8.
-_JACOBIAN_FIRST_DEGREE = 32
-
-
-def _check_jacobian(e: Endo) -> None:
+def _check_jacobian(e: Endo) -> MultiPoly:
+    """The Jacobian of e if it is a nonzero constant, else NotInvertibleError."""
     jac = e.jacobian()
     if not jac.is_constant or jac.is_zero:
         raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
+    return jac
 
 
 def plane_aut_from_endo(e: Endo) -> PlaneAut:
@@ -515,13 +512,19 @@ def plane_aut_from_endo(e: Endo) -> PlaneAut:
 
     c is the determinant of the linear part of the descent's final affine
     map: every descent op has Jacobian 1, so once the word check has proved
-    e = recompose(w) o s_c, c is the Jacobian of e, and no polynomial is
-    differentiated.  The Jacobian is computed only to choose the error of a
-    rejected map: up front when deg e > _JACOBIAN_FIRST_DEGREE, and after
-    the descent, the factoring or the word check raises, which then gives
-    "Jacobian determinant is not a nonzero constant" if it is not one and
-    the original error, of its own type, if it is."""
-    if e.degree > _JACOBIAN_FIRST_DEGREE:
+    e = recompose(w) o s_c, c is the Jacobian of e.  The Jacobian polynomial
+    is multiplied out up front for a map over K[t, 1/t] or with fewer terms
+    than its degree (deg e > n), else only to word the error of a rejected
+    map: "Jacobian determinant is not a nonzero constant" if it is not one,
+    the original error, of its own type, if it is.  Over a field what the
+    descent and the word check build has degree <= deg e, so O(deg e^2)
+    terms, polynomial in the input when deg e <= n.  A sparser map can make
+    the descent build (x2 + x1^2)^(5*10^7), for (x1^100000000 + x2,
+    x2 + x1^2); its Jacobian is at most n^2 term products.  Over K[t, 1/t]
+    n does not bound the t-terms: c^k in (x2 + c x1)^k, c of s generic
+    terms, has C(k + s - 1, s - 1)."""
+    first = isinstance(e.ring, LaurentRing) or e.degree > sum(len(p.terms) for p in e.comps)
+    if first:
         _check_jacobian(e)
     try:
         ops, final = _reduction_ops(e)
@@ -536,7 +539,8 @@ def plane_aut_from_endo(e: Endo) -> PlaneAut:
             inv = Endo([inv.comps[0].scale(R.invert(c)), inv.comps[1]])
         _check_inverse_by_word(e, inv, word, c)
     except PlaneAutError:
-        _check_jacobian(e)
+        if not first:
+            _check_jacobian(e)
         raise
     aut = PlaneAut(e, inv, verify=False)
     aut.word = word

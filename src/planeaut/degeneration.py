@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .amalgam import JonquieresFactor, factor_to_plane_aut, plane_aut_from_endo
+from .amalgam import JonquieresFactor, _check_jacobian, factor_to_plane_aut, plane_aut_from_endo
 from .conjugacy import _mult_order, expand_family_poly
 from .endo import Endo, InfinityPoint, PlaneAut, indeterminacy_point
 from .errors import (
@@ -186,10 +186,7 @@ def _formal_inverse(e: Endo):
     expansion of the inverse", Bull. AMS 1982).  The inverse of e is then
     G(x - e(0)); G is truncated in the centred variables, before that
     shift."""
-    jac = e.jacobian()
-    if not jac.is_constant or jac.is_zero:
-        raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
-    R, c = e.ring, jac.constant_value()
+    R, c = e.ring, _check_jacobian(e).constant_value()
     if len(c) != 1:
         raise NotInvertibleError("inverse leaves K[t,1/t]; not a family automorphism")
     # e at t = a, a in K*, is an automorphism of K^2 if e is one of
@@ -281,10 +278,8 @@ def x_alpha(fam: TFamily) -> XAlphaSet:
     if v is MINUS_INF or v >= 0:
         raise NoPoleError(f"family valuation is {v}; X_alpha needs a pole")
     m = -v
-    L = fam.ring
-    K = L.base
-    shifted = fam.endo.map_coeffs(lambda c: L.shift(c, m), L)
-    tilde = shifted.map_coeffs(L.value_at_zero, K)
+    K = fam.ring.base
+    tilde = fam.endo.map_coeffs(lambda c: c.get(-m, K.zero), K)
     points = []
     for y in _affine_samples(K, fam.nvars, _X_ALPHA_SAMPLES):
         vals = tilde.evaluate(y)

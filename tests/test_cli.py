@@ -312,3 +312,87 @@ def test_degenerate_over_fp_checks_hold(argv, capsys):
     checks = _json(["degenerate"] + argv, capsys)["checks"]
     assert checks["conjugation_identity"]
     assert checks["specializations"] and all(checks["specializations"].values())
+
+
+# -- hostile inputs ---------------------------------------------------------
+
+P61 = f"Fp:{2 ** 61 - 1}"
+HOSTILE = "(x1^100000000 + x2, x2 + x1^2)"
+HOSTILE_MIXED = "(x1^100000000 + x1^50000000*x2^50000000 + x2, x1^2 + x1*x2)"
+NESTED = "(" + "(" * 100 + "x1" + ")" * 100 + ", x2)"
+
+# (exit code, argv).  Left out because they do not finish:
+# - classify "(x1 + x2^1000000, x2 + 1)" --field Fp:3, a Jung stage at
+#   degree 10^6 in characteristic p;
+# - degseq "(x2, -x1 + x2^2)" --n 100000000, iterates of degree 2^k;
+# - degseq HOSTILE --n 2 and compose HOSTILE HOSTILE, which build
+#   (x2 + x1^2)^(10^8);
+# - decompose-vp "x1^100000000" --field Fp:3, a difference equation of degree 10^8.
+HOSTILE_SWEEP = [
+    (1, ["inverse", "(x1)"]),
+    (1, ["classify", "(x1)"]),
+    (0, ["degseq", "(x1^2)", "--n", "3"]),
+    (1, ["regular", "(x1^2)"]),
+    (1, ["classify", "(x1, x2, x3)"]),
+    (1, ["factor", "(x2, x3, x1)"]),
+    (1, ["regular", "(x1, x2 + x1^2, x3)"]),
+    (2, ["inverse", "()"]),
+    (2, ["degseq", "()", "--n", "2"]),
+    (1, ["factor", "(x1 + t, x2)"]),
+    (1, ["classify", "(t*x1, t^-1*x2)"]),
+    (1, ["degseq", "(x2, -x1 + t*x2^2)", "--n", "3"]),
+    (1, ["regular", "(x2, -x1 + t*x2^2)"]),
+    (1, ["degenerate", "(x1 + t*x2^2, x2)"]),
+    (1, ["conj-test", "(t*x1, t^-1*x2)", "(x1, x2)"]),
+    (1, ["pole-check", "(t*x1, t^-1*x2)", "(t*x1, t^-1*x2)"]),
+    (1, ["inverse", "(0, 0)"]),
+    (1, ["classify", "(0, 0)"]),
+    (1, ["factor", "(0, 0)"]),
+    (0, ["degseq", "(0, 0)", "--n", "3"]),
+    (1, ["regular", "(0, 0)"]),
+    (1, ["xalpha", "(0, 0)"]),
+    (0, ["decompose-vp", "0", "--field", "Fp:3"]),
+    (0, ["inverse", "(x2, -x1 + x2^2)", "--field", P61]),
+    (0, ["classify", "(x1 + x2^2, x2)", "--field", P61]),
+    (0, ["conj-test", "(x1 + x2^2, x2)", "(x1 + 3*x2^2, x2)", "--field", P61]),
+    (0, ["degseq", "(x2, -x1 + x2^2)", "--n", "4", "--field", P61]),
+    (0, ["degenerate", "(x1 + x2^2 + 1, x2)", "--field", P61]),
+    (0, ["decompose-vp", "x1^3 + x1", "--field", P61]),
+    # 2^89 - 1 is prime, above the bound of deterministic Miller-Rabin
+    (2, ["inverse", "(x1, x2)", "--field", f"Fp:{2 ** 89 - 1}"]),
+    (2, ["inverse", "(x1, x2)", "--field", "Fp:4"]),
+    (0, ["xalpha", "(t^-1000000*x1, t^1000000*x2)"]),
+    (0, ["inverse", "(t^1000000*x1, t^-1000000*x2)"]),
+    (0, ["compose", "(t^1000000*x1, t^-1000000*x2)", "(t^-1000000*x1, t^1000000*x2)"]),
+    (0, ["pole-check", "(x2, -x1 + x2^2)", "(x1 + t^-1000000, x2)"]),
+    (1, ["inverse", HOSTILE]),
+    (1, ["inverse", HOSTILE, "--field", "Fp:2"]),
+    (1, ["classify", HOSTILE_MIXED]),
+    (1, ["factor", HOSTILE]),
+    (1, ["regular", HOSTILE]),
+    (1, ["conj-test", HOSTILE, "(x2, -x1 + x2^2)"]),
+    (1, ["degenerate", HOSTILE_MIXED]),
+    (1, ["pole-check", HOSTILE, "(x1 + t^-1*x2^2, x2)"]),
+    (0, ["degseq", HOSTILE, "--n", "1"]),
+    (0, ["xalpha", "(x1^100000000 + t^-1*x2, x2 + x1^2)"]),
+    (2, ["inverse", "(x1 + 1/0, x2)"]),
+    (2, ["inverse", "(x1 + 1/2, x2)", "--field", "Fp:2"]),
+    (2, ["inverse", "(x1^-1, x2)"]),
+    (0, ["inverse", NESTED]),
+    (2, ["inverse", NESTED.replace("x1", "(x1)")]),
+    (2, ["degseq", "(x2, -x1 + x2^2)", "--n", "-1"]),
+    (2, ["degseq", "(x2, -x1 + x2^2)", "--n", "x"]),
+]
+
+
+def test_hostile_inputs_exit_with_their_code_within_5_seconds(capsys):
+    """Each hostile input ends in its exit code, 0, 1 or 2, with no other
+    exception, and the sweep takes under 5 s."""
+    start = time.perf_counter()
+    for code, argv in HOSTILE_SWEEP:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code, argv
+    assert time.perf_counter() - start < 5

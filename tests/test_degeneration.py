@@ -189,6 +189,14 @@ def test_x_alpha_finite_field():
     assert [str(p) for p in xs.points] == ["[0:1:0]"]
 
 
+def test_x_alpha_reads_the_lowest_slice():
+    """alpha_tilde is the t^-m coefficient of the family; every other slice,
+    constants included, drops out."""
+    xs = x_alpha(fam("(t^-2*x1 + t^-1*x2^2 + 3, x2 + t^-2*x1^2 + t*x1)"))
+    assert xs.m == 2
+    assert xs.alpha_tilde == parse_automorphism("(x1, x1^2)", Q)
+
+
 # -- pole propagation --------------------------------------------------------
 
 def test_pole_propagation_vacuous():

@@ -8,9 +8,11 @@ passes it, and a wrong inverse, a wrong factor inverse or a reversed
 recomposition is rejected with the text the old check raised.
 
 plane_aut_from_endo takes the Jacobian c from the linear part of the
-descent's final affine map and differentiates only to choose the error of
-a rejected map; conftest.jacobian_first_plane_aut, which multiplies the
-Jacobian out first, is the oracle of its results and of its errors.
+descent's final affine map.  It differentiates up front only a family over
+K[t, 1/t] or a map with fewer terms than its degree, and otherwise only to
+choose the error of a rejected map; conftest.jacobian_first_plane_aut,
+which multiplies the Jacobian out first, is the oracle of its results and
+of its errors.
 """
 import random
 import time
@@ -39,8 +41,8 @@ from planeaut import (
     parse_automorphism,
     plane_aut_from_endo,
 )
-from planeaut.amalgam import _JACOBIAN_FIRST_DEGREE, _check_inverse_by_word
-from planeaut.degeneration import lift_endo
+from planeaut.amalgam import _check_inverse_by_word
+from planeaut.degeneration import TFamily, lift_endo
 from planeaut.errors import NonUnitError
 from planeaut.poly import compose_chain
 
@@ -91,6 +93,42 @@ def _families(K):
 def _corpus(K):
     rng = random.Random(f"{SEED}/word-check/{K!r}")
     return [_sample_map(rng, K) for _ in range(MAPS_PER_FIELD)] + _families(K)
+
+
+def _terms(e):
+    return sum(len(p.terms) for p in e.comps)
+
+
+def _sparse_corpus(K):
+    """Automorphisms with fewer terms than their degree, three per kind:
+    A o J o s_c with J = (x1 + a x2^d, x2), d in 10..40, A affine and
+    s_c = (c x1, x2); A o J2 o (x2, -x1) o J o s_c with J2 = (x1 + b x2^2,
+    x2), of degree 2d; over F2 and F5, A o (x1 + a x2^q, x2) o B with q = 32
+    or 25 and B affine, where x2^q o B has three terms; and
+    A o (t^k x1, t^-k x2) o (x1 + t^j x2^d, x2) over K[t, 1/t]."""
+    rng = random.Random(f"{SEED}/sparse/{K!r}")
+    L, x2 = LaurentRing(K), MultiPoly.variable(K, 2, 1)
+    rotation = AffineFactor.rotation(K).to_endo()
+    out = []
+    for _ in range(3):
+        A = rand_affine(rng, K).to_endo()
+        J = Endo([MultiPoly.variable(K, 2, 0) + (x2 ** rng.randint(10, 40)).scale(
+            rand_scalar(rng, K, nonzero=True)), x2])
+        s = _scale(K, rand_scalar(rng, K, nonzero=True))
+        J2 = JonquieresFactor.elementary(K, {2: rand_scalar(rng, K, nonzero=True)}).to_endo()
+        out += [A.compose(J).compose(s), A.compose(J2).compose(rotation).compose(J).compose(s)]
+        if K.characteristic in (2, 5):
+            q = {2: 32, 5: 25}[K.characteristic]
+            frobenius = JonquieresFactor.elementary(K, {q: rand_scalar(rng, K, nonzero=True)})
+            out.append(A.compose(frobenius.to_endo()).compose(rand_affine(rng, K).to_endo()))
+        k = rng.choice((1, -1, 2, -2))
+        diag = Endo([MultiPoly(L, 2, {(1, 0): {k: K.one}}), MultiPoly(L, 2, {(0, 1): {-k: K.one}})])
+        shear = Endo([MultiPoly(L, 2, {(1, 0): L.one,
+                                       (0, rng.randint(10, 30)): {rng.randint(-3, 3): K.one}}),
+                      MultiPoly.variable(L, 2, 1)])
+        out.append(lift_endo(A, L).compose(diag).compose(shear))
+    assert all(e.degree > _terms(e) for e in out)
+    return out
 
 
 @pytest.mark.parametrize("K", FIELDS, ids=repr)
@@ -242,19 +280,27 @@ def _counted_jacobians(monkeypatch):
 @pytest.mark.parametrize("K", FIELDS, ids=repr)
 def test_accepted_maps_match_the_jacobian_first_oracle(K, monkeypatch):
     """Seeded maps over K, about a third of them of Jacobian != 1, and
-    families over K[t, 1/t]: plane_aut_from_endo differentiates nothing and
-    gives the oracle's fwd, inv, jac and word."""
+    families over K[t, 1/t], all with at least as many terms as their
+    degree, and sparser automorphisms over both: plane_aut_from_endo
+    differentiates none of the maps over K with at least as many terms as
+    their degree, and every other map once, up front; all give the oracle's
+    fwd, inv, jac and word."""
     corpus = _corpus(K)
+    assert all(e.degree <= _terms(e) for e in corpus)
     expected = [jacobian_first_plane_aut(e) for e in corpus]
     # F2* = {1}
     assert K is F2 or sum(not e.ring.eq(a.jac, e.ring.one)
                           for e, a in zip(corpus, expected)) >= len(corpus) // 4
+    sparse = _sparse_corpus(K)
+    expected_sparse = [jacobian_first_plane_aut(e) for e in sparse]
     calls = _counted_jacobians(monkeypatch)
-    for e, old in zip(corpus, expected):
+    for e, old in zip(corpus + sparse, expected + expected_sparse):
         aut = plane_aut_from_endo(e)
         assert (aut.fwd, aut.inv, aut.word) == (old.fwd, old.inv, old.word), str(e)
         assert e.ring.eq(aut.jac, old.jac)
-    assert calls == []
+        first = isinstance(e.ring, LaurentRing) or e.degree > _terms(e)
+        assert len(calls) == first, str(e)
+        calls.clear()
 
 
 def _perturbed(rng, e):
@@ -301,20 +347,21 @@ def _outcome(build, e):
 def test_rejected_maps_keep_the_oracles_error(K):
     """Non-constant and zero Jacobians, maps of the wrong arity, constant
     non-unit Jacobians over K[t, 1/t] and constant-Jacobian
-    non-automorphisms over F_p, and seeded automorphisms with one more term
-    (a few of which are automorphisms still): plane_aut_from_endo raises the
+    non-automorphisms over F_p, and seeded automorphisms, dense and sparse,
+    with one more term (a few of which are automorphisms still), on both
+    sides of the up-front rule: plane_aut_from_endo raises the
     oracle's exception type and text, or accepts what it accepts.  A
     non-unit division stays a NonUnitError, which TFamily.inverse catches."""
     rng = random.Random(f"{SEED}/rejected/{K!r}")
-    inputs = [parse_automorphism(src, K) for src in REJECTED[K]]
-    inputs += [parse_automorphism(src, K).endo for src in REJECTED_FAMILIES[K]]
-    inputs += [_perturbed(rng, e) for e in _corpus(K)]
+    fixed = [parse_automorphism(src, K) for src in REJECTED[K]]
+    fixed += [parse_automorphism(src, K).endo for src in REJECTED_FAMILIES[K]]
+    inputs = fixed + [_perturbed(rng, e) for e in _corpus(K) + _sparse_corpus(K)]
     outcomes = []
     for e in inputs:
         old = _outcome(jacobian_first_plane_aut, e)
         assert _outcome(plane_aut_from_endo, e) == old, str(e)
         outcomes.append(old[0])
-    assert all(isinstance(kind, type) for kind in outcomes[:len(inputs) - len(_corpus(K))])
+    assert all(isinstance(kind, type) for kind in outcomes[:len(fixed)])
     assert NonUnitError in outcomes
     assert sum(isinstance(kind, type) for kind in outcomes) >= len(inputs) * 3 // 4
 
@@ -323,15 +370,23 @@ def test_rejected_maps_keep_the_oracles_error(K):
     "(x1^100000000 + x1^50000000*x2^50000000 + x2, x1^2 + x1*x2)",
     "(x1 + x2^1000, x2 + x1^2)",
     "(x1^100000000 + x2, x2 + x1^2)",
-], ids=["degree-1e8", "degree-1000", "degree-1e8-powers-of-one-form"])
+    "(x1^40 + " + " + ".join(f"x2^{j}" for j in range(1, 40)) + ", x2 + ("
+    + " + ".join(f"t^{41**i}" for i in range(8)) + ")*x1)",
+], ids=["degree-1e8", "degree-1000", "degree-1e8-powers-of-one-form",
+        "degree-40-family-of-8-t-exponents"])
 def test_hostile_maps_fail_on_their_jacobian_within_a_second(src, monkeypatch):
-    """Above _JACOBIAN_FIRST_DEGREE the Jacobian is checked first: these
-    maps fail on it at once, where the descent would expand v^k first.  The
-    top forms of the third, x1^(10^8) and x1^2, are powers of one linear
-    form, so a screen on the top forms alone would let it through to the
-    descent, which builds (x2 + x1^2)^(5*10^7)."""
-    e = parse_automorphism(src, Q)
-    assert e.degree > _JACOBIAN_FIRST_DEGREE
+    """Maps over Q with fewer terms than their degree, and every family over
+    Q[t, 1/t], are differentiated first: these fail on their Jacobian at
+    once, where the descent would expand v^k first.  The top forms of the
+    third, x1^(10^8) and x1^2, are powers of one linear form, so a screen on
+    the top forms alone would let it through to the descent, which builds
+    (x2 + x1^2)^(5*10^7).  The fourth has more terms (42) than its degree
+    (40), but v = x2 + c x1 with c = t + t^41 + ... + t^(41^7): c^40 in the
+    descent's v^40 alone has C(47, 7), about 6.3*10^7, t-terms."""
+    parsed = parse_automorphism(src, Q)
+    e = parsed.endo if isinstance(parsed, TFamily) else parsed
+    # sparse over Q, or a family that is not sparse in x
+    assert (e.degree > _terms(e)) != isinstance(e.ring, LaurentRing)
     calls = _counted_jacobians(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(NotInvertibleError) as exc:
@@ -342,14 +397,72 @@ def test_hostile_maps_fail_on_their_jacobian_within_a_second(src, monkeypatch):
         NotInvertibleError, "Jacobian determinant is not a nonzero constant")
 
 
-def test_high_degree_automorphisms_differentiate_once(monkeypatch):
-    """Above _JACOBIAN_FIRST_DEGREE an automorphism is differentiated once
-    and still factored and certified; at the bound, not at all."""
+@pytest.mark.parametrize("K,src", [
+    (F5, "(x1 + x1^5, x2)"),
+    (F2, "(x1^8 + x1, x2^8 + x2)"),
+    (F5, "(x1 + x1^5 + x2^5, x2 + x1^10)"),
+], ids=["F5-triangular", "F2-equal-degrees", "F5-degrees-5-10"])
+def test_sparse_constant_jacobian_non_automorphisms_differentiate_once(K, src, monkeypatch):
+    """Fewer terms than their degree and a nonzero constant Jacobian, yet no
+    automorphism: the Jacobian is multiplied out once, up front, not again
+    when the descent fails, and the descent's error stands."""
+    e = parse_automorphism(src, K)
+    assert e.degree > _terms(e)
+    expected = _outcome(jacobian_first_plane_aut, e)
     calls = _counted_jacobians(monkeypatch)
-    for d, count in ((_JACOBIAN_FIRST_DEGREE, 0), (_JACOBIAN_FIRST_DEGREE + 1, 1)):
+    assert _outcome(plane_aut_from_endo, e) == expected
+    assert len(calls) == 1 and calls[0].jacobian().is_constant
+    assert expected[0] is NotInvertibleError and "not an automorphism" in expected[1]
+
+
+def test_high_degree_automorphisms_differentiate_once(monkeypatch):
+    """(3 x1 + x2^d, x2 + 1) over F5 has 4 terms: it is differentiated once,
+    up front, at d = 5, 32 and 33, and not at all at d = 4; every one is
+    still factored and certified."""
+    calls = _counted_jacobians(monkeypatch)
+    for d, count in ((4, 0), (5, 1), (32, 1), (33, 1)):
         e = parse_automorphism(f"(3*x1 + x2^{d}, x2 + 1)", F5)
         aut = plane_aut_from_endo(e)
         assert len(calls) == count and F5.eq(aut.jac, 3)
         calls.clear()
         assert aut.word == jacobian_first_plane_aut(e).word
         calls.clear()
+
+
+def test_dense_henon_iterates_differentiate_nothing(monkeypatch):
+    """f^6 (degree 64, 1,330 terms) and f^7 (degree 128, 5,218 terms) of the Q
+    Henon map (x2, -x1 + 3/2 x2^2 - 2) have more terms than their degree:
+    neither is differentiated, and f^6 gets the oracle's fwd, inv and word."""
+    f = plane_aut_from_endo(parse_automorphism("(x2, -x1 + 3/2*x2^2 - 2)", Q))
+    f6, f7 = f.power(6).fwd, f.power(7).fwd
+    assert [(e.degree, _terms(e)) for e in (f6, f7)] == [(64, 1330), (128, 5218)]
+    old = jacobian_first_plane_aut(f6)
+    calls = _counted_jacobians(monkeypatch)
+    aut = plane_aut_from_endo(f6)
+    assert (aut.fwd, aut.inv, aut.word) == (old.fwd, old.inv, old.word)
+    assert plane_aut_from_endo(f7).degree == 128
+    assert calls == []
+
+
+def test_a_dense_non_automorphism_fails_on_its_top_forms_before_v_to_the_k(monkeypatch):
+    """(x1^D + x2 + ... + x2^(D-1), x1 + x2 + 1) over Q, D = 1000, has more
+    terms than its degree, so it is not differentiated first.  The descent
+    compares x1^D with (x1 + x2)^D, the top form of v^D built through
+    x2 = 1, and fails before it builds v^D itself, about D^2/2 terms; the
+    Jacobian then words the error."""
+    D = 1000
+    e = parse_automorphism(f"(x1^{D} + " + " + ".join(f"x2^{j}" for j in range(1, D))
+                           + ", x1 + x2 + 1)", Q)
+    assert e.degree < _terms(e)
+    expected = _outcome(jacobian_first_plane_aut, e)
+    powers, power = [], MultiPoly.__pow__
+
+    def counted(self, n):
+        powers.append(self.nvars)
+        return power(self, n)
+
+    monkeypatch.setattr(MultiPoly, "__pow__", counted)
+    calls = _counted_jacobians(monkeypatch)
+    assert _outcome(plane_aut_from_endo, e) == expected == (
+        NotInvertibleError, "Jacobian determinant is not a nonzero constant")
+    assert powers == [1] and len(calls) == 1
