@@ -37,13 +37,15 @@ from .conjugacy import (
 from .degeneration import (
     DegenerationWitness,
     PolePropagationReport,
-    TFamily,
     XAlphaSet,
     degenerate_family_ii,
     degenerate_family_iii,
     degenerate_family_iv,
     lift_plane_aut,
     pole_propagation_check,
+    specialize,
+    valuation,
+    value_at_zero,
     x_alpha,
 )
 from .endo import (

@@ -503,26 +503,25 @@ def _check_jacobian(e: Endo) -> MultiPoly:
     return jac
 
 
-def plane_aut_from_endo(e: Endo) -> PlaneAut:
-    """Validate e as a plane automorphism: factor it once as recompose(w) o s_c,
-    invert it as s_c^-1 o recompose(w^-1), certify both compositions with
-    the identity along w (_check_inverse_by_word), which certifies w too,
-    and keep w as the result's word.  Over K[t, 1/t] every division must be
-    by a unit; LaurentRing.invert raises NonUnitError if not.
+def _descent(e: Endo):
+    """(w, c) with e = recompose(w) o s_c, s_c = (c x1, x2), by one
+    Jung-van der Kulk descent: the word of _reduction_ops and c, the
+    determinant of the linear part of its final affine map.  Every descent
+    op is invertible of Jacobian 1, so a descent that ends proves e an
+    automorphism of Jacobian c.  Over K[t, 1/t] every division must be by a
+    unit; LaurentRing.invert raises NonUnitError if not.
 
-    c is the determinant of the linear part of the descent's final affine
-    map: every descent op has Jacobian 1, so once the word check has proved
-    e = recompose(w) o s_c, c is the Jacobian of e.  The Jacobian polynomial
-    is multiplied out up front for a map over K[t, 1/t] or with fewer terms
-    than its degree (deg e > n), else only to word the error of a rejected
-    map: "Jacobian determinant is not a nonzero constant" if it is not one,
-    the original error, of its own type, if it is.  Over a field what the
-    descent and the word check build has degree <= deg e, so O(deg e^2)
-    terms, polynomial in the input when deg e <= n.  A sparser map can make
-    the descent build (x2 + x1^2)^(5*10^7), for (x1^100000000 + x2,
-    x2 + x1^2); its Jacobian is at most n^2 term products.  Over K[t, 1/t]
-    n does not bound the t-terms: c^k in (x2 + c x1)^k, c of s generic
-    terms, has C(k + s - 1, s - 1)."""
+    The Jacobian polynomial is multiplied out up front for a map over
+    K[t, 1/t] or with fewer terms than its degree (deg e > n), else only to
+    word the error of a failed descent: "Jacobian determinant is not a
+    nonzero constant" if it is not one, the original error, of its own
+    type, if it is.  Over a field what the descent and the word check build
+    has degree <= deg e, so O(deg e^2) terms, polynomial in the input when
+    deg e <= n.  A sparser map can make the descent build
+    (x2 + x1^2)^(5*10^7), for (x1^100000000 + x2, x2 + x1^2); its Jacobian
+    is at most n^2 term products.  Over K[t, 1/t] n does not bound the
+    t-terms: c^k in (x2 + c x1)^k, c of s generic terms, has
+    C(k + s - 1, s - 1)."""
     first = isinstance(e.ring, LaurentRing) or e.degree > sum(len(p.terms) for p in e.comps)
     if first:
         _check_jacobian(e)
@@ -533,15 +532,24 @@ def plane_aut_from_endo(e: Endo) -> PlaneAut:
         c = R.sub(R.mul(a, d), R.mul(b, cc))
         if R.is_zero(c):
             raise NotInvertibleError("Jacobian determinant is not a nonzero constant")
-        word = _word_of_descent(R, ops, final, c)
-        inv = word.inverse_word().recompose()
-        if not R.eq(c, R.one):
-            inv = Endo([inv.comps[0].scale(R.invert(c)), inv.comps[1]])
-        _check_inverse_by_word(e, inv, word, c)
+        return _word_of_descent(R, ops, final, c), c
     except PlaneAutError:
         if not first:
             _check_jacobian(e)
         raise
+
+
+def plane_aut_from_endo(e: Endo) -> PlaneAut:
+    """Validate e as a plane automorphism: factor it once as recompose(w) o s_c
+    (_descent), invert it as s_c^-1 o recompose(w^-1), certify both
+    compositions with the identity along w (_check_inverse_by_word), which
+    certifies w too, and keep w as the result's word."""
+    word, c = _descent(e)
+    R = e.ring
+    inv = word.inverse_word().recompose()
+    if not R.eq(c, R.one):
+        inv = Endo([inv.comps[0].scale(R.invert(c)), inv.comps[1]])
+    _check_inverse_by_word(e, inv, word, c)
     aut = PlaneAut(e, inv, verify=False)
     aut.word = word
     return aut
@@ -556,12 +564,13 @@ def _word(f: PlaneAut) -> AmalgamWord:
 
 
 def jvdk_factor(f) -> AmalgamWord:
-    """Alternating special-affine / triangular word recomposing to f."""
-    special = f.is_special if isinstance(f, PlaneAut) else (
-        f.jacobian() == MultiPoly.const(f.ring, f.nvars, f.ring.one))
-    if not special:
+    """Alternating special-affine / triangular word recomposing to f: the
+    word a PlaneAut keeps, or an Endo's descent, which raises
+    plane_aut_from_endo's error on a non-automorphism."""
+    word, c = (None, f.jac) if isinstance(f, PlaneAut) else _descent(f)
+    if not f.ring.eq(c, f.ring.one):
         raise NotSpecialError("factorization needs Jacobian determinant 1")
-    return _word(f) if isinstance(f, PlaneAut) else _factor(f, f.ring.one)
+    return _word(f) if word is None else word
 
 
 class _WordConjugated:

@@ -28,7 +28,7 @@ from .conjugacy import (
 )
 from .degeneration import (
     DegenerationWitness,
-    TFamily,
+    _family_aut,
     _nonzero_samples,
     degenerate_family_ii,
     degenerate_family_iii,
@@ -77,31 +77,30 @@ def _count(text: str) -> int:
 
 # -- per-verb handlers: (field, inputs, args) -> (verdict, data, checks) -----
 
-def _as_family(v, field) -> TFamily:
-    return v if isinstance(v, TFamily) else TFamily(lift_endo(v, LaurentRing(field)))
+def _is_family(v) -> bool:
+    return isinstance(v.ring, LaurentRing)
+
+
+def _as_family(v, field) -> Endo:
+    return v if _is_family(v) else lift_endo(v, LaurentRing(field))
 
 
 def _require_endo(v, verb) -> Endo:
-    if isinstance(v, TFamily):
+    if _is_family(v):
         raise PlaneAutError(f"{verb} expects a map over the base field, not a t-family")
     return v
 
 
 def _cmd_compose(field, inputs, args):
     f, g = inputs
-    if isinstance(f, TFamily) or isinstance(g, TFamily):
-        res = _as_family(f, field).compose(_as_family(g, field))
-    else:
-        res = f.compose(g)
-    return "ok", {"result": str(res)}, {}
+    if _is_family(f) or _is_family(g):
+        f, g = _as_family(f, field), _as_family(g, field)
+    return "ok", {"result": str(f.compose(g))}, {}
 
 
 def _cmd_inverse(field, inputs, args):
     v = inputs[0]
-    if isinstance(v, TFamily):
-        inv = v.inverse().endo
-        return "ok", {"inverse": str(inv)}, {"composition": v.endo.is_inverse(inv)}
-    aut = plane_aut_from_endo(v)
+    aut = _family_aut(v) if _is_family(v) else plane_aut_from_endo(v)
     return "ok", {"inverse": str(aut.inv)}, {"composition": aut.verify()}
 
 

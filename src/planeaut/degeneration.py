@@ -1,10 +1,13 @@
 """One-parameter families of plane maps with coefficients in K[t, 1/t].
 
-A family is an endomorphism tuple whose coefficients are Laurent
+A family is an Endo over K[t, 1/t]: its coefficients are Laurent
 polynomials in the parameter t.  Its valuation is the minimal t-exponent
 over all coefficients; the family has a value at t=0 exactly when the
 valuation is >= 0, and substituting any c in K* gives an endomorphism
-over K.
+over K (valuation, value_at_zero, specialize).  A family with its inverse
+is a PlaneAut over K[t, 1/t]: _family_aut factors it by
+plane_aut_from_endo over K[t, 1/t] and keeps the word, or falls back to
+its formal inverse, and conjugators and witness families are such maps.
 
 Two constructions live here.  First, the at-infinity limit set X_alpha of
 a family with a pole: factor out t^{-m}, m = -valuation, reduce at t=0 and
@@ -38,108 +41,60 @@ from .poly import MultiPoly, _compose_lowered, _lower, _reduced
 from .rings import MINUS_INF, LaurentRing, _iroot, up_deg
 
 
-class TFamily:
-    """An endomorphism over K[t, 1/t], with an optional verified inverse and,
-    once x_alpha has sampled it, its X_alpha.
-    The inverse may be given as a function of no arguments that builds it;
-    it is called the first time the inverse is read."""
+def valuation(fam: Endo):
+    """The least t-exponent over all coefficients of a family over
+    K[t, 1/t]; 0 for the zero family."""
+    L = fam.ring
+    if not isinstance(L, LaurentRing):
+        raise RingMismatchError("a family needs Laurent coefficients")
+    return min((L.valuation(c) for comp in fam.comps for c in comp.terms.values()), default=0)
 
-    __slots__ = ("endo", "_inv", "_xalpha")
 
-    def __init__(self, endo: Endo, inverse: Endo = None, check: bool = True):
-        if not isinstance(endo.ring, LaurentRing):
-            raise RingMismatchError("a family needs Laurent coefficients")
-        if inverse is not None and check and not endo.is_inverse(inverse):
-            raise NotInvertibleError("claimed family inverse fails composition")
-        self.endo = endo
-        self._inv = inverse
-        self._xalpha = None
+def value_at_zero(fam: Endo) -> Endo:
+    """The family at t = 0, over K; PoleAtZeroError if it has a pole there."""
+    v = valuation(fam)
+    if v is not MINUS_INF and v < 0:
+        raise PoleAtZeroError(f"family has a pole at t=0 (valuation {v})", valuation=v)
+    L = fam.ring
+    return fam.map_coeffs(L.value_at_zero, L.base)
 
-    def _known_inverse(self):
-        """The inverse given, built now if it was given as a function, or None."""
-        if callable(self._inv):
-            self._inv = self._inv()
-        return self._inv
 
-    @property
-    def ring(self) -> LaurentRing:
-        return self.endo.ring
+def specialize(fam: Endo, c) -> Endo:
+    """The family at t = c, c a nonzero base-field value."""
+    L = fam.ring
+    if L.base.is_zero(c):
+        raise PoleAtZeroError("use value_at_zero for t=0", valuation=valuation(fam))
+    return fam.map_coeffs(lambda a: L.specialize(a, c), L.base)
 
-    @property
-    def base(self):
-        return self.endo.ring.base
 
-    @property
-    def nvars(self) -> int:
-        return self.endo.nvars
+def _substitute_t_power(fam: PlaneAut, m: int) -> PlaneAut:
+    """fam with t -> t^m on every coefficient, m != 0 (t^0 would merge the
+    powers of t); the inverse is mapped when it is first read."""
+    if m == 0:
+        raise PlaneAutError("t -> t^0 merges the powers of t; m must be nonzero")
+    L = fam.ring
+    fn = lambda a: {m * e: c for e, c in a.items()}
+    return PlaneAut(fam.fwd.map_coeffs(fn, L), lambda: fam.inv.map_coeffs(fn, L), verify=False)
 
-    @property
-    def degree(self):
-        return self.endo.degree
 
-    @property
-    def valuation(self):
-        """min over all coefficient t-valuations; 0 for the zero family."""
-        L = self.ring
-        vals = [L.valuation(c)
-                for comp in self.endo.comps for c in comp.terms.values()]
-        return min(vals) if vals else 0
-
-    def value_at_zero(self) -> Endo:
-        v = self.valuation
-        if v is not MINUS_INF and v < 0:
-            raise PoleAtZeroError(f"family has a pole at t=0 (valuation {v})",
-                                  valuation=v)
-        L = self.ring
-        return self.endo.map_coeffs(L.value_at_zero, L.base)
-
-    def specialize(self, c) -> Endo:
-        """Substitute t = c, c a nonzero base-field value."""
-        L = self.ring
-        if L.base.is_zero(c):
-            raise PoleAtZeroError("use value_at_zero for t=0", valuation=self.valuation)
-        return self.endo.map_coeffs(lambda a: L.specialize(a, c), L.base)
-
-    def substitute_t_power(self, m: int) -> "TFamily":
-        """t -> t^m on every coefficient, m != 0 (t^0 would merge the powers
-        of t); the inverse, if any, is built and mapped when first read."""
-        if m == 0:
-            raise PlaneAutError("t -> t^0 merges the powers of t; m must be nonzero")
-        L = self.ring
-        fn = lambda a: {m * e: c for e, c in a.items()}
-        inv = None if self._inv is None else lambda: self._known_inverse().map_coeffs(fn, L)
-        return TFamily(self.endo.map_coeffs(fn, L), inv, check=False)
-
-    def compose(self, other: "TFamily") -> "TFamily":
-        inv = None
-        if self._known_inverse() is not None and other._known_inverse() is not None:
-            inv = other._inv.compose(self._inv)
-        return TFamily(self.endo.compose(other.endo), inv, check=False)
-
-    def inverse(self) -> "TFamily":
-        """The inverse family, found once and kept: plane_aut_from_endo runs
-        over K[t, 1/t] itself, whose check along the factor word certifies
-        it; a descent that divides by a non-unit of K[t, 1/t] raises
-        NonUnitError there and falls back to _formal_inverse, the family's
-        formal inverse over K[t, 1/t].  If that fails its composition check
-        too, the descent's error stands.  Any other descent error is the
-        same over K(t), so no inverse exists and it stands at once."""
-        if self._known_inverse() is None:
-            if self.nvars != 2:
-                raise NotInvertibleError("generic family inversion is implemented for the plane")
-            try:
-                self._inv = plane_aut_from_endo(self.endo).inv
-            except NonUnitError:
-                self._inv = _formal_inverse(self.endo)
-                if self._inv is None:
-                    raise
-        return TFamily(self._inv, self.endo, check=False)
-
-    def __eq__(self, other):
-        return isinstance(other, TFamily) and self.endo == other.endo
-
-    def __str__(self):
-        return str(self.endo)
+def _family_aut(e: Endo) -> PlaneAut:
+    """The family e over K[t, 1/t] with its inverse: plane_aut_from_endo runs
+    over K[t, 1/t] itself, whose check along the factor word certifies the
+    inverse, and the word is kept; a descent that divides by a non-unit of
+    K[t, 1/t] raises NonUnitError there and falls back to _formal_inverse,
+    the family's formal inverse over K[t, 1/t], with no word.  If that fails
+    its composition check too, the descent's error stands.  Any other
+    descent error is the same over K(t), so no inverse exists and it stands
+    at once."""
+    if e.nvars != 2:
+        raise NotInvertibleError("generic family inversion is implemented for the plane")
+    try:
+        return plane_aut_from_endo(e)
+    except NonUnitError:
+        inv = _formal_inverse(e)
+        if inv is None:
+            raise
+        return PlaneAut(e, inv, verify=False)
 
 
 def lift_endo(e: Endo, lring: LaurentRing) -> Endo:
@@ -149,10 +104,10 @@ def lift_endo(e: Endo, lring: LaurentRing) -> Endo:
     return e.map_coeffs(lring.from_base, lring)
 
 
-def lift_plane_aut(f: PlaneAut, lring: LaurentRing) -> TFamily:
+def lift_plane_aut(f: PlaneAut, lring: LaurentRing) -> PlaneAut:
     """f over K[t, 1/t], with f's inverse lifted only when it is first read;
     RingMismatchError unless f is over K."""
-    return TFamily(lift_endo(f.fwd, lring), lambda: lift_endo(f.inv, lring), check=False)
+    return PlaneAut(lift_endo(f.fwd, lring), lambda: lift_endo(f.inv, lring), verify=False)
 
 
 def _truncate(p: MultiPoly, k: int) -> MultiPoly:
@@ -192,10 +147,9 @@ def _formal_inverse(e: Endo):
     # e at t = a, a in K*, is an automorphism of K^2 if e is one of
     # K[t, 1/t]^2; the descent over the field K checks that at once, and
     # spares most non-automorphisms the iteration, whose terms they let grow
-    K, fam = R.base, TFamily(e)
-    for a in _nonzero_samples(K, _SPECIALIZATIONS):
+    for a in _nonzero_samples(R.base, _SPECIALIZATIONS):
         try:
-            plane_aut_from_endo(fam.specialize(a))
+            plane_aut_from_endo(specialize(e, a))
         except NotInvertibleError:
             return None
     ci = R.invert(c)
@@ -265,21 +219,26 @@ def _affine_samples(K, n, cap):
     return itertools.islice(itertools.product(base, repeat=n), cap)
 
 
-# Sample points of x_alpha; the set they give is kept on the family.
+# Sample points of x_alpha.
 _X_ALPHA_SAMPLES = 25
 
+# The last family x_alpha sampled and its X_alpha, so that
+# pole_propagation_check on the same family object reuses the samples.
+_last_x_alpha = (None, None)
 
-def x_alpha(fam: TFamily) -> XAlphaSet:
-    """The sampled X_alpha of fam, built once and kept on fam, so
-    pole_propagation_check reuses it."""
-    if fam._xalpha is not None:
-        return fam._xalpha
-    v = fam.valuation
+
+def x_alpha(fam: Endo) -> XAlphaSet:
+    """The sampled X_alpha of the family fam over K[t, 1/t]; sampling the
+    family last sampled again, the same object, returns the same set."""
+    global _last_x_alpha
+    if _last_x_alpha[0] is fam:
+        return _last_x_alpha[1]
+    v = valuation(fam)
     if v is MINUS_INF or v >= 0:
         raise NoPoleError(f"family valuation is {v}; X_alpha needs a pole")
     m = -v
     K = fam.ring.base
-    tilde = fam.endo.map_coeffs(lambda c: c.get(-m, K.zero), K)
+    tilde = fam.map_coeffs(lambda c: c.get(-m, K.zero), K)
     points = []
     for y in _affine_samples(K, fam.nvars, _X_ALPHA_SAMPLES):
         vals = tilde.evaluate(y)
@@ -288,8 +247,8 @@ def x_alpha(fam: TFamily) -> XAlphaSet:
         pt = InfinityPoint.normalize(K, vals)
         if pt not in points:
             points.append(pt)
-    fam._xalpha = XAlphaSet(m, tilde, tuple(points))
-    return fam._xalpha
+    _last_x_alpha = (fam, XAlphaSet(m, tilde, tuple(points)))
+    return _last_x_alpha[1]
 
 
 # -- pole propagation --------------------------------------------------------
@@ -325,7 +284,7 @@ def _conjugate_valuation(outer: Endo, f: Endo, inner: Endo):
     K[t, 1/t] and f over K, read off int forms: f is lowered over K with a
     zero t-slot, the first substitution's reduced int form is substituted
     into straight away, and the least t-exponent of the nonzero terms is
-    taken; 0 for the zero map, as TFamily.valuation.  Nothing is raised back
+    taken; 0 for the zero map, as valuation.  Nothing is raised back
     to Laurent coefficients."""
     L = outer.ring
     f_args = []
@@ -341,21 +300,22 @@ def _conjugate_valuation(outer: Endo, f: Endo, inner: Endo):
                default=0)
 
 
-def pole_propagation_check(f: PlaneAut, alpha: TFamily) -> PolePropagationReport:
+def pole_propagation_check(f: PlaneAut, alpha: Endo) -> PolePropagationReport:
     """Check two statements on f and the family alpha: a sampled X_alpha
     point away from I_f forces a pole on alpha^-1 f alpha (the implication),
     and one of alpha^-1 f alpha and alpha f^-1 alpha^-1 keeps a pole (the
     dichotomy).  The report says whether each holds; the dichotomy fails
     when, say, alpha commutes with f, as (x1 + 1/t, x2) does with
     (x1 + x2^2, x2).  The two valuations are read off int forms
-    (_conjugate_valuation), without building either conjugate family.
-    RingMismatchError if f is not over the base field of alpha."""
-    if f.ring != alpha.base:
+    (_conjugate_valuation), without building either conjugate family;
+    alpha's inverse is built once (_family_aut).
+    RingMismatchError if alpha is not a family over the field of f."""
+    v = valuation(alpha)
+    if f.ring != alpha.ring.base:
         raise RingMismatchError(f"map over {f.ring!r} against a family over {alpha.ring!r}")
-    ainv = alpha.inverse()
-    vc = _conjugate_valuation(ainv.endo, f.fwd, alpha.endo)
-    vci = _conjugate_valuation(alpha.endo, f.inv, ainv.endo)
-    v = alpha.valuation
+    ainv = _family_aut(alpha).inv
+    vc = _conjugate_valuation(ainv, f.fwd, alpha)
+    vci = _conjugate_valuation(alpha, f.inv, ainv)
     notes = []
     i_pt = indeterminacy_point(f.fwd)
     if v is not MINUS_INF and v >= 0:
@@ -382,27 +342,27 @@ class DegenerationWitness:
     again, in full, and compares, for a witness built or changed elsewhere."""
     source: PlaneAut
     family_tag: str
-    conjugator: TFamily
-    family: TFamily
+    conjugator: PlaneAut
+    family: PlaneAut
     limit: Endo
     params: dict = field(default_factory=dict)
 
     def verify(self) -> bool:
-        if _conjugated_family(self.source, self.conjugator).endo != self.family.endo:
+        if _conjugated_family(self.source, self.conjugator).fwd != self.family.fwd:
             return False
-        v = self.family.valuation
+        v = valuation(self.family.fwd)
         if v is not MINUS_INF and v < 0:
             return False
-        return self.family.value_at_zero() == self.limit
+        return value_at_zero(self.family.fwd) == self.limit
 
     def specialization_check(self, c) -> bool:
         """F(c) = conjugator(c)^-1 o f o conjugator(c) for a nonzero c."""
-        hc = self.conjugator.specialize(c)
-        hc_inv = self.conjugator.inverse().specialize(c)
-        return hc_inv.compose(self.source.fwd).compose(hc) == self.family.specialize(c)
+        hc = specialize(self.conjugator.fwd, c)
+        hc_inv = specialize(self.conjugator.inv, c)
+        return hc_inv.compose(self.source.fwd).compose(hc) == specialize(self.family.fwd, c)
 
     def describe(self):
-        R = self.family.base
+        R = self.source.ring
         params = {}
         for k, v in self.params.items():
             params[k] = v if isinstance(v, int) else R.to_str(v)
@@ -414,34 +374,34 @@ class DegenerationWitness:
                 "params": params}
 
 
-def _diag_t(lring: LaurentRing) -> TFamily:
+def _diag_t(lring: LaurentRing) -> PlaneAut:
     """(t x1, 1/t x2)."""
     x1 = MultiPoly(lring, 2, {(1, 0): {1: lring.base.one}})
     x2 = MultiPoly(lring, 2, {(0, 1): {-1: lring.base.one}})
     ix1 = MultiPoly(lring, 2, {(1, 0): {-1: lring.base.one}})
     ix2 = MultiPoly(lring, 2, {(0, 1): {1: lring.base.one}})
-    return TFamily(Endo([x1, x2]), Endo([ix1, ix2]), check=False)
+    return PlaneAut(Endo([x1, x2]), Endo([ix1, ix2]), verify=False)
 
 
-def _conjugated_family(g, conjugator: TFamily) -> TFamily:
-    """conjugator^-1 o g o conjugator, for g a TFamily or a PlaneAut over K,
-    which is lifted.  Its inverse conjugator^-1 o g^-1 o conjugator is built
-    by the same formula, from g's inverse, only when it is first read."""
-    if isinstance(g, PlaneAut):
+def _conjugated_family(g: PlaneAut, conjugator: PlaneAut) -> PlaneAut:
+    """conjugator^-1 o g o conjugator, for g over K[t, 1/t] or over K, which
+    is lifted.  Its inverse conjugator^-1 o g^-1 o conjugator is built by
+    the same formula, from g's inverse, only when it is first read."""
+    if not isinstance(g.ring, LaurentRing):
         g = lift_plane_aut(g, conjugator.ring)
-    cinv = conjugator.inverse()
+    cinv = conjugator.inv
 
     def conjugate(e):
-        return cinv.endo.compose(e).compose(conjugator.endo)
+        return cinv.compose(e).compose(conjugator.fwd)
 
-    return TFamily(conjugate(g.endo), lambda: conjugate(g.inverse().endo), check=False)
+    return PlaneAut(conjugate(g.fwd), lambda: conjugate(g.inv), verify=False)
 
 
 def _witness(f, tag, conjugator, fam, expected_limit, params=None) -> DegenerationWitness:
     """The witness of f along conjugator, whose family fam = conjugator^-1 o
     f o conjugator the caller built by conjugation, so its limit at t = 0 is
     the one check left; verify() would compose the same family again."""
-    limit = fam.value_at_zero()
+    limit = value_at_zero(fam.fwd)
     if limit != expected_limit:
         raise PlaneAutError(f"degeneration limit mismatch for family {tag}")
     return DegenerationWitness(f, tag, conjugator, fam, limit, params or {})
@@ -460,8 +420,8 @@ def _degenerate_diagonal(ring, tag, zeta, m: int, P: dict, params) -> Degenerati
     expected = {(1, 0): {0: zeta}}
     for k, c in P.items():
         expected[(0, m - 1 + m * k)] = {m * (k + 1): c}
-    if w.family.endo != Endo([MultiPoly(L, 2, expected),
-                              MultiPoly(L, 2, {(0, 1): {0: zi}})]):
+    if w.family.fwd != Endo([MultiPoly(L, 2, expected),
+                             MultiPoly(L, 2, {(0, 1): {0: zi}})]):
         raise PlaneAutError(f"family ({tag}) degeneration has an unexpected shape")
     return w
 
@@ -482,20 +442,13 @@ def degenerate_family_iii(ring, zeta, m: int, P: dict) -> DegenerationWitness:
     return _degenerate_diagonal(ring, "iii", zeta, m, P, {"zeta": zeta, "m": m})
 
 
-def _family_iv_alpha(lring: LaurentRing, d: int, q: int, lam) -> TFamily:
-    K = lring.base
-    one = K.one
-    a = Endo([
+def _family_iv_alpha(lring: LaurentRing, d: int, q: int, lam) -> PlaneAut:
+    """(t^-d x1, t^d x2 + lam x1^q + 1/t), inverted by _family_aut."""
+    one = lring.base.one
+    return _family_aut(Endo([
         MultiPoly(lring, 2, {(1, 0): {-d: one}}),
         MultiPoly(lring, 2, {(0, 1): {d: one}, (q, 0): {0: lam}, (0, 0): {-1: one}}),
-    ])
-    ainv = Endo([
-        MultiPoly(lring, 2, {(1, 0): {d: one}}),
-        MultiPoly(lring, 2, {(0, 1): {-d: one},
-                             (q, 0): {d * (q - 1): K.neg(lam)},
-                             (0, 0): {-d - 1: K.neg(one)}}),
-    ])
-    return TFamily(a, ainv, check=True)
+    ]))
 
 
 def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitness:
@@ -514,7 +467,7 @@ def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitn
     x2_K = MultiPoly(ring, 2, {(0, 1): ring.one})
     one_K = MultiPoly(ring, 2, {(0, 0): ring.one})
     if not Q:
-        ident = TFamily(Endo.identity(L, 2), Endo.identity(L, 2), check=False)
+        ident = PlaneAut.identity(L)
         c, limit = ((ident, Endo([x1_K, x2_K + one_K])) if variant == "F1"
                     else (_diag_t(L), Endo.identity(ring, 2)))
         return _witness(f, "iv-" + variant, c, _conjugated_family(f, c), limit)
@@ -531,16 +484,16 @@ def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitn
     # A must be (x1 + mu + t P, x2 - lam t^{q-d} P^q) with P free of poles
     x1_L = MultiPoly(L, 2, {(1, 0): L.one})
     x2_L = MultiPoly(L, 2, {(0, 1): L.one})
-    tP = A.endo.comps[0] - x1_L - MultiPoly(L, 2, {(0, 0): L.from_base(mu)})
+    tP = A.fwd.comps[0] - x1_L - MultiPoly(L, 2, {(0, 0): L.from_base(mu)})
     P = tP.map_coeffs(lambda c: L.shift(c, -1), L)
     if any(L.valuation(c) < 0 for c in P.terms.values()):
         raise PlaneAutError("family (iv) auxiliary polynomial has a pole")
     expected_second = x2_L - (P ** q).scale({q - d: lam})
-    if A.endo.comps[1] != expected_second:
+    if A.fwd.comps[1] != expected_second:
         raise PlaneAutError("family (iv) conjugate has an unexpected shape")
 
     # the defining identity: Q(t^d x2 + lam x1^q + 1/t) = mu/t^d + P/t^{d-1}
-    S = alpha.endo.comps[1]
+    S = alpha.fwd.comps[1]
     lhs = MultiPoly(L, 1, {(k,): L.from_base(c) for k, c in Q.items()}).compose([S])
     rhs = MultiPoly(L, 2, {(0, 0): {-d: mu}}) + P.map_coeffs(
         lambda c: L.shift(c, -(d - 1)), L)
@@ -551,9 +504,8 @@ def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitn
     # c = alpha o r, c^-1 o f o c = r^-1 o A o r
     params = {"d": d, "mu": mu, "q": q, "lambda": lam}
     if variant == "F1":
-        c_fwd = Endo([x2_K.scale(ring.neg(mu)), x1_K.scale(ring.invert(mu))])
         c_bwd = Endo([x2_K.scale(mu), x1_K.scale(ring.neg(ring.invert(mu)))])
-        r = TFamily(lift_endo(c_fwd, L), lift_endo(c_bwd, L), check=True).inverse()
+        r = _family_aut(lift_endo(c_bwd, L))
         return _witness(f, "iv-F1", alpha.compose(r), _conjugated_family(A, r),
                         Endo([x1_K, x2_K + one_K]), params)
 
@@ -563,10 +515,10 @@ def degenerate_family_iv(ring, Q: dict, variant: str = "F1") -> DegenerationWitn
     cap = max(deg_x1, 2 + (2 + q * deg_x1) // (q - d)) + 2
     r = _diag_t(L).inverse()
     for m in range(1, cap + 1):
-        fam = _conjugated_family(A.substitute_t_power(m), r)
-        v = fam.valuation
-        if v is not MINUS_INF and v >= 0 and fam.value_at_zero() == Endo.identity(ring, 2):
+        fam = _conjugated_family(_substitute_t_power(A, m), r)
+        v = valuation(fam.fwd)
+        if v is not MINUS_INF and v >= 0 and value_at_zero(fam.fwd) == Endo.identity(ring, 2):
             params["m"] = m
-            return _witness(f, "iv-F2", alpha.substitute_t_power(m).compose(r), fam,
+            return _witness(f, "iv-F2", _substitute_t_power(alpha, m).compose(r), fam,
                             Endo.identity(ring, 2), params)
     raise PlaneAutError("family (iv) F2 search exhausted its bound")

@@ -151,6 +151,9 @@ class PlaneAut:
     ring and degree checks of an inverse given as an Endo.  A map built from
     a factor word (amalgam.AmalgamWord.to_plane_aut: conjugators, family
     representatives) is given its inverse that way.
+    A family with its inverse is a PlaneAut over K[t, 1/t]
+    (degeneration._family_aut), which keeps the word it was factored by, or
+    has none when only its formal inverse inverts it.
     A map keeps what is derived from it the first time it is built: word,
     fwd = recompose(word) o (jac x1, x2), by its first factorization
     (amalgam.plane_aut_from_endo, or amalgam._word for a composed map) or

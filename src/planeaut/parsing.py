@@ -17,7 +17,6 @@ grammar back, so parse and print round-trip.
 
 from __future__ import annotations
 
-from .degeneration import TFamily
 from .endo import Endo
 from .errors import NotInvertibleError, ParseError
 from .poly import MultiPoly
@@ -280,15 +279,12 @@ def _parse_components(tokens, length):
 
 
 def parse_automorphism(src: str, field):
-    """Parse "(expr, ..., expr)" to an Endo over `field`, or to a TFamily
-    over field[t, 1/t] when t occurs."""
+    """Parse "(expr, ..., expr)" to an Endo over `field`, or over
+    field[t, 1/t], a family, when t occurs."""
     tokens = _tokenize(src)
     comps = _parse_components(tokens, len(src))
-    nvars = len(comps)
-    if _first_t(tokens) is not None:
-        R = LaurentRing(field)
-        return TFamily(Endo([_eval(node, R, field, nvars) for node in comps]))
-    return Endo([_eval(node, field, field, nvars) for node in comps])
+    R = field if _first_t(tokens) is None else LaurentRing(field)
+    return Endo([_eval(node, R, field, len(comps)) for node in comps])
 
 
 def parse_polynomial(src: str, field) -> dict:

@@ -31,10 +31,11 @@ from planeaut import (
     PlaneAut,
     PrimeField,
     RationalField,
-    TFamily,
     factor_to_plane_aut,
     image_point_at_infinity,
     indeterminacy_point,
+    valuation,
+    value_at_zero,
     x_alpha,
 )
 from planeaut import amalgam, degeneration, endo, poly
@@ -613,11 +614,11 @@ def compose_then_raise_pole_check(f: PlaneAut, alpha) -> dict:
     K[t, 1/t], both conjugates are composed and raised as families, and
     their valuations are read off the Laurent coefficients."""
     L = alpha.ring
-    ainv = alpha.inverse()
+    ainv = degeneration._family_aut(alpha).inv
     lifted = [e.map_coeffs(L.from_base, L) for e in (f.fwd, f.inv)]
-    conj = TFamily(ainv.endo.compose(lifted[0]).compose(alpha.endo), check=False)
-    conj_inv = TFamily(alpha.endo.compose(lifted[1]).compose(ainv.endo), check=False)
-    v, vc, vci = alpha.valuation, conj.valuation, conj_inv.valuation
+    conj = ainv.compose(lifted[0]).compose(alpha)
+    conj_inv = alpha.compose(lifted[1]).compose(ainv)
+    v, vc, vci = valuation(alpha), valuation(conj), valuation(conj_inv)
     i_pt = indeterminacy_point(f.fwd)
     if v is not MINUS_INF and v >= 0:
         rep = PolePropagationReport(v, False, i_pt, (), vc, vci, True, True,
@@ -631,10 +632,10 @@ def compose_then_raise_pole_check(f: PlaneAut, alpha) -> dict:
                                  pole or pole_inv, notes).describe()
 
 
-def conjugated_in_full(f: PlaneAut, c: TFamily) -> Endo:
+def conjugated_in_full(f: PlaneAut, c: PlaneAut) -> Endo:
     """c^-1 o f o c over K[t, 1/t], f over K lifted and composed with the
     whole conjugator c."""
-    return c.inverse().endo.compose(lift_endo(f.fwd, c.ring)).compose(c.endo)
+    return c.inv.compose(lift_endo(f.fwd, c.ring)).compose(c.fwd)
 
 
 def family_iv_by_full_conjugation(K, Q: dict, variant: str):
@@ -648,7 +649,7 @@ def family_iv_by_full_conjugation(K, Q: dict, variant: str):
     f = factor_to_plane_aut(JonquieresFactor(K, K.one, Q, K.one))
     L = LaurentRing(K)
     if not Q:
-        c = (TFamily(Endo.identity(L, 2), Endo.identity(L, 2), check=False)
+        c = (PlaneAut(Endo.identity(L, 2), Endo.identity(L, 2), verify=False)
              if variant == "F1" else degeneration._diag_t(L))
         return f, c, conjugated_in_full(f, c), None
     d = up_deg(K, Q)
@@ -658,17 +659,17 @@ def family_iv_by_full_conjugation(K, Q: dict, variant: str):
     alpha = degeneration._family_iv_alpha(L, d, q, K.pow(mu, -q))
     if variant == "F1":
         x1, x2 = MultiPoly.variable(K, 2, 0), MultiPoly.variable(K, 2, 1)
-        c_aff = TFamily(lift_endo(Endo([x2.scale(K.neg(mu)), x1.scale(K.invert(mu))]), L),
-                        lift_endo(Endo([x2.scale(mu), x1.scale(K.neg(K.invert(mu)))]), L))
+        c_aff = PlaneAut(lift_endo(Endo([x2.scale(K.neg(mu)), x1.scale(K.invert(mu))]), L),
+                         lift_endo(Endo([x2.scale(mu), x1.scale(K.neg(K.invert(mu)))]), L))
         c = alpha.compose(c_aff.inverse())
         return f, c, conjugated_in_full(f, c), None
     diag_inv = degeneration._diag_t(L).inverse()
     for m in range(1, 200):
-        c = alpha.substitute_t_power(m).compose(diag_inv)
-        fam = TFamily(conjugated_in_full(f, c), check=False)
-        v = fam.valuation
-        if v is not MINUS_INF and v >= 0 and fam.value_at_zero() == Endo.identity(K, 2):
-            return f, c, fam.endo, m
+        c = degeneration._substitute_t_power(alpha, m).compose(diag_inv)
+        fam = conjugated_in_full(f, c)
+        v = valuation(fam)
+        if v is not MINUS_INF and v >= 0 and value_at_zero(fam) == Endo.identity(K, 2):
+            return f, c, fam, m
     raise AssertionError("no m up to 200 degenerates f")
 
 

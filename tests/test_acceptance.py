@@ -20,7 +20,6 @@ from planeaut import (
     PrimeField,
     RationalField,
     SJRepresentative,
-    TFamily,
     decide_conjugacy,
     decompose_v_delta,
     degenerate_family_ii,
@@ -38,6 +37,7 @@ from planeaut import (
     normal_form,
     parse_automorphism,
     pole_propagation_check,
+    valuation,
     verify_conjugacy_certificate,
 )
 from planeaut.cli import main as cli_main
@@ -389,20 +389,20 @@ def _pole_family(rng, K, L):
     x1 = MultiPoly.variable(L, 2, 0)
     x2 = MultiPoly.variable(L, 2, 1)
     k = rng.choice([1, 2])
-    D = TFamily(Endo([x1.scale({k: K.one}), x2.scale({-k: K.one})]),
-                Endo([x1.scale({-k: K.one}), x2.scale({k: K.one})]),
-                check=False)
+    D = PlaneAut(Endo([x1.scale({k: K.one}), x2.scale({-k: K.one})]),
+                 Endo([x1.scale({-k: K.one}), x2.scale({k: K.one})]),
+                 verify=False)
     c = rand_scalar(rng, K, nonzero=True)
     mono = (x2 ** rng.choice([1, 2])).scale({rng.randrange(-1, 2): c})
-    U = TFamily(Endo([x1 + mono, x2]), Endo([x1 - mono, x2]), check=False)
+    U = PlaneAut(Endo([x1 + mono, x2]), Endo([x1 - mono, x2]), verify=False)
     neg = {0: K.neg(K.one)}
-    S = TFamily(Endo([x2, x1.scale(neg)]), Endo([x2.scale(neg), x1]),
-                check=False)
+    S = PlaneAut(Endo([x2, x1.scale(neg)]), Endo([x2.scale(neg), x1]),
+                 verify=False)
     parts = rng.choice([[D, U], [U, D], [D, U, S]])
     alpha = parts[0]
     for part in parts[1:]:
         alpha = alpha.compose(part)
-    return alpha
+    return alpha.fwd
 
 
 def test_criterion_08_pole_propagation_dichotomy_suite():
@@ -414,7 +414,7 @@ def test_criterion_08_pole_propagation_dichotomy_suite():
         for _ in range(25):
             f = word_to_plane_aut(sample_regular_word(rng, K, 2))
             alpha = _pole_family(rng, K, L)
-            assert alpha.valuation < 0
+            assert valuation(alpha) < 0
             rep = pole_propagation_check(f, alpha)
             assert rep.implication_holds
             assert rep.dichotomy_holds

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from planeaut import PlaneAut, cli
 from planeaut.cli import main
-from planeaut.degeneration import TFamily
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,7 +63,7 @@ def test_family_inverse_text_and_json(capsys):
 
 def test_family_inverse_composition_is_computed(monkeypatch, capsys):
     # a wrong inverse must show in the check, not a fixed true
-    monkeypatch.setattr(TFamily, "inverse", lambda self: self)
+    monkeypatch.setattr(cli, "_family_aut", lambda e: PlaneAut(e, e, verify=False))
     assert main(["inverse", NON_TAME, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["checks"] == {"composition": False}
 
@@ -116,6 +116,21 @@ def test_domain_errors_are_exit_1(argv, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["xalpha", "(t*x1, x2)"], "family valuation is 0; X_alpha needs a pole"),
+    (["inverse", "(t*x1 + x2, x2, x3)"], "generic family inversion is implemented for the plane"),
+    (["pole-check", "(x2, -x1 + x2^2)", "(t^-1*x1, x2, x3)"],
+     "generic family inversion is implemented for the plane"),
+    (["inverse", "((1+t)*x1, x2)"], "inverse leaves K[t,1/t]; not a family automorphism"),
+    (["inverse", "(t*x1^2, x2)"], "Jacobian determinant is not a nonzero constant"),
+    (["compose", "(t*x1, x2, x3)", "(x1, x2)"], "compose with different variable counts"),
+], ids=["xalpha-no-pole", "inverse-three-variables", "pole-check-three-variables",
+        "inverse-non-unit-jacobian", "inverse-non-constant-jacobian", "compose-arity"])
+def test_family_errors_are_exit_1(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_factor_of_a_family_is_exit_1(capsys):

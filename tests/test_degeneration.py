@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,12 +26,12 @@ from planeaut import (
     MultiPoly,
     NoPoleError,
     NotInvertibleError,
+    PlaneAut,
     PlaneAutError,
     PoleAtZeroError,
     PrimeField,
     RationalField,
     RingMismatchError,
-    TFamily,
     UnsupportedFieldError,
     degenerate_family_ii,
     degenerate_family_iii,
@@ -39,6 +40,9 @@ from planeaut import (
     parse_automorphism,
     plane_aut_from_endo,
     pole_propagation_check,
+    specialize,
+    valuation,
+    value_at_zero,
     x_alpha,
 )
 from planeaut import degeneration
@@ -53,10 +57,13 @@ F7 = PrimeField(7)
 
 def fam(src, K=Q):
     out = parse_automorphism(src, K)
-    if isinstance(out, TFamily):
+    if isinstance(out.ring, LaurentRing):
         return out
-    L = LaurentRing(K)
-    return lift_plane_aut(plane_aut_from_endo(out), L)
+    return lift_endo(out, LaurentRing(K))
+
+
+def fam_aut(src, K=Q):
+    return degeneration._family_aut(fam(src, K))
 
 
 # -- one-parameter families --------------------------------------------------
@@ -64,13 +71,13 @@ def fam(src, K=Q):
 def test_family_requires_laurent_coefficients():
     e = parse_automorphism("(x1, x2)", Q)
     with pytest.raises(RingMismatchError):
-        TFamily(e)
+        valuation(e)
 
 
 def test_lifting_refuses_a_map_over_another_field():
     f = plane_aut_from_endo(parse_automorphism("(x1 + 1/2*x2^2, x2)", Q))
     L5 = LaurentRing(F5)
-    alpha = fam("(t*x1, 1/t*x2 + 3)", F5)
+    alpha = fam_aut("(t*x1, 1/t*x2 + 3)", F5)
     for lift in (lambda: lift_endo(f.fwd, L5), lambda: lift_plane_aut(f, L5),
                  lambda: degeneration._conjugated_family(f, alpha)):
         with pytest.raises(RingMismatchError) as exc:
@@ -81,46 +88,46 @@ def test_lifting_refuses_a_map_over_another_field():
 
 def test_family_valuation_and_value_at_zero():
     f = fam("(x1 + t*x2^2, x2)")
-    assert f.valuation == 0
-    at0 = f.value_at_zero()
+    assert valuation(f) == 0
+    at0 = value_at_zero(f)
     assert str(at0) == "(x1, x2)"
 
     g = fam("(t*x1, 1/t * x2)")
-    assert g.valuation == -1
+    assert valuation(g) == -1
     with pytest.raises(PoleAtZeroError):
-        g.value_at_zero()
+        value_at_zero(g)
 
 
 def test_family_specialize():
     f = fam("(x1 + t*x2^2, x2)")
-    at2 = f.specialize(Fraction(2))
+    at2 = specialize(f, Fraction(2))
     assert str(at2) == "(2*x2^2 + x1, x2)"
     assert plane_aut_from_endo(at2).is_special
     with pytest.raises(PoleAtZeroError):
-        f.specialize(Fraction(0))
+        specialize(f, Fraction(0))
 
 
 def test_family_substitute_t_power():
-    g = fam("(t*x1, 1/t * x2)")
-    g2 = g.substitute_t_power(3)
-    assert str(g2.endo) == "(t^3*x1, t^-3*x2)"
-    assert g2.valuation == -3
+    g = fam_aut("(t*x1, 1/t * x2)")
+    g2 = degeneration._substitute_t_power(g, 3)
+    assert str(g2.fwd) == "(t^3*x1, t^-3*x2)"
+    assert valuation(g2.fwd) == -3
 
 
 def test_substitute_t_power_commutes_with_specialization():
     """F(t^m) at t = c is F at c^m, for negative m too; m = 0 would merge
     the coefficients of different powers of t and is refused: over F5,
     t^1 and 4 t^2 on x2^2 would leave 4 x2^2 where t = 1 leaves none."""
-    g = fam("(x1 + t*x2^2 + 4*t^2*x2^2, x2)", F5)
+    g = fam_aut("(x1 + t*x2^2 + 4*t^2*x2^2, x2)", F5)
     with pytest.raises(PlaneAutError):
-        g.substitute_t_power(0)
-    h = fam("(t*x1 + t^-2*x2^3 + 2, 3*t^2*x2 + t)", F5)
-    for f in (g, h, fam("(2*t*x1 + 1/t*x2^2 - 3, x2 + t^3)")):
-        K = f.base
+        degeneration._substitute_t_power(g, 0)
+    h = fam_aut("(t*x1 + t^-2*x2^3 + 2, 3*t^2*x2 + t)", F5)
+    for f in (g, h, fam_aut("(2*t*x1 + 1/t*x2^2 - 3, x2 + t^3)")):
+        K = f.ring.base
         for m in (-2, -1, 2, 3):
-            fm = f.substitute_t_power(m)
+            fm = degeneration._substitute_t_power(f, m)
             for c in (K.one, K.one + K.one, K.neg(K.one)):
-                assert fm.specialize(c) == f.specialize(K.pow(c, m)), (str(f), m, c)
+                assert specialize(fm.fwd, c) == specialize(f.fwd, K.pow(c, m)), (str(f), m, c)
 
 
 def test_substitute_t_power_defers_a_deferred_inverse():
@@ -131,26 +138,26 @@ def test_substitute_t_power_defers_a_deferred_inverse():
 
     def inverse():
         built.append(1)
-        return fam("(x1 - t*x2^2, x2)").endo
+        return fam("(x1 - t*x2^2, x2)")
 
-    g3 = TFamily(g.endo, inverse, check=False).substitute_t_power(3)
+    g3 = degeneration._substitute_t_power(PlaneAut(g, inverse, verify=False), 3)
     assert not built
-    assert str(g3.inverse().endo) == "(-t^3*x2^2 + x1, x2)" and built == [1]
+    assert str(g3.inv) == "(-t^3*x2^2 + x1, x2)" and built == [1]
 
 
 def test_family_compose_and_inverse_cache():
-    g = fam("(t*x1, 1/t * x2)")
-    assert str(g.compose(g.inverse()).endo) == "(x1, x2)"
+    g = fam_aut("(t*x1, 1/t * x2)")
+    assert str(g.compose(g.inverse()).fwd) == "(x1, x2)"
     inv = g.inverse()
-    assert g.inverse().endo is inv.endo    # computed once
-    assert inv.inverse().endo == g.endo
+    assert g.inverse().fwd is inv.fwd    # computed once
+    assert inv.inverse().fwd == g.fwd
 
 
 def test_function_field_inverse():
-    f = fam("(x1 + t*x2^2, x2)")
+    f = fam_aut("(x1 + t*x2^2, x2)")
     inv = f.inverse()
-    assert str(inv.endo) == "(-t*x2^2 + x1, x2)"
-    assert str(f.compose(inv).endo) == "(x1, x2)"
+    assert str(inv.fwd) == "(-t*x2^2 + x1, x2)"
+    assert str(f.compose(inv).fwd) == "(x1, x2)"
 
 
 def test_inverse_can_leave_laurent_coefficients():
@@ -158,15 +165,15 @@ def test_inverse_can_leave_laurent_coefficients():
     one_plus_t = {0: Fraction(1), 1: Fraction(1)}
     x1 = MultiPoly.variable(L, 2, 0)
     x2 = MultiPoly.variable(L, 2, 1)
-    f = TFamily(Endo([x1.scale(one_plus_t), x2]))
+    f = Endo([x1.scale(one_plus_t), x2])
     with pytest.raises(NotInvertibleError):
-        f.inverse()
+        degeneration._family_aut(f)
 
 
 def test_family_rejects_wrong_inverse():
     g = fam("(t*x1, 1/t * x2)")
     with pytest.raises(NotInvertibleError):
-        TFamily(g.endo, fam("(t*x1, t*x2)").endo)
+        PlaneAut(g, fam("(t*x1, t*x2)"))
 
 
 # -- image of affine points at t = 0 ----------------------------------------
@@ -223,7 +230,7 @@ def test_pole_propagation_hypothesis_met():
 def test_degenerate_family_ii():
     w = degenerate_family_ii(Q, {2: Fraction(1), 0: Fraction(3)})
     assert w.family_tag == "ii"
-    assert str(w.family.endo) == "(t^3*x2^2 + x1 + 3*t, x2)"
+    assert str(w.family.fwd) == "(t^3*x2^2 + x1 + 3*t, x2)"
     assert str(w.limit) == "(x1, x2)"
     assert w.verify()
     for c in (Fraction(1), Fraction(-2), Fraction(1, 3)):
@@ -233,7 +240,7 @@ def test_degenerate_family_ii():
 def test_degenerate_family_iii():
     w = degenerate_family_iii(Q, Fraction(-1), 2, {1: Fraction(1), 0: Fraction(1)})
     assert w.family_tag == "iii"
-    assert str(w.family.endo) == "(t^4*x2^3 - x1 + t^2*x2, -x2)"
+    assert str(w.family.fwd) == "(t^4*x2^3 - x1 + t^2*x2, -x2)"
     assert str(w.limit) == "(-x1, -x2)"
     assert w.verify()
     assert w.specialization_check(Fraction(2))
@@ -263,7 +270,7 @@ def test_degenerate_family_iv_f2():
     w = degenerate_family_iv(F2, {1: 1}, variant="F1")
     assert w.family_tag == "iv-F1"
     assert w.params["d"] == 1 and w.params["q"] == 2
-    assert str(w.family.endo) == "(t*x2^4 + t^3*x1^2 + x1, t*x2^2 + t^2*x1 + x2 + 1)"
+    assert str(w.family.fwd) == "(t*x2^4 + t^3*x1^2 + x1, t*x2^2 + t^2*x1 + x2 + 1)"
     assert str(w.limit) == "(x1, x2 + 1)"
     assert w.verify()
     assert w.specialization_check(1)
@@ -317,7 +324,7 @@ def test_frobenius_matches_the_power(K):
 
 
 def test_x_alpha_is_sampled_once_per_family(monkeypatch):
-    """x_alpha keeps its sample set on the family, and
+    """x_alpha keeps the sample set of the family it sampled last, and
     pole_propagation_check reuses it; another family samples again."""
     calls, samples = [], degeneration._affine_samples
 
@@ -352,13 +359,13 @@ def _pole_families(rng, K):
 
     out = []
     for k in (1, -1, 2, 0):
-        A = lift_plane_aut(plane_aut_from_endo(rand_affine(rng, K).to_endo()), L).endo
+        A = lift_plane_aut(plane_aut_from_endo(rand_affine(rng, K).to_endo()), L).fwd
         diag = Endo([MultiPoly(L, 2, {(1, 0): {k: K.one}}), MultiPoly(L, 2, {(0, 1): {-k: K.one}})])
         shear = Endo([MultiPoly(L, 2, {(1, 0): L.one, (0, rng.randint(1, 2)): laurent()}),
                       MultiPoly.variable(L, 2, 1)])
         shift = Endo([MultiPoly(L, 2, {(1, 0): L.one, (0, 0): laurent()}),
                       MultiPoly.variable(L, 2, 1)])
-        out.append(TFamily(A.compose(diag).compose(shear).compose(shift)))
+        out.append(A.compose(diag).compose(shear).compose(shift))
     out.append(fam("(x1 + x2^2 + 1, x2 - 1)", K))
     out.append(fam("((1+t)*(x1 + x2^2) + x2, t*(x1 + x2^2) + x2)", K))
     return out
@@ -376,7 +383,7 @@ def test_pole_check_matches_the_compose_then_raise_oracle(K):
     for alpha in _pole_families(rng, K):
         for f in maps:
             rep = pole_propagation_check(f, alpha).describe()
-            assert rep == compose_then_raise_pole_check(f, TFamily(alpha.endo)), (str(f), str(alpha))
+            assert rep == compose_then_raise_pole_check(f, Endo(alpha.comps)), (str(f), str(alpha))
             vacuous += rep["alpha_valuation"] == "0"
     assert vacuous >= len(maps)
 
@@ -425,21 +432,40 @@ def test_each_witness_composes_its_family_once(tag, build, compose_spy, monkeypa
     (g, c, A), = [call for call in calls if call[0] is w.source]
     if iv:
         assert c.degree == w.params["q"]          # alpha
-        assert [call[0].endo for call in calls[1:]] == (
-            [A.endo] if tag == "iv-F1"
-            else [A.substitute_t_power(k).endo for k in range(1, candidates + 1)])
+        assert [call[0].fwd for call in calls[1:]] == (
+            [A.fwd] if tag == "iv-F1"
+            else [degeneration._substitute_t_power(A, k).fwd for k in range(1, candidates + 1)])
         assert all(call[1].degree == 1 for call in calls[1:])
         assert callable(A._inv)
-    inv = w.family.inverse().endo
+    inv = w.family.inv
     assert compose_spy.callers["conjugate"] == 2 * len(calls) + 2 + 2 * iv
     assert not callable(A._inv)
-    assert w.family.inverse().endo is inv
+    assert w.family.inv is inv
     assert compose_spy.callers["conjugate"] == 2 * len(calls) + 2 + 2 * iv
     L, c = w.family.ring, w.conjugator
-    assert inv == c.inverse().endo.compose(lift_endo(w.source.inv, L)).compose(c.endo)
+    assert inv == c.inv.compose(lift_endo(w.source.inv, L)).compose(c.fwd)
     ident = Endo.identity(L, 2)
-    assert w.family.endo.compose(inv) == ident and inv.compose(w.family.endo) == ident
+    assert w.family.fwd.compose(inv) == ident and inv.compose(w.family.fwd) == ident
     assert w.verify()
+
+
+@pytest.mark.parametrize("tag,build", _witnesses(), ids=[t for t, _ in _witnesses()])
+def test_a_witness_conjugator_inverse_is_built_once(tag, build):
+    """verify() and specialization_check read the conjugator's inverse; one
+    given as a function is built the first time, and kept."""
+    w, built = build(), []
+    inv = w.conjugator.inv
+
+    def inverse():
+        built.append(1)
+        return inv
+
+    c = PlaneAut(w.conjugator.fwd, inverse, verify=False)
+    w = DegenerationWitness(w.source, w.family_tag, c, w.family, w.limit, w.params)
+    assert w.verify() and built == [1]
+    K = w.source.ring
+    assert all(w.specialization_check(a) for a in (K.one, K.neg(K.one)))
+    assert w.verify() and built == [1]
 
 
 def _family_iv_inputs(rng, K):
@@ -459,10 +485,10 @@ def test_family_iv_witness_matches_the_full_conjugation_oracle(K):
             w = degenerate_family_iv(K, Q, variant)
             f, c, family, m = family_iv_by_full_conjugation(K, Q, variant)
             assert w.source.fwd == f.fwd
-            assert w.family.endo == family, (Q, variant)
-            assert w.conjugator.endo == c.endo
-            assert w.conjugator.inverse().endo == c.inverse().endo
-            assert w.limit == TFamily(family).value_at_zero()
+            assert w.family.fwd == family, (Q, variant)
+            assert w.conjugator.fwd == c.fwd
+            assert w.conjugator.inv == c.inv
+            assert w.limit == value_at_zero(family)
             assert w.params.get("m") == m and w.verify()
 
 
@@ -475,9 +501,9 @@ def test_diagonal_witnesses_match_the_full_conjugation_oracle(K):
     for deg in (0, 2, 4):
         P = rand_univariate(rng, K, deg, nonzero=True)
         for w in (degenerate_family_ii(K, P), degenerate_family_iii(K, zeta, m, P)):
-            assert w.conjugator.endo == c.endo
-            assert w.family.endo == conjugated_in_full(w.source, c), (w.family_tag, P)
-            assert w.limit == w.family.value_at_zero()
+            assert w.conjugator.fwd == c.fwd
+            assert w.family.fwd == conjugated_in_full(w.source, c), (w.family_tag, P)
+            assert w.limit == value_at_zero(w.family.fwd)
         assert degenerate_family_ii(K, P).source.fwd == family_ii_rep(K, P).fwd
 
 
@@ -510,12 +536,12 @@ def test_one_changed_family_coefficient_fails_verify(tag, build):
     in turn, plus one at t^0 makes it false."""
     w = build()
     L = w.family.ring
-    for i, comp in enumerate(w.family.endo.comps):
+    for i, comp in enumerate(w.family.fwd.comps):
         for exps, c in comp.terms.items():
             terms = dict(comp.terms)
             terms[exps] = L.add(c, L.one)
-            comps = list(w.family.endo.comps)
+            comps = list(w.family.fwd.comps)
             comps[i] = MultiPoly(L, 2, terms)
             bad = DegenerationWitness(w.source, w.family_tag, w.conjugator,
-                                      TFamily(Endo(comps), check=False), w.limit, w.params)
+                                      SimpleNamespace(fwd=Endo(comps)), w.limit, w.params)
             assert not bad.verify(), (i, exps)

@@ -1,4 +1,4 @@
-"""TFamily.inverse over K[t, 1/t]: the descent against the formal inverse.
+"""degeneration._family_aut over K[t, 1/t]: the descent against the formal inverse.
 
 A family whose Jung-van der Kulk descent divides only by units of K[t, 1/t]
 is inverted by plane_aut_from_endo over K[t, 1/t] itself; every other family
@@ -20,10 +20,10 @@ from planeaut import (
     NotInvertibleError,
     PrimeField,
     RationalField,
-    TFamily,
     parse_automorphism,
     plane_aut_from_endo,
     pole_propagation_check,
+    specialize,
     x_alpha,
 )
 from planeaut import degeneration
@@ -67,10 +67,10 @@ def _formal_route(K, points=_SPECIALIZATIONS):
 
 def _assert_specializations_invert(fam, inv):
     """inv(c) is the inverse of fam(c), inverted over K, for c in K*."""
-    K = fam.base
+    K = fam.ring.base
     for c in {K.from_int(n) for n in (1, 2, 3)} - {K.zero}:
-        want = plane_aut_from_endo(fam.specialize(c)).inv
-        assert TFamily(inv, check=False).specialize(c) == want, (str(fam), c)
+        want = plane_aut_from_endo(specialize(fam, c)).inv
+        assert specialize(inv, c) == want, (str(fam), c)
 
 
 def _diag(L, k):
@@ -104,7 +104,7 @@ def _families(K):
         right = _shear(rng, L, rng.randint(-3, 3), rng.randint(1, 3))
         out += [(base, True), (left.compose(base), True), (base.compose(right), True),
                 (left.compose(base).compose(right), d > 1)]
-    return [(TFamily(e), units) for e, units in out]
+    return out
 
 
 @pytest.mark.parametrize("K", [Q, F2, F5, F1000003], ids=repr)
@@ -114,12 +114,12 @@ def test_laurent_inverse_matches_the_function_field_route(K, inversion_route):
     ident = Endo.identity(L, 2)
     for fam, units in _families(K):
         inversion_route.clear()
-        inv = fam.inverse().endo
+        inv = degeneration._family_aut(fam).inv
         assert inversion_route in ([L], [L, *_formal_route(K)]), str(fam)
         if units:
             assert inversion_route == [L], str(fam)
-        assert inv == _formal_inverse(fam.endo), str(fam)
-        assert fam.endo.compose(inv) == ident and inv.compose(fam.endo) == ident
+        assert inv == _formal_inverse(fam), str(fam)
+        assert fam.compose(inv) == ident and inv.compose(fam) == ident
         _assert_specializations_invert(fam, inv)
 
 
@@ -128,7 +128,7 @@ def test_non_unit_descent_falls_back_to_the_function_field(K, inversion_route):
     """The descent over K[t, 1/t] divides by a non-unit, so the inverse over
     K(t) comes from the formal inverse, and lies in K[t, 1/t]."""
     fam = parse_automorphism(NON_TAME, K)
-    inv = fam.inverse().endo
+    inv = degeneration._family_aut(fam).inv
     assert inversion_route == [LaurentRing(K), *_formal_route(K)]
     _assert_specializations_invert(fam, inv)
     want = {Q: "(-t^2*x1^2 + (2*t^2 + 2*t)*x1*x2 + (-t^2 - 2*t - 1)*x2^2 + x1 - x2, "
@@ -156,7 +156,7 @@ TOP_FORMS = "top forms not proportional; not an automorphism"
         "non-constant-jacobian-F5", "top-forms-F5", "top-degrees-F5", "non-unit-jacobian-p-F5"])
 def test_non_automorphism_errors_keep_their_text(K, src, text):
     with pytest.raises(NotInvertibleError) as exc:
-        parse_automorphism(src, K).inverse()
+        degeneration._family_aut(parse_automorphism(src, K))
     assert str(exc.value) == text
 
 
@@ -165,8 +165,8 @@ def test_formal_inverse_of_a_translated_family(K):
     """Degree 4, Jacobian 2t and F(0) != 0 in both components: G is
     truncated in the centred variables and shifted after, since terms above
     degree 4 there fall below 4 once shifted."""
-    left = parse_automorphism("(t*x1 + t*x2^2 + 2, x2 + 1)", K).endo
-    right = parse_automorphism("(2*x2 + 1, -x1 + t^-1*x2^2 + t)", K).endo
+    left = parse_automorphism("(t*x1 + t*x2^2 + 2, x2 + 1)", K)
+    right = parse_automorphism("(2*x2 + 1, -x1 + t^-1*x2^2 + t)", K)
     e = left.compose(right)
     assert e.degree == 4
     assert all(p.constant_value() for p in e.comps)
@@ -182,7 +182,7 @@ def test_only_a_non_unit_division_reaches_the_formal_inverse(inversion_route):
     error stands at once, without the formal inverse's 29 iterations."""
     fam = parse_automorphism("(x1 + t*(x1^5 + x2 + 1)^5, x2 + (x1 + x2^5 + 1)^6)", F5)
     with pytest.raises(NotInvertibleError) as exc:
-        fam.inverse()
+        degeneration._family_aut(fam)
     assert str(exc.value) == "top degrees incompatible; not an automorphism"
     assert inversion_route == [LaurentRing(F5)]
 
@@ -200,11 +200,11 @@ def test_failed_formal_inverse_keeps_the_descent_error(inner, points, inversion_
     fails at t = 1 already.  Each stops before the iteration, whose terms
     grow on it: the third did not finish in 60 s when only t = 1 was
     checked."""
-    outer = parse_automorphism(NON_TAME, F5).endo
-    fam = TFamily(outer.compose(parse_automorphism(inner, F5).endo))
+    outer = parse_automorphism(NON_TAME, F5)
+    fam = outer.compose(parse_automorphism(inner, F5))
     start = time.perf_counter()
     with pytest.raises(NotInvertibleError) as exc:
-        fam.inverse()
+        degeneration._family_aut(fam)
     assert time.perf_counter() - start < 2
     assert str(exc.value) == "not a unit of K[t,1/t]"
     assert inversion_route == [LaurentRing(F5), *_formal_route(F5, points)]
@@ -222,11 +222,11 @@ def test_a_formal_inverse_that_fails_its_composition_keeps_the_descent_error(
         composed.append(1)
         return compose(self, other)
 
-    fam = TFamily(parse_automorphism(NON_TAME, F2).endo.compose(
-        parse_automorphism("(x1 + (t + 1)*x1^2, x2)", F2).endo))
+    fam = parse_automorphism(NON_TAME, F2).compose(
+        parse_automorphism("(x1 + (t + 1)*x1^2, x2)", F2))
     monkeypatch.setattr(Endo, "compose", counted)
     with pytest.raises(NotInvertibleError) as exc:
-        fam.inverse()
+        degeneration._family_aut(fam)
     assert str(exc.value) == "not a unit of K[t,1/t]"
     assert inversion_route == [LaurentRing(F2), *_formal_route(F2)]
     assert composed
@@ -244,8 +244,8 @@ def test_formal_inverse_rejects_a_term_of_degree_d_plus_one(inner, monkeypatch):
     def refuse(*args):
         raise AssertionError("the formal inverse composed")
 
-    outer = parse_automorphism(NON_TAME, F2).endo
-    e = outer.compose(parse_automorphism(inner, F2).endo)
+    outer = parse_automorphism(NON_TAME, F2)
+    e = outer.compose(parse_automorphism(inner, F2))
     assert e.jacobian() == MultiPoly.const(e.ring, 2, e.ring.one)
     monkeypatch.setattr(Endo, "compose", refuse)
     assert _formal_inverse(e) is None
@@ -253,8 +253,32 @@ def test_formal_inverse_rejects_a_term_of_degree_d_plus_one(inner, monkeypatch):
 
 def test_family_inversion_needs_the_plane():
     with pytest.raises(NotInvertibleError) as exc:
-        parse_automorphism("(t*x1)", Q).inverse()
+        degeneration._family_aut(parse_automorphism("(t*x1)", Q))
     assert str(exc.value) == "generic family inversion is implemented for the plane"
+
+
+@pytest.mark.parametrize("K", [Q, F5], ids=repr)
+def test_each_family_inverse_is_built_once_and_keeps_its_word(K, inversion_route,
+                                                              monkeypatch):
+    """pole_propagation_check inverts a tame family by one plane_aut_from_endo
+    over K[t, 1/t], which certifies the inverse along the factor word and
+    keeps the word; NON_TAME is inverted by its formal inverse, with no word."""
+    built, family_aut = [], degeneration._family_aut
+
+    def recorded(e):
+        built.append(family_aut(e))
+        return built[-1]
+
+    monkeypatch.setattr(degeneration, "_family_aut", recorded)
+    f = plane_aut_from_endo(parse_automorphism("(x2, -x1 + x2^2 + 1)", K))
+    alpha = parse_automorphism("(2*t^2*x1 + 3*t^-2*x2 + 1, t^2*x1 + 2*t^-2*x2 + 4)", K)
+    pole_propagation_check(f, alpha)
+    assert inversion_route == [LaurentRing(K)]
+    assert len(built) == 1 and built[0].fwd is alpha and built[0].word is not None
+    inversion_route.clear()
+    aut = degeneration._family_aut(parse_automorphism(NON_TAME, K))
+    assert inversion_route == [LaurentRing(K), *_formal_route(K)]
+    assert aut.word is None
 
 
 @pytest.mark.parametrize("K", [Q, F5], ids=repr)
@@ -274,4 +298,5 @@ def test_pole_checks_of_affine_families_never_reach_the_function_field(K):
     two_thirds = K.mul(K.from_int(2), K.invert(K.from_int(3)))
     assert [str(p) for p in xs.points] == [f"[0:1:{K.to_str(two_thirds)}]"]    # [0:b:d]
     assert rep.hypothesis_met and rep.implication_holds and rep.dichotomy_holds
-    assert alpha.compose(alpha.inverse()).endo == Endo.identity(alpha.ring, 2)
+    aut = degeneration._family_aut(alpha)
+    assert aut.compose(aut.inverse()).fwd == Endo.identity(alpha.ring, 2)

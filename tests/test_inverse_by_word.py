@@ -35,14 +35,16 @@ from planeaut import (
     LaurentRing,
     MultiPoly,
     NotInvertibleError,
+    NotSpecialError,
     PlaneAut,
     PrimeField,
     RationalField,
+    jvdk_factor,
     parse_automorphism,
     plane_aut_from_endo,
 )
 from planeaut.amalgam import _check_inverse_by_word
-from planeaut.degeneration import TFamily, lift_endo
+from planeaut.degeneration import lift_endo
 from planeaut.errors import NonUnitError
 from planeaut.poly import compose_chain
 
@@ -351,10 +353,11 @@ def test_rejected_maps_keep_the_oracles_error(K):
     with one more term (a few of which are automorphisms still), on both
     sides of the up-front rule: plane_aut_from_endo raises the
     oracle's exception type and text, or accepts what it accepts.  A
-    non-unit division stays a NonUnitError, which TFamily.inverse catches."""
+    non-unit division stays a NonUnitError, which degeneration._family_aut
+    catches."""
     rng = random.Random(f"{SEED}/rejected/{K!r}")
     fixed = [parse_automorphism(src, K) for src in REJECTED[K]]
-    fixed += [parse_automorphism(src, K).endo for src in REJECTED_FAMILIES[K]]
+    fixed += [parse_automorphism(src, K) for src in REJECTED_FAMILIES[K]]
     inputs = fixed + [_perturbed(rng, e) for e in _corpus(K) + _sparse_corpus(K)]
     outcomes = []
     for e in inputs:
@@ -383,8 +386,7 @@ def test_hostile_maps_fail_on_their_jacobian_within_a_second(src, monkeypatch):
     (x2 + x1^2)^(5*10^7).  The fourth has more terms (42) than its degree
     (40), but v = x2 + c x1 with c = t + t^41 + ... + t^(41^7): c^40 in the
     descent's v^40 alone has C(47, 7), about 6.3*10^7, t-terms."""
-    parsed = parse_automorphism(src, Q)
-    e = parsed.endo if isinstance(parsed, TFamily) else parsed
+    e = parse_automorphism(src, Q)
     # sparse over Q, or a family that is not sparse in x
     assert (e.degree > _terms(e)) != isinstance(e.ring, LaurentRing)
     calls = _counted_jacobians(monkeypatch)
@@ -442,6 +444,26 @@ def test_dense_henon_iterates_differentiate_nothing(monkeypatch):
     assert (aut.fwd, aut.inv, aut.word) == (old.fwd, old.inv, old.word)
     assert plane_aut_from_endo(f7).degree == 128
     assert calls == []
+
+
+def test_jvdk_factor_of_a_dense_endo_differentiates_nothing(monkeypatch):
+    """jvdk_factor of the plain Endo f^6 of the Q Henon map runs the descent
+    of plane_aut_from_endo and reads c off it, so the dense map is not
+    differentiated, and the word is the Jacobian-first oracle's.  A map of
+    Jacobian 2 is an automorphism that still needs Jacobian 1, and a
+    non-automorphism gets plane_aut_from_endo's error."""
+    f = plane_aut_from_endo(parse_automorphism("(x2, -x1 + 3/2*x2^2 - 2)", Q))
+    f6 = f.power(6).fwd
+    old = jacobian_first_plane_aut(f6).word
+    calls = _counted_jacobians(monkeypatch)
+    assert jvdk_factor(f6) == old
+    assert calls == []
+    with pytest.raises(NotSpecialError) as exc:
+        jvdk_factor(parse_automorphism("(x2, -2*x1 + x2^2)", Q))
+    assert str(exc.value) == "factorization needs Jacobian determinant 1"
+    for src in ("(x1 + x2^2, x2 + x1^2)", "(x1 + x1^5, x2)"):
+        e = parse_automorphism(src, F5)
+        assert _outcome(jvdk_factor, e) == _outcome(plane_aut_from_endo, e)
 
 
 def test_a_dense_non_automorphism_fails_on_its_top_forms_before_v_to_the_k(monkeypatch):

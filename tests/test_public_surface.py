@@ -2,6 +2,7 @@
 the package root exports name the same functions, so a name removed from
 the package cannot linger in the docs, nor a new export go unlisted."""
 import ast
+import collections
 import inspect
 import re
 from pathlib import Path
@@ -53,3 +54,37 @@ def test_no_unused_imports_in_the_package():
     modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
     assert len(modules) >= 9
     assert [hit for p in modules for hit in _unused_imports(p)] == []
+
+
+
+def _referenced_names(node) -> list:
+    """The names node and its descendants read: names, attributes, and the
+    names a from-import binds."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out += [alias.name for alias in n.names]
+    return out
+
+
+def _dead_definitions(src: Path) -> list:
+    """Module-level functions and classes of the package that no module of
+    it names outside their own definition.  The package root's imports
+    count, so an export is never dead."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    total = collections.Counter(name for tree in trees.values()
+                                for name in _referenced_names(tree))
+    return [f"{mod}:{node.lineno} {node.name}"
+            for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and total[node.name] == _referenced_names(node).count(node.name)]
+
+
+def test_every_definition_is_referenced_or_exported():
+    """A helper that a change leaves without callers is deleted with it."""
+    src = Path(planeaut.__file__).parent
+    assert _dead_definitions(src) == []
