@@ -32,7 +32,10 @@ identity.  The first gives inv o e = id, the second R o inv = id for
 R = recompose(w) o s_c, so e = R o inv o e = R and e o inv = id too.  Every
 partial product of a correct walk is a subword's map or its inverse, of
 degree <= deg e, where the full compositions fwd o inv and inv o fwd
-(PlaneAut.verify) build intermediates of degree (deg e)^2.
+(PlaneAut.verify) build intermediates of degree (deg e)^2.  A map of degree
+<= 1 is a single affine factor, and its 2x3 matrix (linear part and
+translation) is the whole map: for it both identities are 2x3 matrix
+products read off the stored polynomials (_affine_compose), with no walk.
 
 Conjugators are factor words too.  The cyclic reduction prepends F1^-1 to a
 factor tuple at each rotation, the triangularization prepends its affine g,
@@ -40,7 +43,8 @@ and conjugacy.normal_form and the conjugacy decision prepend and join such
 tuples; AmalgamWord.to_plane_aut reduces the result once, expands its map
 once, and its inverse only when PlaneAut.inv is first read.  A conjugation
 g = h o f o h^-1 is checked as h o f = g o h (_check_conjugation), with
-h o f built by walking f through h's word, so h^-1 is not built at all.
+h o f built by walking f through h's word, so h^-1 is not built at all;
+when h, f and g all have degree <= 1, h o f and g o h are matrix products.
 """
 
 from __future__ import annotations
@@ -59,6 +63,27 @@ from .errors import (
 )
 from .poly import MultiPoly, compose_chain
 from .rings import MINUS_INF, LaurentRing, up_add, up_deg, up_scale, up_shift, up_to_str
+
+
+_AFFINE_EXPS = ((1, 0), (0, 1), (0, 0))
+
+
+def _affine_compose(R, M, N):
+    """M o N for maps of degree <= 1 of any Jacobian, each as its 2x3 matrix
+    ((a, b, e), (c, d, f)), the map (a x1 + b x2 + e, c x1 + d x2 + f)."""
+    (na, nb, ne), (nc, nd, nf) = N
+    return tuple((R.add(R.mul(a, na), R.mul(b, nc)), R.add(R.mul(a, nb), R.mul(b, nd)),
+                  R.add(R.add(R.mul(a, ne), R.mul(b, nf)), e)) for a, b, e in M)
+
+
+def _matrix(R, term_dicts):
+    """The 2x3 matrix of a map of degree <= 1 given by the term dicts of its
+    components."""
+    return tuple(tuple(t.get(m, R.zero) for m in _AFFINE_EXPS) for t in term_dicts)
+
+
+def _matrix_eq(R, M, N) -> bool:
+    return all(R.eq(x, y) for row, other in zip(M, N) for x, y in zip(row, other))
 
 
 class AffineFactor:
@@ -97,11 +122,16 @@ class AffineFactor:
         return (R.eq(self.a, R.one) and R.is_zero(self.b) and R.is_zero(self.c)
                 and R.eq(self.d, R.one) and R.is_zero(self.e) and R.is_zero(self.f))
 
+    @property
+    def rows(self):
+        """The 2x3 matrix ((a, b, e), (c, d, f)) of the map."""
+        return (self.a, self.b, self.e), (self.c, self.d, self.f)
+
     def term_dicts(self):
         """The term dicts of the two components."""
         R = self.ring
-        return tuple({m: v for m, v in zip(((1, 0), (0, 1), (0, 0)), row) if not R.is_zero(v)}
-                     for row in ((self.a, self.b, self.e), (self.c, self.d, self.f)))
+        return tuple({m: v for m, v in zip(_AFFINE_EXPS, row) if not R.is_zero(v)}
+                     for row in self.rows)
 
     def to_endo(self) -> Endo:
         return Endo([MultiPoly(self.ring, 2, t, _clean=False) for t in self.term_dicts()])
@@ -115,14 +145,8 @@ class AffineFactor:
 
     def compose(self, other: "AffineFactor") -> "AffineFactor":
         """self o other."""
-        R = self.ring
-        a = R.add(R.mul(self.a, other.a), R.mul(self.b, other.c))
-        b = R.add(R.mul(self.a, other.b), R.mul(self.b, other.d))
-        c = R.add(R.mul(self.c, other.a), R.mul(self.d, other.c))
-        d = R.add(R.mul(self.c, other.b), R.mul(self.d, other.d))
-        e = R.add(R.add(R.mul(self.a, other.e), R.mul(self.b, other.f)), self.e)
-        f = R.add(R.add(R.mul(self.c, other.e), R.mul(self.d, other.f)), self.f)
-        return AffineFactor(R, a, b, c, d, e, f)
+        (a, b, e), (c, d, f) = _affine_compose(self.ring, self.rows, other.rows)
+        return AffineFactor(self.ring, a, b, c, d, e, f)
 
     def as_jonquieres(self) -> "JonquieresFactor":
         if not self.in_intersection:
@@ -445,10 +469,8 @@ def _word_of_descent(R, ops, final, c) -> AmalgamWord:
     """The reduced word of _reduction_ops' (ops, final) for the map of
     Jacobian c: its last affine factor is final o s_c^-1."""
     ci = R.invert(c)
-    c0, c1 = final.comps
-    last = AffineFactor(R, R.mul(c0.coeff((1, 0)), ci), c0.coeff((0, 1)),
-                        R.mul(c1.coeff((1, 0)), ci), c1.coeff((0, 1)),
-                        c0.coeff((0, 0)), c1.coeff((0, 0)))
+    (a, b, e), (cc, d, f) = _matrix(R, (p.terms for p in final.comps))
+    last = AffineFactor(R, R.mul(a, ci), b, R.mul(cc, ci), d, e, f)
     return reduce_word(AmalgamWord(R, [op.inverse() for op in ops] + [last]))
 
 
@@ -466,8 +488,27 @@ def _check_inverse_by_word(e: Endo, inv: Endo, word: AmalgamWord, c) -> None:
     subword or its inverse, of degree <= deg e; a step that would exceed it
     fails before it is built, which bounds the work on any input.  Each step
     substitutes into a map of degree <= deg e, where fwd o inv and inv o fwd
-    build intermediates of degree (deg e)^2 before they cancel to (x1, x2)."""
-    ident = Endo.identity(e.ring, 2)
+    build intermediates of degree (deg e)^2 before they cancel to (x1, x2).
+
+    A map of degree <= 1 is its 2x3 matrix (_matrix), and so is each map
+    that a correct check reads: when deg e <= 1, inv and every factor of w
+    must have degree <= 1 too, and inv o e = id and R o inv = id are two
+    matrix products (_affine_compose) instead of the two walks."""
+    R = e.ring
+    if e.degree <= 1:
+        if inv.degree > 1 or any(fac.degree > 1 for fac in word):
+            raise NotInvertibleError("forward and inverse do not compose to the identity")
+        m_inv = _matrix(R, (p.terms for p in inv.comps))
+        first, second = m_inv
+        walked = (tuple(R.mul(c, x) for x in first), second)  # s_c o inv
+        for fac in reversed(word.factors):
+            walked = _affine_compose(R, _matrix(R, fac.term_dicts()), walked)
+        ident = ((R.one, R.zero, R.zero), (R.zero, R.one, R.zero))
+        inv_e = _affine_compose(R, m_inv, _matrix(R, (p.terms for p in e.comps)))
+        if not (_matrix_eq(R, inv_e, ident) and _matrix_eq(R, walked, ident)):
+            raise NotInvertibleError("forward and inverse do not compose to the identity")
+        return
+    ident = Endo.identity(R, 2)
     for start, steps in ((e, word.chain_steps(c, inverse=True)), (inv, word.chain_steps(c))):
         out = compose_chain(start.comps, steps, e.degree)
         if out is None or Endo(out) != ident:
@@ -483,10 +524,16 @@ def _check_conjugation(h: PlaneAut, f: PlaneAut, g: PlaneAut) -> bool:
     at a time (poly.compose_chain), bounded by max(deg f, deg g * deg h),
     where h o f o h^-1 would build degree deg h * deg f * deg h before it
     cancels to deg g.  A walk that refuses a step, an h with no word, and a
-    word of one step (one substitution either way) compose h o f in full."""
+    word of one step (one substitution either way) compose h o f in full.
+    When h, f and g all have degree <= 1, h o f and g o h are products of
+    their 2x3 matrices (_affine_compose), of any Jacobian."""
     if not f.ring == g.ring == h.ring:
         raise RingMismatchError(
             f"conjugation of maps over {f.ring!r} and {g.ring!r} by one over {h.ring!r}")
+    if max(h.degree, f.degree, g.degree) <= 1:
+        R = h.ring
+        mh, mf, mg = (_matrix(R, (p.terms for p in a.fwd.comps)) for a in (h, f, g))
+        return _matrix_eq(R, _affine_compose(R, mh, mf), _affine_compose(R, mg, mh))
     steps = [] if h.word is None else h.word.chain_steps(h.jac)
     out = None
     if len(steps) > 1:
@@ -511,24 +558,28 @@ def _descent(e: Endo):
     automorphism of Jacobian c.  Over K[t, 1/t] every division must be by a
     unit; LaurentRing.invert raises NonUnitError if not.
 
-    The Jacobian polynomial is multiplied out up front for a map over
-    K[t, 1/t] or with fewer terms than its degree (deg e > n), else only to
-    word the error of a failed descent: "Jacobian determinant is not a
-    nonzero constant" if it is not one, the original error, of its own
-    type, if it is.  Over a field what the descent and the word check build
-    has degree <= deg e, so O(deg e^2) terms, polynomial in the input when
-    deg e <= n.  A sparser map can make the descent build
+    The Jacobian polynomial is multiplied out up front for a family over
+    K[t, 1/t] of degree >= 2 or a map with fewer terms than its degree
+    (deg e > n), else only to word the error of a failed descent: "Jacobian
+    determinant is not a nonzero constant" if it is not one, the original
+    error, of its own type, if it is.  Over a field what the descent and the
+    word check build has degree <= deg e, so O(deg e^2) terms, polynomial in
+    the input when deg e <= n.  A sparser map can make the descent build
     (x2 + x1^2)^(5*10^7), for (x1^100000000 + x2, x2 + x1^2); its Jacobian
     is at most n^2 term products.  Over K[t, 1/t] n does not bound the
     t-terms: c^k in (x2 + c x1)^k, c of s generic terms, has
-    C(k + s - 1, s - 1)."""
-    first = isinstance(e.ring, LaurentRing) or e.degree > sum(len(p.terms) for p in e.comps)
+    C(k + s - 1, s - 1).  A family of degree <= 1 builds no power: its
+    Jacobian is the determinant c read here, and a non-unit c raises
+    NonUnitError when the word divides by it, as it did after the Jacobian
+    was multiplied out."""
+    first = ((isinstance(e.ring, LaurentRing) and e.degree >= 2)
+             or e.degree > sum(len(p.terms) for p in e.comps))
     if first:
         _check_jacobian(e)
     try:
         ops, final = _reduction_ops(e)
         R = e.ring
-        (a, b), (cc, d) = ([q.coeff(m) for m in ((1, 0), (0, 1))] for q in final.comps)
+        (a, b, _), (cc, d, _) = _matrix(R, (p.terms for p in final.comps))
         c = R.sub(R.mul(a, d), R.mul(b, cc))
         if R.is_zero(c):
             raise NotInvertibleError("Jacobian determinant is not a nonzero constant")

@@ -164,14 +164,17 @@ class PlaneAut:
     origin, read off the linear part of fwd; no PlaneAut differentiates.
     amalgam.plane_aut_from_endo takes the same constant from its descent
     and multiplies the Jacobian polynomial out only for a map it rejects, a
-    family over K[t, 1/t] or a map with fewer terms than its degree.
+    family over K[t, 1/t] of degree >= 2 or a map with fewer terms than its
+    degree.
     verify=True, the default, checks a map a library caller builds by hand,
     input from outside: verify() composes fwd o inv and inv o fwd in full,
     building the inverse if it is deferred.  Every PlaneAut the package
     builds passes verify=False, as its inverse is certified along the factor
     word, one factor at a time (amalgam.plane_aut_from_endo), or built from
     such maps, and conjugation identities walk the conjugator's word
-    (amalgam._check_conjugation)."""
+    (amalgam._check_conjugation).  A map of degree <= 1 is certified by
+    products of 2x3 matrices (linear part and translation) instead, both as
+    an inverse and in a conjugation of three such maps."""
 
     __slots__ = ("fwd", "_inv", "jac", "word", "reduction", "nf")
 

@@ -380,6 +380,13 @@ HOSTILE_SWEEP = [
     (0, ["inverse", "(t^1000000*x1, t^-1000000*x2)"]),
     (0, ["compose", "(t^1000000*x1, t^-1000000*x2)", "(t^-1000000*x1, t^1000000*x2)"]),
     (0, ["pole-check", "(x2, -x1 + x2^2)", "(x1 + t^-1000000, x2)"]),
+    # degree <= 1: certified by 2x3 matrix products
+    (1, ["inverse", "(x2, x2)"]),
+    (1, ["inverse", "((t+1)*x1, x2)"]),
+    (0, ["inverse", "(t*x1 + x2, t^-1*x2)"]),
+    (0, ["inverse", "(2*x1 + t^-3, t*x2 + 1)"]),
+    (0, ["conj-test", "(2*x1 + 3, 1/2*x2)", "(2*x1, 1/2*x2 + 5)", "--field", P61]),
+    (1, ["pole-check", "(x1 + 1, x2)", "(t*x1, t^-1*x2)"]),
     (1, ["inverse", HOSTILE]),
     (1, ["inverse", HOSTILE, "--field", "Fp:2"]),
     (1, ["classify", HOSTILE_MIXED]),
