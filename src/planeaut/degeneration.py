@@ -11,9 +11,14 @@ its formal inverse, and conjugators and witness families are such maps.
 
 Two constructions live here.  First, the at-infinity limit set X_alpha of
 a family with a pole: factor out t^{-m}, m = -valuation, reduce at t=0 and
-record where affine sample points land on the line at infinity; a sampled
-X_alpha point away from the indeterminacy point of a fixed automorphism f
-forces the conjugate family alpha^-1 f alpha to keep a pole.  Second, the
+record where affine sample points land on the line at infinity, stopping
+at the first one when that lowest slice has rank one; a sampled X_alpha
+point away from the indeterminacy point of a fixed automorphism f forces
+the conjugate family alpha^-1 f alpha to keep a pole.  The pole check,
+pole_propagation_check, reads the valuations of alpha^-1 f alpha and
+alpha f^-1 alpha^-1 off their lowest t-slices: each substitution of the
+chain keeps only the t-exponents a window above its tropical lower bound
+can reach, and the window doubles until the answer is certain.  Second, the
 explicit degenerations: every non-diagonal normal-form family member f
 admits a family F(t) of conjugates of f, polynomial in t, whose value at
 t=0 drops out of the conjugacy class of f.  _conjugated_family builds them
@@ -23,6 +28,7 @@ all; family IV's are conjugates of A = alpha^-1 f alpha, built once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .amalgam import JonquieresFactor, _check_jacobian, factor_to_plane_aut, plane_aut_from_endo
@@ -189,10 +195,12 @@ def _formal_inverse(e: Endo):
 
 @dataclass
 class XAlphaSet:
-    """Sampled image of affine points on the line at infinity, at t=0.
+    """Sampled image of affine points on the line at infinity, at t=0,
+    through the lowest t-slice alpha_tilde = (t^m alpha) at t = 0.
 
     An under-approximation by construction: sample points with
-    alpha_tilde(y) = 0 are skipped and only finitely many y are tried.
+    alpha_tilde(y) = 0 are skipped and only finitely many y are tried; a
+    rank-one slice has one point, read off its first nonzero sample.
     """
     m: int
     alpha_tilde: Endo
@@ -228,8 +236,13 @@ _last_x_alpha = (None, None)
 
 
 def x_alpha(fam: Endo) -> XAlphaSet:
-    """The sampled X_alpha of the family fam over K[t, 1/t]; sampling the
-    family last sampled again, the same object, returns the same set."""
+    """The sampled X_alpha of the family fam over K[t, 1/t]: the images of
+    the affine sample points under its lowest t-slice alpha_tilde.  When
+    every component p of alpha_tilde is a K-multiple of the first nonzero
+    one, lead (p c0 = lead p[e0] for a term c0 x^e0 of lead), every sample
+    with alpha_tilde(y) != 0 lands on one point, so sampling stops at the
+    first.  Sampling the family last sampled again, the same object,
+    returns the same set."""
     global _last_x_alpha
     if _last_x_alpha[0] is fam:
         return _last_x_alpha[1]
@@ -239,6 +252,9 @@ def x_alpha(fam: Endo) -> XAlphaSet:
     m = -v
     K = fam.ring.base
     tilde = fam.map_coeffs(lambda c: c.get(-m, K.zero), K)
+    lead = next(p for p in tilde.comps if p.terms)
+    e0, c0 = next(iter(lead.terms.items()))
+    rank_one = all(p.scale(c0) == lead.scale(p.coeff(e0)) for p in tilde.comps)
     points = []
     for y in _affine_samples(K, fam.nvars, _X_ALPHA_SAMPLES):
         vals = tilde.evaluate(y)
@@ -247,6 +263,8 @@ def x_alpha(fam: Endo) -> XAlphaSet:
         pt = InfinityPoint.normalize(K, vals)
         if pt not in points:
             points.append(pt)
+        if rank_one:
+            break
     _last_x_alpha = (fam, XAlphaSet(m, tilde, tuple(points)))
     return _last_x_alpha[1]
 
@@ -280,24 +298,74 @@ class PolePropagationReport:
 
 
 def _conjugate_valuation(outer: Endo, f: Endo, inner: Endo):
-    """The valuation of (outer o f) o inner, for outer and inner over
-    K[t, 1/t] and f over K, read off int forms: f is lowered over K with a
-    zero t-slot, the first substitution's reduced int form is substituted
-    into straight away, and the least t-exponent of the nonzero terms is
-    taken; 0 for the zero map, as valuation.  Nothing is raised back
-    to Laurent coefficients."""
+    """The valuation of outer o f o inner, for outer and inner over
+    K[t, 1/t] and f over K, read off its lowest t-slices: the chain
+    inner -> f -> outer is walked on int forms, f lowered over K with a zero
+    t-slot, keeping only what a window of w t-exponents can reach
+    (_window_step), for w = 1, 2, 4, ...  After the last step a component
+    with a kept term has the valuation of its least one, and a component
+    without has valuation at least its horizon L + w, so the least kept
+    exponent is the answer once it is at most every horizon.  A window that
+    cut no term was the full composition: its least exponent, or 0 for the
+    zero map, as valuation.  Widening on failure, as when alpha commutes
+    with f and the first window cancels, is the restart-on-failure form of
+    relaxed power-series arithmetic (van der Hoeven, "Relax, but don't be
+    too lazy", J. Symb. Comp. 2002).  Nothing is raised back to Laurent
+    coefficients."""
     L = outer.ring
-    f_args = []
+    f_step = []
     for p in f.comps:
         m, den, flat = _lower(L.base, p.terms)
-        f_args.append((den, {(*e, 0): v for e, v in flat.items()}))
-    first = [_reduced(m, den, acc) for den, acc in
-             _compose_lowered(L, m, [_lower(L, p.terms)[1:] for p in outer.comps],
-                              f_args, f.nvars)]
-    second = _compose_lowered(L, m, first, [_lower(L, p.terms)[1:] for p in inner.comps],
-                              f.nvars)
-    return min((e[-1] for _, acc in second for e, v in acc.items() if (v % m if m else v)),
-               default=0)
+        f_step.append((den, {(*e, 0): v for e, v in flat.items()}))
+    steps = (f_step, [_lower(L, p.terms)[1:] for p in outer.comps])
+    args = [_lower(L, p.terms)[1:] for p in inner.comps]
+    # the least t-exponent of each argument, inf for a zero one
+    exact = [min((e[-1] for e in flat), default=math.inf) for _, flat in args]
+    w = 1
+    while True:
+        cur, bounds, cut = args, exact, False
+        for step in steps:
+            cur, bounds, cut_here = _window_step(L, m, step, cur, bounds, w, f.nvars)
+            cut = cut or cut_here
+        least = min((e[-1] for _, flat in cur for e in flat), default=None)
+        if not cut:
+            return 0 if least is None else least
+        if least is not None and all(least <= b + w for b in bounds):
+            return least
+        w *= 2
+
+
+def _window_step(R, m, step, args, bounds, w, nv):
+    """p(args) for each int form p of step, exact on the t-exponents below
+    its bound L + w: (outputs, their bounds L, whether a term was cut).
+    Each argument's t-exponents are at least its bound b (inf for a zero
+    argument), so a step term c x^e t^k adds nothing below its tropical
+    bound k + sum e_i b_i, and L is the least of these; a term on a zero
+    argument vanishes.  A step term of bound >= L + w, or an argument term
+    of t-exponent >= b + w, adds only at L + w or above, so both are cut
+    before _compose_lowered, and the output keeps its terms below L + w."""
+    cut = False
+    trimmed = []
+    for (den, flat), b in zip(args, bounds):
+        keep = {e: v for e, v in flat.items() if e[-1] < b + w}
+        cut = cut or len(keep) < len(flat)
+        trimmed.append((den, keep))
+    polys, lows = [], []
+    for den, P in step:
+        tropical = {e: k for e in P
+                    if (k := e[-1] + sum(j * b for j, b in zip(e, bounds) if j)) != math.inf}
+        low = min(tropical.values(), default=math.inf)
+        keep = {e: P[e] for e, k in tropical.items() if k < low + w}
+        cut = cut or len(keep) < len(tropical)
+        polys.append((den, keep))
+        lows.append(low)
+    out = []
+    for (den, acc), low in zip(_compose_lowered(R, m, polys, trimmed, nv), lows):
+        den, acc = _reduced(m, den, acc)
+        keep = {e: v for e, v in acc.items() if e[-1] < low + w}
+        cut = cut or len(keep) < len(acc)
+        out.append((den, keep))
+    return out, lows, cut
 
 
 def pole_propagation_check(f: PlaneAut, alpha: Endo) -> PolePropagationReport:
@@ -306,7 +374,7 @@ def pole_propagation_check(f: PlaneAut, alpha: Endo) -> PolePropagationReport:
     and one of alpha^-1 f alpha and alpha f^-1 alpha^-1 keeps a pole (the
     dichotomy).  The report says whether each holds; the dichotomy fails
     when, say, alpha commutes with f, as (x1 + 1/t, x2) does with
-    (x1 + x2^2, x2).  The two valuations are read off int forms
+    (x1 + x2^2, x2).  The two valuations are read off the lowest t-slices
     (_conjugate_valuation), without building either conjugate family;
     alpha's inverse is built once (_family_aut).
     RingMismatchError if alpha is not a family over the field of f."""

@@ -67,7 +67,8 @@ compose_many, takes the substituted polynomials as int forms too, so one
 substitution's output feeds the next without a raise: compose_chain applies
 a list of maps one at a time on the left that way, so a factor word is
 recomposed or walked with one lowering and one raising, and
-degeneration.pole_propagation_check reads its valuations off int forms.
+degeneration.pole_propagation_check reads its valuations off int forms,
+their operands cut to the lowest t-slices before each call.
 iterate_chain applies the same steps again and again to build the iterates
 of a map and raises at most the last iterate.  It carries each component's
 degree from step to step: over the integral domains K[x] and K[t, 1/t][x]

@@ -632,6 +632,46 @@ def compose_then_raise_pole_check(f: PlaneAut, alpha) -> dict:
                                  pole or pole_inv, notes).describe()
 
 
+def full_conjugate_valuation(outer: Endo, f: Endo, inner: Endo):
+    """degeneration._conjugate_valuation before it read the lowest t-slices,
+    kept as its oracle: (outer o f) o inner composed in full on int forms,
+    f lowered over K with a zero t-slot and the first substitution's reduced
+    int form substituted into straight away, and the least t-exponent of the
+    nonzero terms taken; 0 for the zero map."""
+    L = outer.ring
+    f_args = []
+    for p in f.comps:
+        m, den, flat = poly._lower(L.base, p.terms)
+        f_args.append((den, {(*e, 0): v for e, v in flat.items()}))
+    first = [poly._reduced(m, den, acc) for den, acc in
+             poly._compose_lowered(L, m, [poly._lower(L, p.terms)[1:] for p in outer.comps],
+                                   f_args, f.nvars)]
+    second = poly._compose_lowered(L, m, first,
+                                   [poly._lower(L, p.terms)[1:] for p in inner.comps], f.nvars)
+    return min((e[-1] for _, acc in second for e, v in acc.items() if (v % m if m else v)),
+               default=0)
+
+
+def sampled_x_alpha(fam: Endo) -> degeneration.XAlphaSet:
+    """degeneration.x_alpha before it stopped at the first nonzero sample of
+    a rank-one slice, kept as its oracle, without the memo: every one of the
+    _X_ALPHA_SAMPLES affine sample points y is sent through the lowest
+    t-slice alpha_tilde, and the distinct normalized images of the nonzero
+    ones are kept in order."""
+    v = valuation(fam)
+    K, m = fam.ring.base, -v
+    tilde = fam.map_coeffs(lambda c: c.get(-m, K.zero), K)
+    points = []
+    for y in degeneration._affine_samples(K, fam.nvars, degeneration._X_ALPHA_SAMPLES):
+        vals = tilde.evaluate(y)
+        if all(K.is_zero(val) for val in vals):
+            continue
+        pt = InfinityPoint.normalize(K, vals)
+        if pt not in points:
+            points.append(pt)
+    return degeneration.XAlphaSet(m, tilde, tuple(points))
+
+
 def conjugated_in_full(f: PlaneAut, c: PlaneAut) -> Endo:
     """c^-1 o f o c over K[t, 1/t], f over K lifted and composed with the
     whole conjugator c."""

@@ -387,6 +387,11 @@ HOSTILE_SWEEP = [
     (0, ["inverse", "(2*x1 + t^-3, t*x2 + 1)"]),
     (0, ["conj-test", "(2*x1 + 3, 1/2*x2)", "(2*x1, 1/2*x2 + 5)", "--field", P61]),
     (1, ["pole-check", "(x1 + 1, x2)", "(t*x1, t^-1*x2)"]),
+    # X_alpha of rank-one and rank-two slices, a cancelling pole check
+    (0, ["xalpha", "(t^-1*x1, 2*t^-1*x1)", "--field", "Fp:1000003"]),
+    (0, ["xalpha", "(t^-1*x1, t^-1*x2)"]),
+    (0, ["xalpha", "(t^-1*x1 + t^-1*x2^2, t^-1*x2)"]),
+    (0, ["pole-check", "(x1 + x2^2, x2)", "(x1 + 1/t, x2)"]),
     (1, ["inverse", HOSTILE]),
     (1, ["inverse", HOSTILE, "--field", "Fp:2"]),
     (1, ["classify", HOSTILE_MIXED]),

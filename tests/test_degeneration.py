@@ -12,11 +12,13 @@ from conftest import (
     conjugated_in_full,
     family_ii_rep,
     family_iv_by_full_conjugation,
+    full_conjugate_valuation,
     rand_affine,
     rand_scalar,
     rand_univariate,
     ring_power,
     sample_regular_word,
+    sampled_x_alpha,
     word_to_plane_aut,
 )
 from planeaut import (
@@ -53,6 +55,7 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F1000003 = PrimeField(1000003)
 
 
 def fam(src, K=Q):
@@ -397,6 +400,116 @@ def test_pole_check_reports_a_failed_dichotomy():
     assert (rep.conjugate_valuation, rep.inverse_conjugate_valuation) == (0, 0)
     assert rep.implication_holds and not rep.dichotomy_holds
     assert rep.describe() == compose_then_raise_pole_check(f, alpha)
+
+
+def _both_valuations(f, alpha, valuate):
+    """nu(alpha^-1 o f o alpha) and nu(alpha o f^-1 o alpha^-1) by valuate."""
+    ainv = degeneration._family_aut(alpha).inv
+    return valuate(ainv, f.fwd, alpha), valuate(alpha, f.inv, ainv)
+
+
+@pytest.mark.parametrize("K", [Q, F2, F5, F1000003], ids=repr)
+def test_conjugate_valuation_matches_the_full_composition_oracle(K):
+    """The windowed valuations equal those of the full composition on
+    seeded maps and families, on the cancelling pair (x1 + x2^2, x2) and
+    (x1 + 1/t, x2), on a first window that cancels over F2, on a family
+    without a pole, and on direct calls whose outer or inner map has a zero
+    component or whose first window cut a term the last one needs."""
+    rng = random.Random(f"{SEED}/conjugate-valuation/{K!r}")
+    maps = [word_to_plane_aut(sample_regular_word(rng, K, 2)) for _ in range(2)]
+    maps += [word_to_plane_aut(_algebraic_word_nontrivial(rng, K, 3)) for _ in range(2)]
+    shear = plane_aut_from_endo(parse_automorphism("(x1 + x2^2, x2)", K))
+    for alpha in _pole_families(rng, K):
+        for f in maps + [shear]:
+            assert (_both_valuations(f, alpha, degeneration._conjugate_valuation)
+                    == _both_valuations(f, alpha, full_conjugate_valuation)), (str(f), str(alpha))
+    assert _both_valuations(shear, fam("(x1 + 1/t, x2)", K),
+                            degeneration._conjugate_valuation) == (0, 0)
+    if K is F2:
+        # the first window of alpha o f^-1 o alpha^-1 cancels in x1 at t^-7
+        # (1 + 1 = 0) and keeps t^-2 in x2, but x1 reaches t^-3
+        f = plane_aut_from_endo(parse_automorphism("(x2^2 + x1 + 1, x2^2 + x1 + x2 + 1)", K))
+        alpha = fam("(t^-1*x2^2 + t^-1*x1 + t^-4, t*x2 + 1)", K)
+        assert _both_valuations(f, alpha, degeneration._conjugate_valuation) == (
+            _both_valuations(f, alpha, full_conjugate_valuation)) == (-10, -3)
+    no_pole = fam("(x1 + t*x2^2 + t^3, x2 + t)", K)
+    assert _both_valuations(maps[0], no_pole, degeneration._conjugate_valuation) == (
+        _both_valuations(maps[0], no_pole, full_conjugate_valuation))
+    L, f = LaurentRing(K), maps[0].fwd
+    zero = MultiPoly.zero(L, 2)
+    alpha = fam("(x1 + t^-2*x2^2, x2 + t^-1)", K)
+    for outer, inner in [(Endo([zero, zero]), alpha), (Endo([zero, alpha.comps[1]]), alpha),
+                         (alpha, Endo([zero, alpha.comps[1]])), (alpha, Endo([zero, zero]))]:
+        assert (degeneration._conjugate_valuation(outer, f, inner)
+                == full_conjugate_valuation(outer, f, inner)), (str(outer), str(inner))
+    assert degeneration._conjugate_valuation(Endo([zero, zero]), f, alpha) == 0
+    # the first window cuts x2 off the inner map, then cancels the outer x1
+    # component and keeps t^4 in x2, though outer o f o inner = (-x2, ...)
+    outer, f, inner = (fam("(x1 - x2, t^5*x2)", K), parse_automorphism("(x1, x1 + x2)", K),
+                       fam("(t^-1*x1 + x2, x2)", K))
+    assert degeneration._conjugate_valuation(outer, f, inner) == 0
+    assert full_conjugate_valuation(outer, f, inner) == 0
+
+
+def test_roadmap_pole_checks_read_few_slices():
+    """Two pole checks whose conjugates have thousands of terms in full but
+    one term in the lowest slice: h^3 for h = (x2, -x1 + 2 x2^3 + x2) over
+    F5 and g^3 for the Henon map g = (x2, -x1 + 3/2 x2^2 - 2) over Q.  Both
+    valuations are pinned; composing the conjugates in full took 5 s and
+    16 s."""
+    start = time.perf_counter()
+    for K, h, a, pinned in [
+            (F5, "(x2, -x1 + 2*x2^3 + x2)", "(x1 + t^-1*x2^4 + t^3*x2^7, x2 + t^-1)", (-186, -312)),
+            (Q, "(x2, -x1 + 3/2*x2^2 - 2)", "(x1 + t^-1*x2^3 + t*x2^5, x2 + t^-2)", (-79, -179))]:
+        f = plane_aut_from_endo(parse_automorphism(h, K)).power(3)
+        rep = pole_propagation_check(f, fam(a, K))
+        assert (rep.conjugate_valuation, rep.inverse_conjugate_valuation) == pinned
+    assert time.perf_counter() - start < 5
+
+
+def _x_alpha_slices(rng, K):
+    """(family, rank of its lowest slice): A o (t^k x1, t^-k x2) for seeded
+    affine A over K and k = 1, -1, 2, (x1 + t^-1 x2^2, x2), and the rank-two
+    (t^-1 x1, t^-1 x2) and (t^-1 x1 + t^-1 x2^2, t^-1 x2)."""
+    L = LaurentRing(K)
+    out = []
+    for k in (1, -1, 2):
+        A = lift_plane_aut(plane_aut_from_endo(rand_affine(rng, K).to_endo()), L).fwd
+        diag = Endo([MultiPoly(L, 2, {(1, 0): {k: K.one}}), MultiPoly(L, 2, {(0, 1): {-k: K.one}})])
+        out.append((A.compose(diag), 1))
+    out.append((fam("(x1 + t^-1*x2^2, x2)", K), 1))
+    out.append((fam("(t^-1*x1, t^-1*x2)", K), 2))
+    out.append((fam("(t^-1*x1 + t^-1*x2^2, t^-1*x2)", K), 2))
+    return out
+
+
+@pytest.mark.parametrize("K", [Q, F2, F5, F1000003], ids=repr)
+def test_x_alpha_matches_the_sampled_oracle(K, monkeypatch):
+    """x_alpha reads the same as the 25-sample loop; a rank-one slice stops
+    at its first nonzero sample, a rank-two slice takes every sample (all 4
+    points of F2^2)."""
+    rng = random.Random(f"{SEED}/x-alpha/{K!r}")
+    taken, samples = [], degeneration._affine_samples
+
+    def counted(*args):
+        for y in samples(*args):
+            taken.append(y)
+            yield y
+
+    monkeypatch.setattr(degeneration, "_affine_samples", counted)
+    ys = list(samples(K, 2, degeneration._X_ALPHA_SAMPLES))
+    for alpha, rank in _x_alpha_slices(rng, K):
+        taken.clear()
+        xs = x_alpha(alpha)
+        nonzero = (i for i, y in enumerate(ys)
+                   if any(not K.is_zero(v) for v in xs.alpha_tilde.evaluate(y)))
+        assert taken == (ys if rank == 2 else ys[:next(nonzero, len(ys) - 1) + 1]), str(alpha)
+        assert xs.describe() == sampled_x_alpha(alpha).describe(), str(alpha)
+    if K is F1000003:
+        # every sample has y1 = 0 over F1000003, so no point survives
+        alpha = fam("(t^-1*x1, 2*t^-1*x1)", K)
+        xs = x_alpha(alpha)
+        assert xs.points == () and xs.describe() == sampled_x_alpha(alpha).describe()
 
 
 def _witnesses():
