@@ -102,6 +102,14 @@ class AffineFactor:
             raise NotSpecialError("affine factor must have determinant 1")
 
     @classmethod
+    def _det_one(cls, ring, a, b, c, d, e, f):
+        """The factor of entries whose ad - bc = 1 holds by construction, as
+        for inverse() and compose(): __init__ without the check."""
+        self = object.__new__(cls)
+        self.ring, self.a, self.b, self.c, self.d, self.e, self.f = ring, a, b, c, d, e, f
+        return self
+
+    @classmethod
     def rotation(cls, ring):
         """(x2, -x1), moving [0:0:1] to [0:1:0]; conjugates (a x1, a^-1 x2) to
         (a^-1 x1, a x2) and (x1, x2 + 1) to (x1 + 1, x2)."""
@@ -141,12 +149,12 @@ class AffineFactor:
         a, b, c, d, e, f = self.a, self.b, self.c, self.d, self.e, self.f
         ie = R.sub(R.mul(b, f), R.mul(d, e))
         jf = R.sub(R.mul(c, e), R.mul(a, f))
-        return AffineFactor(R, d, R.neg(b), R.neg(c), a, ie, jf)
+        return AffineFactor._det_one(R, d, R.neg(b), R.neg(c), a, ie, jf)
 
     def compose(self, other: "AffineFactor") -> "AffineFactor":
         """self o other."""
         (a, b, e), (c, d, f) = _affine_compose(self.ring, self.rows, other.rows)
-        return AffineFactor(self.ring, a, b, c, d, e, f)
+        return AffineFactor._det_one(self.ring, a, b, c, d, e, f)
 
     def as_jonquieres(self) -> "JonquieresFactor":
         if not self.in_intersection:

@@ -30,9 +30,9 @@ and compositions over Q, F_p and K[t, 1/t] run on poly.py's int kernel,
 never through up_mul.  power(x, n, mul, one) is the one repeated-squaring
 routine, behind LaurentRing.pow, the gap powers poly._powers builds on the
 int kernel's term dicts (for MultiPoly.__pow__ and every composition) and
-the Cantor-Zassenhaus split of PrimeField.nth_roots and roots; Q and F_p use
-Python's own ** and pow.  PlaneAut.power composes f o f^k instead, which
-keeps the substituted arguments at deg f.
+the Cantor-Zassenhaus split of PrimeField.roots; Q and F_p use Python's own
+** and pow.  PlaneAut.power composes f o f^k instead, which keeps the
+substituted arguments at deg f.
 
 up_shift(F, P, a, b) = P(a x + b), a != 0, is the one univariate
 substitution, over any ring here (the F_p shift equations run it over
@@ -41,20 +41,27 @@ binomials(n, p), the j with C(n, j) != 0 in characteristic p: by Lucas,
 prod(n_i + 1) of them for the base-p digits n_i of n.  b = 0 keeps P sparse.
 
 Over F_p no routine scans the field; each runs in time polynomial in log p
-(and, for nth_roots, in n):
+(and, for nth_roots, in the g = gcd(n, p - 1) roots it lists):
 
     is_prime            deterministic Miller-Rabin on the first 13 primes,
                         exact below 3.3e24; UnsupportedFieldError above
-    PrimeField.sqrt     Tonelli-Shanks; the smaller of the two roots, as an
-                        int in range(p), or None
+    PrimeField.sqrt     the smaller of the two roots, as an int in
+                        range(p), or None; _root with g = 2, which is
+                        Tonelli-Shanks
     PrimeField.nth_roots
-                        x^n = a reduced to x^g = b, g = gcd(n, p - 1), and
-                        x^g - b split by Cantor-Zassenhaus with the shifts
-                        x + 0, x + 1, ... on the up_* kernel; all roots in
-                        ascending order, the order an ascending scan of F_p
-                        would give, which callers rely on
+                        x^n = a reduced to x^g = b, g = gcd(n, p - 1); one
+                        root x and a zeta of order g from _root, and the g
+                        roots x zeta^j, j < g, sorted: the order an ascending
+                        scan of F_p would give, which callers rely on
+    PrimeField._root    Adleman-Manders-Miller on plain ints: g factored by
+                        trial division, and for each prime q of g, with
+                        q^e || p - 1, a Pohlig-Hellman discrete log in the
+                        q-Sylow subgroup of F_p^*, found from the first q-th
+                        power non-residue 2, 3, ...; O(log p) products per
+                        prime plus O(e^2) powers x^q and a table of q entries
     PrimeField.roots    the roots of a univariate f, ascending: those of
-                        gcd(f, x^p - x), split by the same Cantor-Zassenhaus
+                        gcd(f, x^p - x), split by Cantor-Zassenhaus with the
+                        shifts x + 0, x + 1, ... on the up_* kernel
 
 The degree / valuation of 0 is the dedicated sentinel MINUS_INF, never an
 integer.
@@ -128,6 +135,23 @@ def _iroot(x: int, n: int) -> int:
 # n below this bound (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
+
+
+def _prime_powers(n: int):
+    """[(q, k), ...]: the primes q of n >= 1, ascending, with their
+    exponents k, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            k = 0
+            while n % q == 0:
+                n //= q
+                k += 1
+            out.append((q, k))
+        q += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def is_prime(p: int) -> bool:
@@ -280,7 +304,7 @@ class PrimeField:
     def invert(self, a):
         if a % self.p == 0:
             raise NotInvertibleError(f"division by zero in F{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def pow(self, a, n: int):
         if n < 0:
@@ -288,37 +312,23 @@ class PrimeField:
         return pow(a, n, self.p)
 
     def sqrt(self, a):
-        """The smaller square root of a in range(p), or None (Tonelli-Shanks)."""
+        """The smaller square root of a in range(p), or None: _root's q = 2
+        case, which is Tonelli-Shanks."""
         p = self.p
         a %= p
         if a == 0 or p == 2:
             return a
         if pow(a, (p - 1) // 2, p) != 1:
             return None
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        m = s
-        while t != 1:
-            i, t2 = 1, t * t % p
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            r, c = r * b % p, b * b % p
-            t, m = t * c % p, i
+        r = self._root(a, 2)[0]
         return min(r, p - r)
 
     def nth_roots(self, a, n: int):
         """All x in F_p with x^n = a, ascending.
 
         x^n = a is x^g = b with g = gcd(n, p - 1) and b = a^s, s (n/g) = 1
-        mod (p - 1)/g; the squarefree x^g - b is split by Cantor-Zassenhaus.
+        mod (p - 1)/g; its g roots are x zeta^j, j < g, for the root x and
+        the zeta of order g that _root gives.
         """
         if n < 1:
             raise ValueError("nth_roots needs n >= 1")
@@ -330,8 +340,66 @@ class PrimeField:
         m = (p - 1) // g
         if pow(a, m, p) != 1:
             return []
-        b = pow(a, pow(n // g, -1, m), p)
-        return self._split_linear({g: 1, 0: (-b) % p})
+        x, zeta = self._root(pow(a, pow(n // g, -1, m), p), g)
+        roots = []
+        for _ in range(g):
+            roots.append(x)
+            x = x * zeta % p
+        return sorted(roots)
+
+    def _root(self, b, g):
+        """(x, zeta): x^g = b and zeta of order g, for g | p - 1 and b a
+        nonzero g-th power (Adleman-Manders-Miller).
+
+        p - 1 = s t with s built from the primes of g, so g | s and
+        gcd(g, t) = 1; x = b^u, u = g^-1 mod t, has x^g = b err with
+        err = b^(g u - 1) in the subgroup of order s.  For a prime q of g,
+        q^e || p - 1 and q^f || g, c = z^((p - 1)/q^e) generates the q-Sylow
+        subgroup for the first q-th power non-residue z = 2, 3, ..., and
+        c^(q^(e - f)) has order q^f.  The q-part d of err is a power of
+        c^(q^f).  While d != 1, its order q^j and last = d^(q^(j - 1)), of
+        order q, give the lowest base-q digit of its discrete log
+        (Pohlig-Hellman), and x and d are multiplied by the y and y^g, y of
+        order q^(f + j), that clear that digit; for q = 2 this loop is
+        Tonelli-Shanks.
+        """
+        p = self.p
+        sylow, t = [], p - 1
+        for q, f in _prime_powers(g):
+            e = 0
+            while t % q == 0:
+                t //= q
+                e += 1
+            sylow.append((q, e, f))
+        u = pow(g, -1, t)
+        x, s = pow(b, u, p), (p - 1) // t
+        err = pow(b, g * u - 1, p) if s > g else 1
+        zeta = 1
+        for q, e, f in sylow:
+            z = 2
+            while (omega := pow(z, (p - 1) // q, p)) == 1:
+                z += 1
+            c = pow(z, (p - 1) // q**e, p)
+            zeta = zeta * pow(c, q ** (e - f), p) % p
+            m = s // q**e
+            d = pow(err, m * pow(m, -1, q**e), p) if e > f else 1
+            if d == 1:
+                continue
+            # undo[last] = i: (v^i)^(g q^(j - 1)) = last^-1 for v of order
+            # q^(f + j), as v^(q^(f + j - 1)) is omega for every such v
+            undo = {pow(omega, -(g // q**f) * i % q, p): i for i in range(q)}
+            v, jv = c, e - f
+            while d != 1:
+                last, h, j = d, pow(d, q, p), 1
+                while h != 1:
+                    last = h
+                    h = pow(h, q, p)
+                    j += 1
+                v, jv = pow(v, q ** (jv - j), p), j
+                y = pow(v, undo[last], p)
+                x = x * y % p
+                d = d * pow(y, g, p) % p
+        return x, zeta
 
     def roots(self, f):
         """All x in F_p with f(x) = 0, ascending; f a {degree: coeff} dict.
@@ -350,7 +418,8 @@ class PrimeField:
     def _split_linear(self, f, delta=0):
         """The roots, ascending, of the monic f, a product of distinct linear
         factors; gcd(f, (x + d)^((p-1)/2) - 1) splits f for some
-        d = delta, delta + 1, ...  (p odd whenever deg f >= 2)."""
+        d = delta, delta + 1, ...  (p odd whenever deg f >= 2).  Only roots
+        needs it: nth_roots finds its roots in F_p^* without polynomials."""
         deg = up_deg(self, f)
         if deg < 2:
             return [(-f.get(0, 0)) % self.p] if deg == 1 else []

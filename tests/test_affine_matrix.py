@@ -14,7 +14,13 @@ import random
 
 import pytest
 
-from conftest import SEED, rand_scalar, two_sided_composition, two_sided_conjugation
+from conftest import (
+    SEED,
+    rand_affine,
+    rand_scalar,
+    two_sided_composition,
+    two_sided_conjugation,
+)
 from planeaut import (
     AffineFactor,
     AmalgamWord,
@@ -23,6 +29,7 @@ from planeaut import (
     LaurentRing,
     MultiPoly,
     NotInvertibleError,
+    NotSpecialError,
     PlaneAutError,
     PrimeField,
     RationalField,
@@ -202,3 +209,29 @@ def test_the_matrix_conjugation_check_agrees_with_the_full_compositions(R, compo
                 moved_answers.append(answer)
     assert len(moved_answers) >= 6 * len(_triples(R))
     assert sum(moved_answers) <= len(moved_answers) // 10
+
+
+# -- AffineFactor: the determinant check -------------------------------------
+
+@pytest.mark.parametrize("K", FIELDS, ids=repr)
+def test_a_factor_built_from_outside_keeps_its_determinant_check(K):
+    two = K.from_int(2)
+    for a, b, c, d in [(K.zero, K.zero, K.zero, K.one), (two, K.zero, K.one, K.one)]:
+        with pytest.raises(NotSpecialError, match=r"^affine factor must have determinant 1$"):
+            AffineFactor(K, a, b, c, d)
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=repr)
+def test_inverse_and_compose_equal_the_checked_construction(K):
+    """inverse() and compose() skip the ad - bc = 1 check; their factors
+    equal the ones the checking constructor builds from the same entries,
+    and the maps the Endo compositions give."""
+    rng = random.Random(SEED)
+    for _ in range(MAPS_PER_RING):
+        F, G = rand_affine(rng, K), rand_affine(rng, K, triangular=rng.random() < 0.3)
+        inv, FG = F.inverse(), F.compose(G)
+        for out in (inv, FG):
+            assert type(out) is AffineFactor
+            assert out == AffineFactor(K, out.a, out.b, out.c, out.d, out.e, out.f)
+        assert FG.to_endo() == F.to_endo().compose(G.to_endo())
+        assert F.compose(inv).is_identity and inv.compose(F).is_identity

@@ -20,7 +20,7 @@ from planeaut import (
     factor_to_plane_aut,
     normal_form,
 )
-from planeaut import conjugacy
+from planeaut import conjugacy, rings
 from planeaut.amalgam import _triangularize_affine
 from planeaut.cli import main
 from planeaut.rings import is_prime
@@ -99,6 +99,77 @@ def test_roots_at_a_large_prime():
 def test_nth_roots_rejects_nonpositive_exponent():
     with pytest.raises(ValueError):
         PrimeField(7).nth_roots(1, 0)
+
+
+# p - 1 = 2^6 3, 2^8, 2^4 3^3, 2^6 3^2, 2^8 3: deep 2- and 3-Sylow subgroups
+SMOOTH_PRIMES = [193, 257, 433, 577, 769]
+
+
+@pytest.mark.parametrize("p", SMOOTH_PRIMES)
+def test_nth_roots_match_scan_on_deep_sylow_subgroups(p):
+    F = PrimeField(p)
+    for n in (4, 8, 9, 16, 18, 27, 48, p - 1, 2 * (p - 1)):
+        table = _scan_roots(p, n)
+        for a in range(p):
+            assert F.nth_roots(a, n) == table.get(a, []), (p, a, n)
+
+
+@pytest.mark.parametrize("p", SMOOTH_PRIMES)
+def test_sqrt_is_the_first_square_root(p):
+    F = PrimeField(p)
+    for a in range(p):
+        roots = F.nth_roots(a, 2)
+        assert F.sqrt(a) == (roots[0] if roots else None), (p, a)
+
+
+# p - 1 = 2^4 3^3 5 463; 2 3^2 5^2 7 11 13 31 41 61 151 331 1321;
+# 2 3 17 131 1427 52445056723
+LARGE_PRIME_EXPONENTS = {
+    1000081: [2, 8, 16, 32, 54, 81, 240, 720, 926],
+    2**61 - 1: [2, 4, 18, 27, 50, 90, 450, 1321],
+    10**18 + 3: [2, 6, 12, 34, 2854],
+}
+
+
+@pytest.mark.parametrize("p", sorted(LARGE_PRIME_EXPONENTS))
+def test_nth_roots_at_large_primes(p):
+    """a = y^n has exactly gcd(n, p - 1) roots, distinct, ascending, y among
+    them; a non-residue has none; sqrt is the first root of x^2 = a."""
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for n in LARGE_PRIME_EXPONENTS[p]:
+        g = math.gcd(n, p - 1)
+        for _ in range(3):
+            y = rng.randrange(1, p)
+            a = pow(y, n, p)
+            roots = F.nth_roots(a, n)
+            assert len(roots) == g and y in roots, (n, y)
+            assert all(u < v for u, v in zip(roots, roots[1:]))
+            assert all(pow(x, n, p) == a for x in roots)
+            if n == 2:
+                assert F.sqrt(a) == roots[0]
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // g, p) != 1)
+        assert F.nth_roots(c, n) == [], n
+        if n == 2:
+            assert F.sqrt(c) is None
+
+
+def test_nth_roots_use_no_polynomial_arithmetic(monkeypatch):
+    """The 240 roots of x^240 = 1 at p = 1000081 come from F_p^* alone: no
+    product or division of polynomials, no Cantor-Zassenhaus split."""
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic in nth_roots")
+
+    monkeypatch.setattr(rings, "up_mul", refuse)
+    monkeypatch.setattr(rings, "up_divmod", refuse)
+    monkeypatch.setattr(PrimeField, "_split_linear", refuse)
+    p = 1000081
+    start = time.perf_counter()
+    roots = PrimeField(p).nth_roots(1, 240)
+    elapsed = time.perf_counter() - start
+    assert len(set(roots)) == 240 and roots == sorted(roots) and roots[0] == 1
+    assert all(pow(x, 240, p) == 1 for x in roots)
+    assert elapsed < 0.1
 
 
 # -- the eigenvalue of _triangularize_affine ---------------------------------
@@ -240,12 +311,42 @@ conjugator: (x1, x2)
 check conjugation: true
 """
 
+# x^240 = 1 at p = 1000081 (the family-II scalar system of x2^239): the
+# root 1 gives the identity conjugator
+CONJ_SHEAR_239 = """\
+verdict: yes
+families: ["II", "II"]
+reason: scalar system solved in the base field
+conjugator: (x1, x2)
+check notes: ["normal forms II / II", "family-II solve: scalar system solved in the base field", \
+"certificate verified by composition"]
+check certificate: {"valid": true, "degrees": {"f": 239, "g": 239, "h": 1}, \
+"square_bound": true, "linear_bound": true}
+"""
+# family III with z = 499501 of order 3 at p = 1000003: a^3 = 3 has the roots
+# 50050, 950053, 999903, and the conjugator takes the smallest
+CONJ_III_CUBE = """\
+verdict: yes
+families: ["III", "III"]
+reason: diagonal scalar found in the base field
+conjugator: (50050*x1, 664997*x2)
+check notes: ["normal forms III / III", "power system over exponents [3]", \
+"certificate verified by composition"]
+check certificate: {"valid": true, "degrees": {"f": 2, "g": 2, "h": 1}, \
+"square_bound": true, "linear_bound": true}
+"""
+
 
 @pytest.mark.parametrize("argv,expected", [
     (["classify", DIAG_MAP, "--field", "Fp:1000003"], CLASSIFY_DIAG),
     (["conj-test", DIAG_MAP, "(777777*x1, 392858*x2)", "--field", "Fp:1000003"], CONJ_DIAG),
     (["classify", "(x1 + x2^2, x2)", "--field", "Fp:1000000000000000003"], CLASSIFY_SHEAR),
-], ids=["classify-diag", "conj-test-diag", "classify-shear-1e18"])
+    (["conj-test", "(x1 + x2^239, x2)", "(x1 + x2^239, x2)", "--field", "Fp:1000081"],
+     CONJ_SHEAR_239),
+    (["conj-test", "(499501*x1 + x2^2, 500501*x2)", "(499501*x1 + 3*x2^2, 500501*x2)",
+      "--field", "Fp:1000003"], CONJ_III_CUBE),
+], ids=["classify-diag", "conj-test-diag", "classify-shear-1e18", "conj-test-shear-239",
+        "conj-test-iii-cube"])
 def test_large_prime_cli(argv, expected, capsys):
     start = time.perf_counter()
     rc = main(argv)
