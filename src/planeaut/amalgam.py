@@ -24,32 +24,28 @@ Aff ∩ J, so the word decides growth for every c (Jung-van der Kulk holds for
 Aut(A^2) = Aff *_(Aff ∩ J) J); plane_aut_from_endo factors once, keeps it,
 and _cyclic_reduction keeps the map's cyclic reduction the same way.
 
-plane_aut_from_endo certifies the inverse inv = s_c^-1 o recompose(w^-1) it
-builds along the word w = [F_1, ..., F_n] (_check_inverse_by_word): e is
-walked through F_1^-1, ..., F_n^-1, s_c^-1 and s_c o inv through F_n, ...,
-F_1, one factor at a time on the left, and both walks must end at the
-identity.  The first gives inv o e = id, the second R o inv = id for
-R = recompose(w) o s_c, so e = R o inv o e = R and e o inv = id too.  Every
-partial product of a correct walk is a subword's map or its inverse, of
-degree <= deg e, where the full compositions fwd o inv and inv o fwd
-(PlaneAut.verify) build intermediates of degree (deg e)^2.  A map of degree
-<= 1 is a single affine factor, and its 2x3 matrix (linear part and
-translation) is the whole map: for it both identities are 2x3 matrix
-products read off the stored polynomials (_affine_compose), with no walk.
+Every identity A o X = B o Y the package certifies (inverses, conjugations,
+degeneration witnesses) is checked by _composites_agree: each side a list
+of maps, multiplied as 2x3 matrices (linear part and translation) when all
+have degree <= 1, else walked one map at a time on the left (compose_chain).
+plane_aut_from_endo certifies the inverse inv = s_c^-1 o recompose(w^-1)
+it builds along the word w = [F_1, ..., F_n] (_check_inverse_by_word): e
+walked through F_1^-1, ..., F_n^-1 must give s_c, and inv through s_c,
+F_n, ..., F_1 the identity, neither walk building a degree above deg e.
 
 Conjugators are factor words too.  The cyclic reduction prepends F1^-1 to a
 factor tuple at each rotation, the triangularization prepends its affine g,
 and conjugacy.normal_form and the conjugacy decision prepend and join such
 tuples; AmalgamWord.to_plane_aut reduces the result once, expands its map
 once, and its inverse only when PlaneAut.inv is first read.  A conjugation
-g = h o f o h^-1 is checked as h o f = g o h (_check_conjugation), with
-h o f built by walking f through h's word, so h^-1 is not built at all;
-when h, f and g all have degree <= 1, h o f and g o h are matrix products.
+g = h o f o h^-1 is checked as h o f = g o h (_check_conjugation), f walked
+through h's word, so h^-1 is not built at all.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .endo import Endo, PlaneAut
@@ -66,24 +62,23 @@ from .rings import MINUS_INF, LaurentRing, up_add, up_deg, up_scale, up_shift, u
 
 
 _AFFINE_EXPS = ((1, 0), (0, 1), (0, 0))
+_AFFINE_KEYS = frozenset(_AFFINE_EXPS)
 
 
 def _affine_compose(R, M, N):
     """M o N for maps of degree <= 1 of any Jacobian, each as its 2x3 matrix
     ((a, b, e), (c, d, f)), the map (a x1 + b x2 + e, c x1 + d x2 + f)."""
     (na, nb, ne), (nc, nd, nf) = N
-    return tuple((R.add(R.mul(a, na), R.mul(b, nc)), R.add(R.mul(a, nb), R.mul(b, nd)),
-                  R.add(R.add(R.mul(a, ne), R.mul(b, nf)), e)) for a, b, e in M)
+    add, mul = R.add, R.mul
+    return tuple([(add(mul(a, na), mul(b, nc)), add(mul(a, nb), mul(b, nd)),
+                   add(add(mul(a, ne), mul(b, nf)), e)) for a, b, e in M])
 
 
 def _matrix(R, term_dicts):
     """The 2x3 matrix of a map of degree <= 1 given by the term dicts of its
     components."""
-    return tuple(tuple(t.get(m, R.zero) for m in _AFFINE_EXPS) for t in term_dicts)
-
-
-def _matrix_eq(R, M, N) -> bool:
-    return all(R.eq(x, y) for row, other in zip(M, N) for x, y in zip(row, other))
+    z = R.zero
+    return tuple([(t.get((1, 0), z), t.get((0, 1), z), t.get((0, 0), z)) for t in term_dicts])
 
 
 class AffineFactor:
@@ -477,77 +472,75 @@ def _word_of_descent(R, ops, final, c) -> AmalgamWord:
     """The reduced word of _reduction_ops' (ops, final) for the map of
     Jacobian c: its last affine factor is final o s_c^-1."""
     ci = R.invert(c)
-    (a, b, e), (cc, d, f) = _matrix(R, (p.terms for p in final.comps))
+    (a, b, e), (cc, d, f) = _matrix(R, final.term_dicts())
     last = AffineFactor(R, R.mul(a, ci), b, R.mul(cc, ci), d, e, f)
     return reduce_word(AmalgamWord(R, [op.inverse() for op in ops] + [last]))
 
 
+def _composites_agree(R, left, right, bound=None):
+    """Whether two composites of plane maps over R agree, each side a
+    nonempty list of compose_chain steps applied first to last; None when
+    the walk of left refuses a step above bound, before building it.  Every
+    identity the package certifies is checked here: as products of 2x3
+    matrices (_affine_compose) when no map has a term off x1, x2 and 1, so
+    no polynomial is built, else walking each side one map at a time on the
+    left.  Values are compared with ==, as every ring keeps them canonical."""
+    if all(map(_AFFINE_KEYS.issuperset, itertools.chain(*left, *right))):
+        return _side_matrix(R, left) == _side_matrix(R, right)
+    out = _walk(R, left, bound)
+    return None if out is None else out == _walk(R, right)
+
+
+def _side_matrix(R, side):
+    out = _matrix(R, side[0])
+    for step in side[1:]:
+        out = _affine_compose(R, _matrix(R, step), out)
+    return out
+
+
+def _walk(R, side, bound=None):
+    if len(side) == 1:
+        return tuple(side[0])
+    out = compose_chain([MultiPoly(R, 2, t, _clean=False) for t in side[0]], side[1:], bound)
+    return None if out is None else tuple(p.terms for p in out)
+
+
 def _check_inverse_by_word(e: Endo, inv: Endo, word: AmalgamWord, c) -> None:
-    """Certify inv o e = id and e o inv = id on the stored polynomials, for
-    inv = s_c^-1 o G_n o ... o G_1 recomposed from G_i = F_i^-1 and the word
-    w = [F_1, ..., F_n] of e, s_c = (c x1, x2); NotInvertibleError if not.
-
-    Two walks apply one factor at a time on the left (poly.compose_chain):
-    C takes e through G_1, ..., G_n, s_c^-1 to inv o e, as inv is that
-    recomposition; B takes s_c o inv through F_n, ..., F_1 to R o inv for
-    R = F_1 o ... o F_n o s_c.  Both must give the identity.  Then
-    e = R o (inv o e) = R, so e o inv = R o inv = id as well.
-    w is reduced, so every partial product of a correct walk is the map of a
-    subword or its inverse, of degree <= deg e; a step that would exceed it
-    fails before it is built, which bounds the work on any input.  Each step
-    substitutes into a map of degree <= deg e, where fwd o inv and inv o fwd
-    build intermediates of degree (deg e)^2 before they cancel to (x1, x2).
-
-    A map of degree <= 1 is its 2x3 matrix (_matrix), and so is each map
-    that a correct check reads: when deg e <= 1, inv and every factor of w
-    must have degree <= 1 too, and inv o e = id and R o inv = id are two
-    matrix products (_affine_compose) instead of the two walks."""
+    """Certify inv o e = id and e o inv = id for inv = s_c^-1 o G_n o ... o
+    G_1, G_i = F_i^-1 for the word w = [F_1, ..., F_n] of e and
+    s_c = (c x1, x2); NotInvertibleError if not.  Two walks
+    (_composites_agree), neither dividing by c: e through G_1, ..., G_n must
+    give s_c, so inv o e = id; inv through s_c, F_n, ..., F_1 the identity,
+    so R o inv = id for R = F_1 o ... o F_n o s_c, and e = R o inv o e = R.
+    w is reduced, so every partial product of a correct walk, a subword's
+    map or its inverse, has degree <= deg e, the walks' bound, where
+    fwd o inv builds degree (deg e)^2 before it cancels to (x1, x2)."""
     R = e.ring
-    if e.degree <= 1:
-        if inv.degree > 1 or any(fac.degree > 1 for fac in word):
-            raise NotInvertibleError("forward and inverse do not compose to the identity")
-        m_inv = _matrix(R, (p.terms for p in inv.comps))
-        first, second = m_inv
-        walked = (tuple(R.mul(c, x) for x in first), second)  # s_c o inv
-        for fac in reversed(word.factors):
-            walked = _affine_compose(R, _matrix(R, fac.term_dicts()), walked)
-        ident = ((R.one, R.zero, R.zero), (R.zero, R.one, R.zero))
-        inv_e = _affine_compose(R, m_inv, _matrix(R, (p.terms for p in e.comps)))
-        if not (_matrix_eq(R, inv_e, ident) and _matrix_eq(R, walked, ident)):
-            raise NotInvertibleError("forward and inverse do not compose to the identity")
-        return
-    ident = Endo.identity(R, 2)
-    for start, steps in ((e, word.chain_steps(c, inverse=True)), (inv, word.chain_steps(c))):
-        out = compose_chain(start.comps, steps, e.degree)
-        if out is None or Endo(out) != ident:
+    u, v = inv.term_dicts()
+    if not R.eq(c, R.one):
+        u = {m: R.mul(c, x) for m, x in u.items()}  # s_c o inv
+    for left, c_out in (([e.term_dicts(), *word.chain_steps(R.one, inverse=True)], c),
+                        ([(u, v), *word.chain_steps(R.one)], R.one)):
+        if not _composites_agree(R, left, [({(1, 0): c_out}, {(0, 1): R.one})], e.degree):
             raise NotInvertibleError("forward and inverse do not compose to the identity")
 
 
 def _check_conjugation(h: PlaneAut, f: PlaneAut, g: PlaneAut) -> bool:
-    """g = h o f o h^-1, checked as h o f = g o h, the same identity since h
-    is an automorphism; RingMismatchError if the three rings differ.
-
-    h o f is built by walking f on the left through the word of h =
-    F_1 o ... o F_n o s_c: s_c (when c != 1), then F_n, ..., F_1, one factor
-    at a time (poly.compose_chain), bounded by max(deg f, deg g * deg h),
-    where h o f o h^-1 would build degree deg h * deg f * deg h before it
-    cancels to deg g.  A walk that refuses a step, an h with no word, and a
-    word of one step (one substitution either way) compose h o f in full.
-    When h, f and g all have degree <= 1, h o f and g o h are products of
-    their 2x3 matrices (_affine_compose), of any Jacobian."""
+    """g = h o f o h^-1, checked as h o f = g o h (_composites_agree), the
+    same identity since h is an automorphism; RingMismatchError if the rings
+    differ.  h o f walks f through the word of h = F_1 o ... o F_n o s_c,
+    bounded by max(deg f, deg g * deg h), where h o f o h^-1 builds degree
+    deg h * deg f * deg h; an h with no word or one factor, or a refused
+    walk, is the one step h.fwd, unbounded.  g o h is h.fwd, then g."""
     if not f.ring == g.ring == h.ring:
         raise RingMismatchError(
             f"conjugation of maps over {f.ring!r} and {g.ring!r} by one over {h.ring!r}")
-    if max(h.degree, f.degree, g.degree) <= 1:
-        R = h.ring
-        mh, mf, mg = (_matrix(R, (p.terms for p in a.fwd.comps)) for a in (h, f, g))
-        return _matrix_eq(R, _affine_compose(R, mh, mf), _affine_compose(R, mg, mh))
-    steps = [] if h.word is None else h.word.chain_steps(h.jac)
+    R, start, right = h.ring, f.fwd.term_dicts(), [h.fwd.term_dicts(), g.fwd.term_dicts()]
     out = None
-    if len(steps) > 1:
-        out = compose_chain(f.fwd.comps, steps, max(f.degree, g.degree * h.degree))
-    hf = h.fwd.compose(f.fwd) if out is None else Endo(out)
-    return hf == g.fwd.compose(h.fwd)
+    if h.word is not None and len(h.word) > 1:
+        out = _composites_agree(R, [start, *h.word.chain_steps(h.jac)], right,
+                                max(f.degree, g.degree * h.degree))
+    return _composites_agree(R, [start, right[0]], right) if out is None else out
 
 
 def _check_jacobian(e: Endo) -> MultiPoly:
@@ -587,7 +580,7 @@ def _descent(e: Endo):
     try:
         ops, final = _reduction_ops(e)
         R = e.ring
-        (a, b, _), (cc, d, _) = _matrix(R, (p.terms for p in final.comps))
+        (a, b, _), (cc, d, _) = _matrix(R, final.term_dicts())
         c = R.sub(R.mul(a, d), R.mul(b, cc))
         if R.is_zero(c):
             raise NotInvertibleError("Jacobian determinant is not a nonzero constant")

@@ -14,6 +14,7 @@ import sys
 
 from .amalgam import (
     _check_conjugation,
+    _composites_agree,
     henon_invariants,
     henon_normalize,
     jvdk_factor,
@@ -112,7 +113,7 @@ def _cmd_factor(field, inputs, args):
         "factors": [fac.describe() for fac in word.factors],
         "degrees": degs,
         "length": len(word.factors),
-    }, {"recomposition": word.recompose() == e}
+    }, {"recomposition": _composites_agree(e.ring, word.chain_steps(e.ring.one), [e.term_dicts()])}
 
 
 def _cmd_classify(field, inputs, args):

@@ -45,6 +45,7 @@ from .amalgam import (
     AmalgamWord,
     JonquieresFactor,
     _check_conjugation,
+    _composites_agree,
     _cyclic_reduction,
     _finish_normalization,
     factor_to_plane_aut,
@@ -476,15 +477,15 @@ def are_conjugate_algebraic(f: PlaneAut, g: PlaneAut) -> ConjugacyResult:
     def finish(verdict, h_fam=(), reason=""):
         """h_fam, the factors of a conjugator from rep_f to rep_g, becomes
         the conjugator w_g^-1 h_fam w_f from f to g, w the normal forms'
-        conjugator words, built as one word.  Its check is h_fam o rep_f =
-        rep_g o h_fam on the representatives: rep = w o (map) o w^-1 is
-        already verified for both normal forms, so g = conj o f o conj^-1
-        follows, without a composition of g's degree."""
+        conjugator words, built as one word.  Its check walks rep_f through
+        h_fam's factors, h_fam o rep_f = rep_g o h_fam (_composites_agree):
+        rep = w o (map) o w^-1 is already verified for both normal forms, so
+        g = conj o f o conj^-1 follows, without a composition of g's degree."""
         conj = None
         if verdict == "yes":
-            rep_f, rep_g = nf_f.aut, nf_g.aut
-            if not (_check_conjugation(AmalgamWord(ring, h_fam).to_plane_aut(), rep_f, rep_g)
-                    if h_fam else rep_f.fwd == rep_g.fwd):
+            steps = AmalgamWord(ring, h_fam).chain_steps(ring.one)
+            if not _composites_agree(ring, [nf_f.aut.fwd.term_dicts(), *steps],
+                                     [*steps, nf_g.aut.fwd.term_dicts()]):
                 raise PlaneAutError("assembled conjugator failed its composition check")
             conj = AmalgamWord(ring, nf_g.conjugator.word.inverse_word().factors + h_fam
                                + nf_f.conjugator.word.factors).to_plane_aut()

@@ -31,7 +31,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .amalgam import JonquieresFactor, _check_jacobian, factor_to_plane_aut, plane_aut_from_endo
+from .amalgam import (
+    JonquieresFactor,
+    _check_jacobian,
+    _composites_agree,
+    factor_to_plane_aut,
+    plane_aut_from_endo,
+)
 from .conjugacy import _mult_order, expand_family_poly
 from .endo import Endo, InfinityPoint, PlaneAut, indeterminacy_point
 from .errors import (
@@ -135,8 +141,8 @@ def _formal_inverse(e: Endo):
     """The inverse of a plane family over K[t, 1/t] as the truncation of its
     formal inverse, or None when e is no automorphism: e at one of the first
     _SPECIALIZATIONS points t = a of K* fails the descent over K, the
-    formal inverse has a term of degree d + 1, or the result fails the
-    two-sided composition check.
+    formal inverse has a term of degree d + 1, or e o inv is not the
+    identity (one composition decides both sides, Endo.is_inverse).
 
     With F0 = e - e(0) = L x + H, H of order >= 2, the iteration
     G <- L^-1 (x - H(G)), truncated to degree k for k = 2..d+1, d = deg e,
@@ -188,7 +194,8 @@ def _formal_inverse(e: Endo):
         return None
     shift = [xi - MultiPoly.const(R, 2, p.constant_value()) for xi, p in zip(x, e.comps)]
     inv = Endo(G).compose(Endo(shift))
-    return inv if e.is_inverse(inv) else None
+    return inv if _composites_agree(R, [inv.term_dicts(), e.term_dicts()],
+                                    [ident.term_dicts()]) else None
 
 
 # -- the limit set at infinity ----------------------------------------------
@@ -406,8 +413,9 @@ class DegenerationWitness:
     """F = conjugator^-1 o f o conjugator over K[t,1/t], with ord-0 value.
 
     The degenerate_family_* constructors build family by conjugation (family
-    IV from alpha^-1 o f o alpha) and check its limit; verify() conjugates f
-    again, in full, and compares, for a witness built or changed elsewhere."""
+    IV from alpha^-1 o f o alpha) and check its limit; verify() and
+    specialization_check walk the conjugator through f and its inverse and
+    compare (amalgam._composites_agree), for a witness built elsewhere."""
     source: PlaneAut
     family_tag: str
     conjugator: PlaneAut
@@ -416,18 +424,20 @@ class DegenerationWitness:
     params: dict = field(default_factory=dict)
 
     def verify(self) -> bool:
-        if _conjugated_family(self.source, self.conjugator).fwd != self.family.fwd:
-            return False
-        v = valuation(self.family.fwd)
-        if v is not MINUS_INF and v < 0:
-            return False
-        return value_at_zero(self.family.fwd) == self.limit
+        c, F = self.conjugator, self.family.fwd
+        side = [c.fwd, lift_endo(self.source.fwd, c.ring), c.inv]
+        v = valuation(F)
+        return (_composites_agree(c.ring, [e.term_dicts() for e in side], [F.term_dicts()])
+                and (v is MINUS_INF or v >= 0) and value_at_zero(F) == self.limit)
 
     def specialization_check(self, c) -> bool:
         """F(c) = conjugator(c)^-1 o f o conjugator(c) for a nonzero c."""
-        hc = specialize(self.conjugator.fwd, c)
-        hc_inv = specialize(self.conjugator.inv, c)
-        return hc_inv.compose(self.source.fwd).compose(hc) == specialize(self.family.fwd, c)
+        h = self.conjugator
+        side = [specialize(h.fwd, c), self.source.fwd, specialize(h.inv, c)]
+        if side[1].ring != side[0].ring:
+            raise RingMismatchError("compose over different rings")
+        return _composites_agree(self.source.ring, [e.term_dicts() for e in side],
+                                 [specialize(self.family.fwd, c).term_dicts()])
 
     def describe(self):
         R = self.source.ring
@@ -467,8 +477,8 @@ def _conjugated_family(g: PlaneAut, conjugator: PlaneAut) -> PlaneAut:
 
 def _witness(f, tag, conjugator, fam, expected_limit, params=None) -> DegenerationWitness:
     """The witness of f along conjugator, whose family fam = conjugator^-1 o
-    f o conjugator the caller built by conjugation, so its limit at t = 0 is
-    the one check left; verify() would compose the same family again."""
+    f o conjugator the caller built by conjugation (_conjugated_family), so
+    its limit at t = 0 is the one check left; verify() would check it again."""
     limit = value_at_zero(fam.fwd)
     if limit != expected_limit:
         raise PlaneAutError(f"degeneration limit mismatch for family {tag}")

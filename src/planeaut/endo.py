@@ -98,6 +98,10 @@ class Endo:
         (G o F)* = F* G* = id."""
         return self.compose(other) == Endo.identity(self.ring, self.nvars)
 
+    def term_dicts(self) -> tuple:
+        """The term dicts of the components: the map as a compose_chain step."""
+        return tuple([c.terms for c in self.comps])
+
     def highest_part(self) -> "Endo":
         """Component-wise degree-d homogeneous part, d = deg of the whole map."""
         d = self.degree
@@ -169,12 +173,8 @@ class PlaneAut:
     verify=True, the default, checks a map a library caller builds by hand,
     input from outside: verify() composes fwd o inv and inv o fwd in full,
     building the inverse if it is deferred.  Every PlaneAut the package
-    builds passes verify=False, as its inverse is certified along the factor
-    word, one factor at a time (amalgam.plane_aut_from_endo), or built from
-    such maps, and conjugation identities walk the conjugator's word
-    (amalgam._check_conjugation).  A map of degree <= 1 is certified by
-    products of 2x3 matrices (linear part and translation) instead, both as
-    an inverse and in a conjugation of three such maps."""
+    builds passes verify=False: its inverse is certified along its factor
+    word by amalgam._composites_agree, or it is built from such maps."""
 
     __slots__ = ("fwd", "_inv", "jac", "word", "reduction", "nf")
 
@@ -404,7 +404,7 @@ def _iterates(f, count: int, inverse: bool = False, keep: bool = False):
     else:
         e, word = f, None
     groups = [] if word is None else word.step_groups(f.jac, inverse)
-    steps = [[p.terms for p in e.comps]]
+    steps = [e.term_dicts()]
     if len(groups) > 1:
         ident = Endo.identity(e.ring, 2).comps
         steps = [group[0] if len(group) == 1 else [p.terms for p in compose_chain(ident, group)]

@@ -153,12 +153,6 @@ class MultiPoly:
         return cls(ring, nvars, {e: ring.one}, _clean=False)
 
     @classmethod
-    def monomial(cls, ring, nvars, exps, c):
-        if ring.is_zero(c):
-            return cls.zero(ring, nvars)
-        return cls(ring, nvars, {tuple(exps): c}, _clean=False)
-
-    @classmethod
     def from_int(cls, ring, nvars, n):
         return cls.const(ring, nvars, ring.from_int(n))
 

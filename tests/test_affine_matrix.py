@@ -10,6 +10,7 @@ for conjugations.  The maps are seeded, of any Jacobian over Q, F5 and
 F1000003 (F2* = {1}), and families over Q[t, 1/t] and F5[t, 1/t] whose
 determinants are t-monomials.
 """
+import collections
 import random
 
 import pytest
@@ -35,6 +36,7 @@ from planeaut import (
     RationalField,
     plane_aut_from_endo,
 )
+from planeaut import amalgam, poly
 from planeaut.amalgam import _check_conjugation, _check_inverse_by_word
 
 Q = RationalField()
@@ -209,6 +211,54 @@ def test_the_matrix_conjugation_check_agrees_with_the_full_compositions(R, compo
                 moved_answers.append(answer)
     assert len(moved_answers) >= 6 * len(_triples(R))
     assert sum(moved_answers) <= len(moved_answers) // 10
+
+
+@pytest.fixture
+def lean_path(monkeypatch):
+    """Counts of the checks amalgam._composites_agree runs, of the MultiPoly
+    constructions made inside it, and of compose_chain calls anywhere in
+    amalgam or poly."""
+    counts, inside = collections.Counter(), []
+    agree, chain, init = amalgam._composites_agree, amalgam.compose_chain, MultiPoly.__init__
+
+    def spied_agree(*args):
+        counts["checks"] += 1
+        inside.append(1)
+        try:
+            return agree(*args)
+        finally:
+            inside.pop()
+
+    def spied_init(self, *args, **kwargs):
+        if inside:
+            counts["polys_inside"] += 1
+        init(self, *args, **kwargs)
+
+    def spied_chain(*args):
+        counts["chains"] += 1
+        return chain(*args)
+
+    monkeypatch.setattr(amalgam, "_composites_agree", spied_agree)
+    monkeypatch.setattr(MultiPoly, "__init__", spied_init)
+    for module in (amalgam, poly):
+        monkeypatch.setattr(module, "compose_chain", spied_chain)
+    return counts
+
+
+@pytest.mark.parametrize("R", [Q, F1000003, LaurentRing(Q)], ids=repr)
+def test_the_matrix_path_builds_no_polynomial_and_walks_nothing(R, lean_path):
+    """On degree-1 maps, plane_aut_from_endo and _check_conjugation reach
+    the one check, which builds no MultiPoly, and nothing calls
+    compose_chain: the 2x3 matrices are read off the stored term dicts."""
+    triples = _triples(R)
+    lean_path.clear()
+    for e in _corpus(R):
+        plane_aut_from_endo(e)
+    assert dict(lean_path) == {"checks": 2 * MAPS_PER_RING}
+    lean_path.clear()
+    for h, f, g in triples:
+        assert _check_conjugation(h, f, g)
+    assert dict(lean_path) == {"checks": len(triples)}
 
 
 # -- AffineFactor: the determinant check -------------------------------------

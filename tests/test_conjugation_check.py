@@ -133,12 +133,13 @@ def walks(monkeypatch):
 
 @pytest.mark.parametrize("K", FIELDS, ids=repr)
 def test_fallback_paths_agree_with_the_oracle(K, walks):
-    # a conjugator with no word, as PlaneAut.compose builds them: no walk
+    # a conjugator with no word, as PlaneAut.compose builds them: h o f and
+    # g o h, each one unbounded step h.fwd or g
     for h, f, g in _certificates(K)[:3]:
         bare = PlaneAut(h.fwd, h.inv, verify=False)
         walks.clear()
         assert _check_conjugation(bare, f, g) and two_sided_conjugation(bare, f, g)
-        assert walks == []
+        assert len(walks) == 2 and walks[0] == walks[1]
     # h = J A J of degree 4 against f of degree 3 and g = id: the walk is
     # bounded by max(3, 1 * 4) and J o A o (J o f) reaches degree 6
     rng = random.Random(f"{SEED}/refused/{K!r}")
@@ -149,7 +150,8 @@ def test_fallback_paths_agree_with_the_oracle(K, walks):
     g = PlaneAut.identity(K)
     walks.clear()
     assert _check_conjugation(h, f, g) is False
-    assert walks == [None]
+    # the bounded walk refuses, then h o f and g o h are one step each
+    assert len(walks) == 3 and walks[0] is None and None not in walks[1:]
     assert two_sided_conjugation(h, f, g) is False
 
 
@@ -208,13 +210,13 @@ def test_every_yes_passes_the_full_checks(K, monkeypatch):
     """A yes certificate is checked on the two representatives, and still
     passes verify_conjugacy_certificate and the two-sided oracle on f and
     g."""
-    checked, inner = [], conjugacy._check_conjugation
+    checked, inner = [], conjugacy._composites_agree
 
-    def spy(h, f, g):
-        checked.append((f, g))
-        return inner(h, f, g)
+    def spy(R, left, right, bound=None):
+        checked.append((left[0], right[-1]))
+        return inner(R, left, right, bound)
 
-    monkeypatch.setattr(conjugacy, "_check_conjugation", spy)
+    monkeypatch.setattr(conjugacy, "_composites_agree", spy)
     pairs = [(f, g) for _, f, g in _family_pairs() if f.ring == K]
     if K != F3:
         pairs += _yes_pairs(K)
@@ -224,7 +226,7 @@ def test_every_yes_passes_the_full_checks(K, monkeypatch):
         res = decide_conjugacy(f, g)
         h = res.conjugator
         assert res.verdict == "yes", res.reason
-        assert all(pair == (nf_f.aut, nf_g.aut) for pair in checked)
+        assert checked == [(nf_f.aut.fwd.term_dicts(), nf_g.aut.fwd.term_dicts())]
         assert verify_conjugacy_certificate(f, g, h).valid and two_sided_conjugation(h, f, g)
 
 

@@ -658,3 +658,69 @@ def test_one_changed_family_coefficient_fails_verify(tag, build):
             bad = DegenerationWitness(w.source, w.family_tag, w.conjugator,
                                       SimpleNamespace(fwd=Endo(comps)), w.limit, w.params)
             assert not bad.verify(), (i, exps)
+
+
+# -- verify() and specialization_check against the full conjugation -----------
+
+def _differential_witnesses(K):
+    """Valid witnesses over K: families ii and iii over Q and F7, iv (F1 and
+    F2) over F2, F3, F5 and F7."""
+    if K.characteristic == 0:
+        return [degenerate_family_ii(K, {2: Fraction(1), 0: Fraction(3)}),
+                degenerate_family_ii(K, {3: Fraction(-2), 1: Fraction(1, 2)}),
+                degenerate_family_iii(K, Fraction(-1), 2, {1: Fraction(1), 0: Fraction(1)})]
+    out = [degenerate_family_iv(K, {1: 1}, variant) for variant in ("F1", "F2")]
+    out.append(degenerate_family_iv(K, {K.characteristic: 1, 0: 1}, "F1"))
+    if K is F7:
+        out += [degenerate_family_ii(K, {2: 3, 0: 1}), degenerate_family_iii(K, 2, 3, {0: 1, 1: 5})]
+    return out
+
+
+def _moved(rng, e, k):
+    """The family or conjugator e with the t^k coefficient of one of its
+    terms moved by 1."""
+    L, i = e.ring, rng.randrange(2)
+    terms = dict(e.comps[i].terms)
+    exps = rng.choice(sorted(terms))
+    terms[exps] = L.add(terms[exps], {k: L.base.one})
+    comps = list(e.comps)
+    comps[i] = MultiPoly(L, 2, terms)
+    return Endo(comps)
+
+
+def _specialized_oracle(w, s):
+    return specialize(conjugated_in_full(w.source, w.conjugator), s) == specialize(w.family.fwd, s)
+
+
+@pytest.mark.parametrize("K", [Q, F2, F3, F5, F7], ids=repr)
+def test_witness_checks_agree_with_the_full_conjugation(K):
+    """verify() and specialization_check walk the conjugator through f and
+    its inverse; conftest.conjugated_in_full, c^-1 o f o c composed in full,
+    is the oracle.  Valid witnesses pass both.  Each witness is then checked
+    with one coefficient of F moved by t, which keeps its limit, or one of
+    c or c^-1 moved by 1 or t: both checks give the oracle's answer, and at
+    least one moved witness fails."""
+    rng = random.Random(f"{SEED}/witness-differential/{K!r}")
+    points = [a for a in (1, 2, 3) if not K.is_zero(K.from_int(a))]
+    verdicts = []
+    for w in _differential_witnesses(K):
+        assert conjugated_in_full(w.source, w.conjugator) == w.family.fwd
+        assert w.verify() and all(w.specialization_check(K.from_int(a)) for a in points)
+        c, L = w.conjugator, w.conjugator.ring
+        for trial in range(6):
+            family, fwd, inv = w.family, c.fwd, c.inv
+            if trial % 3 == 0:
+                family = SimpleNamespace(fwd=_moved(rng, family.fwd, 1))
+            elif trial % 3 == 1:
+                fwd = _moved(rng, fwd, rng.randrange(2))
+            else:
+                inv = _moved(rng, inv, rng.randrange(2))
+            bad = DegenerationWitness(w.source, w.family_tag, SimpleNamespace(fwd=fwd, inv=inv, ring=L),
+                                      family, w.limit, w.params)
+            want = conjugated_in_full(bad.source, bad.conjugator) == bad.family.fwd
+            assert bad.verify() == want, (w.family_tag, trial)
+            for a in points:
+                s = K.from_int(a)
+                assert bad.specialization_check(s) == _specialized_oracle(bad, s), (w.family_tag, a)
+            verdicts.append(want)
+    assert not all(verdicts)

@@ -1,7 +1,7 @@
 """plane_aut_from_endo certifies each inverse along the factor word.
 
-amalgam._check_inverse_by_word walks e through the inverse factors and
-s_c o inv through the factors, one factor at a time on the left, where
+amalgam._check_inverse_by_word walks e through the inverse factors to s_c
+and s_c o inv through the factors, one factor at a time on the left, where
 PlaneAut.verify composes fwd o inv and inv o fwd in full.  That old check,
 conftest.two_sided_composition, is the oracle: every map the walk accepts
 passes it, and a wrong inverse, a wrong factor inverse or a reversed
@@ -184,6 +184,22 @@ def test_the_word_and_inverse_of_another_map_are_rejected(K):
         assert str(exc.value) == NOT_INVERSE
 
 
+@pytest.mark.parametrize("K", [Q, F5], ids=repr)
+@pytest.mark.parametrize("src", ["(t*x1 + x2^2, 1/t*x2)", "(t*x1 + x2, 1/t*x2)"],
+                         ids=["walk", "matrix"])
+def test_a_wrong_non_unit_jacobian_is_rejected_alike_on_both_paths(K, src):
+    """A family of Jacobian 1 checked against c = 1 + t, a non-unit of
+    K[t, 1/t]: e walked through the inverse factors is compared with s_c,
+    not divided by c, so the walk (degree 2) raises what the 2x3 matrix
+    product (degree 1) raises, NotInvertibleError and not NonUnitError."""
+    e = parse_automorphism(src, K)
+    aut = plane_aut_from_endo(e)
+    assert isinstance(e.ring, LaurentRing) and e.ring.eq(aut.jac, e.ring.one)
+    with pytest.raises(NotInvertibleError) as exc:
+        _check_inverse_by_word(e, aut.inv, aut.word, {0: K.one, 1: K.one})
+    assert type(exc.value) is NotInvertibleError and str(exc.value) == NOT_INVERSE
+
+
 def _shifted_inverse(cls, build):
     """cls.inverse followed by the translation (x1 + 1, x2) or (x1, x2 + 1)."""
     inverse = cls.inverse
@@ -314,7 +330,7 @@ def _perturbed(rng, e):
         c = {rng.randint(-2, 2): rand_scalar(rng, R.base, nonzero=True)}
     else:
         c = rand_scalar(rng, R, nonzero=True)
-    comps[i] = comps[i] + MultiPoly.monomial(R, 2, exps, c)
+    comps[i] = comps[i] + MultiPoly(R, 2, {exps: c})
     return Endo(comps)
 
 

@@ -71,17 +71,27 @@ def _referenced_names(node) -> list:
     return out
 
 
+def _definitions(tree):
+    """The module-level functions and classes of tree, and the non-dunder
+    methods and properties of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body if isinstance(n, ast.FunctionDef)
+                        and not (n.name.startswith("__") and n.name.endswith("__")))
+
+
 def _dead_definitions(src: Path) -> list:
-    """Module-level functions and classes of the package that no module of
-    it names outside their own definition.  The package root's imports
-    count, so an export is never dead."""
+    """Functions, classes, methods and properties of the package that no
+    module of it names outside their own definition.  The package root's
+    imports count, so an export is never dead."""
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
     total = collections.Counter(name for tree in trees.values()
                                 for name in _referenced_names(tree))
     return [f"{mod}:{node.lineno} {node.name}"
-            for mod, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and total[node.name] == _referenced_names(node).count(node.name)]
+            for mod, tree in trees.items() for node in _definitions(tree)
+            if total[node.name] == _referenced_names(node).count(node.name)]
 
 
 def test_every_definition_is_referenced_or_exported():
